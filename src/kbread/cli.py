@@ -2,10 +2,10 @@
 ternary-extract, ternary-templates, knom-mine, knom-learn, knom-predict,
 and kb-check.
 
-Every subcommand accepts --kb-dir, --config, --seed, --threads, and
---dry-run. Option precedence is flags, then the config file (flat
-key=value lines), then built-in defaults. Outputs are byte-identical
-across runs given identical inputs and seed.
+Every subcommand accepts --kb-dir, --config, --seed, and --dry-run.
+Option precedence is flags, then the config file (flat key=value lines),
+then built-in defaults. Outputs are byte-identical across runs given
+identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from . import collins, evaluation, knom, ternary
 from .features import (DEFAULT_FAMILIES, FAMILIES, FeatureConfig,
                        expand_with_synonyms, extract_features, read_corpus)
 from .kb import DEFAULT_MIN_SVO_COUNT, load_kb, load_kb_dir
-from .model import (AttachmentModel, TrainConfig, classify, load_model,
+from .model import (AttachmentModel, TrainConfig, classify_many, load_model,
                     save_model, train_em)
-from .tsv import FormatError, iter_rows
+from .tsv import FormatError, iter_rows, write_lines
 
 
 class _Settings:
@@ -73,7 +73,6 @@ def _load_kb(args, settings):
 def _feature_config(settings) -> FeatureConfig:
     return FeatureConfig(
         enabled_families=_parse_families(settings.get("families", "default")),
-        category_scheme=settings.get("category_scheme", "default"),
         max_prep_senses=settings.get("max_prep_senses", 5, int),
     )
 
@@ -113,8 +112,7 @@ def _write_train_log(model: AttachmentModel, path) -> None:
                          f"\tm_steps={record['m_steps']}")
     lines.append(f"final\tlabeled={model.n_labeled}\tunlabeled={model.n_unlabeled}"
                  f"\tfeatures={len(model.weights)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -156,13 +154,11 @@ def cmd_predict(args) -> int:
     if args.dry_run:
         print("dry run: inputs ok")
         return 0
-    lines = []
-    for inst in instances:
-        label, p = classify(model, extract_features(inst, kb, feature_cfg))
-        lines.append("\t".join([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2,
-                                label, f"{p:.6f}"]))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    decisions = classify_many(model, (extract_features(inst, kb, feature_cfg)
+                                      for inst in instances))
+    lines = ["\t".join([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2, label, f"{p:.6f}"])
+             for inst, (label, p) in zip(instances, decisions)]
+    write_lines(args.out, lines)
     print(f"wrote {len(lines)} predictions to {args.out}")
     return 0
 
@@ -176,12 +172,13 @@ def cmd_eval(args) -> int:
     if args.model:
         model = load_model(args.model)
         feature_cfg = _model_feature_config(model, args, settings)
-        predictors["ppad"] = lambda inst: classify(
-            model, extract_features(inst, kb, feature_cfg))[0]
+        predictors["ppad"] = lambda insts: [label for label, _ in classify_many(
+            model, (extract_features(inst, kb, feature_cfg) for inst in insts))]
     if args.collins_train:
         train = _require_labeled(read_corpus(args.collins_train), args.collins_train)
         counts = collins.fit_counts(train)
-        predictors["collins"] = lambda inst: collins.predict(counts, inst)[0]
+        predictors["collins"] = lambda insts: [collins.predict(counts, inst)[0]
+                                               for inst in insts]
     if not predictors:
         raise ValueError("eval needs --model and/or --collins-train")
     if args.dry_run:
@@ -190,8 +187,7 @@ def cmd_eval(args) -> int:
 
     reports = evaluation.compare(predictors, gold)
     text = evaluation.format_reports(reports)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_lines(args.out, text.splitlines())
     if args.tsv_out:
         evaluation.write_reports_tsv(reports, args.tsv_out)
     if args.chart_out:
@@ -314,13 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kb-dir", help="directory of knowledge files")
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--seed", type=int, default=0, help="seed for any sampling")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; computation is deterministic and single-threaded")
     common.add_argument("--dry-run", action="store_true",
                         help="validate inputs without writing outputs")
     common.add_argument("--min-svo-count", type=int, dest="min_svo_count")
     common.add_argument("--families", help="comma list of feature families, or all/default")
-    common.add_argument("--category-scheme", dest="category_scheme")
     common.add_argument("--max-prep-senses", type=int, dest="max_prep_senses")
 
     parser = argparse.ArgumentParser(prog="kbread",
@@ -409,14 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ falls back to noun attachment.
 from __future__ import annotations
 
 from .features import NOUN, VERB, PPInstance
-from .tsv import norm_token
+from .tsv import norm_token, write_lines
 
 _LEVELS = (
     (("v", "n1", "p", "n2"),),
@@ -99,5 +99,4 @@ def save_counts(counts: BackoffCounts, path) -> None:
             for key in sorted(table):
                 cv, cn = table[key]
                 lines.append(f"{name}\t{' '.join(key)}\t{cv}\t{cn}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

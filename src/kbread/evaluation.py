@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .features import NOUN, VERB
+from .tsv import write_lines
 
 
 @dataclass
@@ -30,7 +31,9 @@ class EvalReport:
     per_prep: dict[str, PrepStats] = field(default_factory=dict)
 
     @property
-    def accuracy(self) -> float:
+    def accuracy(self) -> float | None:
+        if self.n == 0:
+            return None
         return self.correct / self.n
 
     @property
@@ -76,11 +79,12 @@ def evaluate(predictions, gold, method: str = "model") -> EvalReport:
 def compare(predictors: dict, gold) -> list[EvalReport]:
     """Run several named predictors over the same instances.
 
-    Each predictor is a callable mapping an instance to a "V"/"N" decision
-    and must decide every instance. One report per method, in dict order.
+    Each predictor is a callable mapping the list of instances to the list
+    of "V"/"N" decisions, one per instance. One report per method, in dict
+    order.
     """
     gold = list(gold)
-    return [evaluate([predict(inst) for inst in gold], gold, method=name)
+    return [evaluate(predict(gold), gold, method=name)
             for name, predict in predictors.items()]
 
 
@@ -118,8 +122,7 @@ def write_reports_tsv(reports, path) -> None:
             s = r.per_prep[prep]
             lines.append(f"{r.method}\tprep:{prep}\t{s.n}\t{s.correct}\t{_fmt(s.accuracy)}"
                          f"\t{s.gold_verb}\t{s.gold_noun}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_prep_chart(reports, path) -> None:
@@ -128,5 +131,4 @@ def write_prep_chart(reports, path) -> None:
     for r in reports:
         for prep in sorted(r.per_prep):
             lines.append(f"{r.method}\t{prep}\t{_fmt(r.per_prep[prep].accuracy)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -17,8 +17,8 @@ feature has value 1 when present. Fifteen feature families exist:
 
 Feature names are canonical strings such as ``"F11:(butterfly,with,net)"``
 or ``"F4:isA(net,device)"``; :func:`parse_feature_name` recovers the family
-and constituent strings (constituents are comma-joined, so tokens are
-assumed not to contain commas).
+and constituent strings. Constituents are comma-joined, so the corpus
+readers reject tokens that contain a comma (:func:`row_tokens`).
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class PPInstance:
 @dataclass(frozen=True)
 class FeatureConfig:
     enabled_families: frozenset[str] = DEFAULT_FAMILIES
-    category_scheme: str = "default"
     max_prep_senses: int = 5
 
     def __post_init__(self):
@@ -99,6 +98,18 @@ def parse_feature_name(name: str):
         raise ValueError(f"not a feature name: {name!r}")
     inner = body[len(functor) + 1:-1]
     return family, tuple(inner.split(","))
+
+
+def row_tokens(path, lineno, fields) -> list[str]:
+    """Normalize the word fields of one input row. Empty tokens are
+    rejected, and so are tokens with a comma, which would make feature
+    names collide."""
+    tokens = [norm_token(f) for f in fields]
+    if not all(tokens):
+        raise FormatError(path, lineno, "empty token")
+    if any("," in t for t in tokens):
+        raise FormatError(path, lineno, "token contains a comma")
+    return tokens
 
 
 def extract_features(inst: PPInstance, kb: KnowledgeBase,
@@ -198,13 +209,6 @@ def read_corpus(path) -> list[PPInstance]:
             label = label.strip().upper()
             if label not in (VERB, NOUN):
                 raise FormatError(path, lineno, f"label must be V or N, got {label!r}")
-        tokens = [norm_token(t) for t in (v, n1, p, n2)]
-        if not all(tokens):
-            raise FormatError(path, lineno, "empty token")
-        if n0 is not None:
-            n0 = norm_token(n0)
-            if not n0:
-                raise FormatError(path, lineno, "empty token")
-        out.append(PPInstance(v=tokens[0], n1=tokens[1], p=tokens[2], n2=tokens[3],
-                              n0=n0, label=label))
+        words = [v, n1, p, n2] if n0 is None else [v, n1, p, n2, n0]
+        out.append(PPInstance(*row_tokens(path, lineno, words), label=label))
     return out

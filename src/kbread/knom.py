@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .kb import KnowledgeBase
-from .tsv import FormatError, iter_rows, norm_token
+from .tsv import FormatError, iter_rows, norm_token, write_lines
 
 #: Sequence element kinds: a category name, a literal word, or a wildcard.
 TYPE, LEX, ANY = "type", "lex", "any"
@@ -231,8 +231,7 @@ def write_sequences(mined, path) -> None:
         seq = " ".join(_format_element(e) for e in m.sequence.elements)
         ids = ",".join(cn.source for cn in m.supporters)
         lines.append(f"{seq}\t{m.sequence.support}\t{ids}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, lines)
 
 
 def write_mappings(mappings, path) -> None:
@@ -241,8 +240,7 @@ def write_mappings(mappings, path) -> None:
     for mp in mappings:
         seq = " ".join(_format_element(e) for e in mp.sequence.elements)
         lines.append(f"{mp.relation}\t{mp.arg1_pos}\t{mp.arg2_pos}\t{seq}\t{mp.support}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, lines)
 
 
 def read_mappings(path) -> list[TypeSequenceMapping]:
@@ -271,8 +269,7 @@ def write_predictions(predictions, path) -> None:
     """Predictions as TSV: relation, arg1, arg2, source id, known|new."""
     lines = [f"{p.relation}\t{p.arg1}\t{p.arg2}\t{p.source}\t{'known' if p.known else 'new'}"
              for p in predictions]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, lines)
 
 
 def write_sample_manifest(predictions, path) -> None:
@@ -280,5 +277,4 @@ def write_sample_manifest(predictions, path) -> None:
     lines = ["#relation\targ1\targ2\tsource\tstatus\tjudgment"]
     lines += [f"{p.relation}\t{p.arg1}\t{p.arg2}\t{p.source}\t{'known' if p.known else 'new'}\t-"
               for p in predictions]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from .features import VERB, NOUN, FAMILIES, FeatureConfig
-from .tsv import FormatError
+from .tsv import FormatError, write_lines
 
 _MIN_STEP = 1e-12
 _P_EPS = 1e-12
@@ -106,22 +108,37 @@ def _intern(fvs, vocab):
     return rows
 
 
-class _Problem:
-    """Posterior-weighted, L2-penalized conditional objective over packed
-    instances."""
+def _weights_over(weights, vocab):
+    """A model's weights as a vector over a vocabulary; names without a
+    weight get zero."""
+    w = np.zeros(len(vocab))
+    for name, i in vocab.items():
+        w[i] = weights.get(name, 0.0)
+    return w
 
-    def __init__(self, rows, pairs, n_features, l2):
-        counts = np.array([len(r) for r in rows], dtype=np.intp)
-        self.flat = np.array([i for row in rows for i in row], dtype=np.intp)
-        self.inst_idx = np.repeat(np.arange(len(rows), dtype=np.intp), counts)
-        self.n = len(rows)
-        self.n_features = n_features
+
+class _Problem:
+    """Posterior-weighted, L2-penalized conditional objective over instances
+    packed as the rows of a sparse 0/1 matrix.
+
+    :meth:`scores` and :meth:`grad` are the only code that sums feature
+    weights. Each row keeps its columns in the order :func:`_intern` gave
+    them and the matrix is never canonicalised: sorting column ids would
+    change the order, and so the rounding, of every sum.
+    """
+
+    def __init__(self, rows, n_features, pairs=(), l2=0.0):
+        counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=indptr[-1])
+        self.X = csr_matrix((np.ones(len(indices)), indices, indptr),
+                            shape=(len(rows), n_features))
         self.l2 = l2
         self.p1 = np.array([p[0] for p in pairs], dtype=np.float64)
         self.p0 = np.array([p[1] for p in pairs], dtype=np.float64)
 
     def scores(self, w):
-        return np.bincount(self.inst_idx, weights=w[self.flat], minlength=self.n)
+        return self.X @ w
 
     def value(self, w):
         z = self.scores(w)
@@ -132,9 +149,7 @@ class _Problem:
     def grad(self, w):
         z = self.scores(w)
         coef = self.p1 - (self.p1 + self.p0) * expit(z)
-        g = np.bincount(self.flat, weights=coef[self.inst_idx],
-                        minlength=self.n_features)
-        return g - self.l2 * w
+        return self.X.T @ coef - self.l2 * w
 
 
 def _ascend(problem, w, cfg):
@@ -165,31 +180,16 @@ def _ascend(problem, w, cfg):
 
 def _model_problem(model, items):
     """Pack data against a model's weights; returns (problem, w, vocab)."""
-    vocab = {}
-    for name in model.weights:
-        vocab.setdefault(name, len(vocab))
+    vocab = {name: i for i, name in enumerate(model.weights)}
     rows = _intern([fv for fv, _ in items], vocab)
     pairs = [p for _, p in items]
-    problem = _Problem(rows, pairs, len(vocab), model.config.l2_penalty)
-    w = np.zeros(len(vocab))
-    for name, i in vocab.items():
-        w[i] = model.weights.get(name, 0.0)
-    return problem, w, vocab
+    problem = _Problem(rows, len(vocab), pairs, model.config.l2_penalty)
+    return problem, _weights_over(model.weights, vocab), vocab
 
 
-# -- public operations ---------------------------------------------------
-
-
-def predict_proba(model: AttachmentModel, fv) -> float:
-    """Probability of verb attachment for one feature set.
-
-    Weights are summed in sorted feature order so the result is bit-stable
-    across processes; the output is clamped into the open interval (0, 1).
-    """
-    z = 0.0
-    weights = model.weights
-    for name in sorted(fv):
-        z += weights.get(name, 0.0)
+def _logistic(z: float) -> float:
+    """Probability of verb attachment for one score, clamped into the open
+    interval (0, 1)."""
     if z >= 0:
         p = 1.0 / (1.0 + math.exp(-z))
     else:
@@ -198,10 +198,34 @@ def predict_proba(model: AttachmentModel, fv) -> float:
     return min(max(p, _P_EPS), 1.0 - _P_EPS)
 
 
+# -- public operations ---------------------------------------------------
+
+
+def classify_many(model: AttachmentModel, fvs) -> list[tuple[str, float]]:
+    """Decision plus probability of verb attachment for each feature set;
+    verb attachment wins at p >= 0.5.
+
+    Each score sums the present weights in sorted feature order, so results
+    are bit-stable across processes. Names without a weight are left out of
+    the packing: adding zero never changes a sum that starts at zero.
+    ``fvs`` may be a generator; only the packed rows are kept, not the
+    feature sets.
+    """
+    weights = model.weights
+    vocab = {}
+    rows = _intern(([name for name in fv if name in weights] for fv in fvs), vocab)
+    z = _Problem(rows, len(vocab)).scores(_weights_over(weights, vocab))
+    return [((VERB if p >= 0.5 else NOUN), p) for p in map(_logistic, z.tolist())]
+
+
+def predict_proba(model: AttachmentModel, fv) -> float:
+    """Probability of verb attachment for one feature set."""
+    return classify_many(model, [fv])[0][1]
+
+
 def classify(model: AttachmentModel, fv) -> tuple[str, float]:
-    """Decision plus probability; verb attachment wins at p >= 0.5."""
-    p = predict_proba(model, fv)
-    return (VERB if p >= 0.5 else NOUN), p
+    """Decision plus probability for one feature set."""
+    return classify_many(model, [fv])[0]
 
 
 def expected_log_likelihood(model: AttachmentModel, data) -> float:
@@ -250,7 +274,7 @@ def train_supervised(data, cfg: TrainConfig | None = None) -> AttachmentModel:
     pairs = [_hard_pair(t) for _, t in data]
     vocab = {}
     rows = _intern([fv for fv, _ in data], vocab)
-    problem = _Problem(rows, pairs, len(vocab), cfg.l2_penalty)
+    problem = _Problem(rows, len(vocab), pairs, cfg.l2_penalty)
     w, value, steps = _ascend(problem, np.zeros(len(vocab)), cfg)
     model = AttachmentModel(
         weights={name: float(w[i]) for name, i in vocab.items()},
@@ -285,13 +309,10 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
     lab_rows = _intern([fv for fv, _ in labeled], vocab)
     unlab_rows = _intern(unlabeled, vocab)
     lab_pairs = [_hard_pair(t) for _, t in labeled]
-    problem = _Problem(lab_rows + unlab_rows,
-                       lab_pairs + [(0.5, 0.5)] * len(unlab_rows),
-                       len(vocab), cfg.l2_penalty)
-    lab_problem = _Problem(lab_rows, lab_pairs, len(vocab), cfg.l2_penalty)
-    w = np.zeros(len(vocab))
-    for name, i in vocab.items():
-        w[i] = base.weights.get(name, 0.0)
+    problem = _Problem(lab_rows + unlab_rows, len(vocab),
+                       lab_pairs + [(0.5, 0.5)] * len(unlab_rows), cfg.l2_penalty)
+    lab_problem = _Problem(lab_rows, len(vocab), lab_pairs, cfg.l2_penalty)
+    w = _weights_over(base.weights, vocab)
 
     history = list(base.history)
     unlab = slice(len(lab_rows), None)
@@ -340,12 +361,10 @@ def save_model(model: AttachmentModel, path) -> None:
         fc = model.feature_config
         families = ",".join(f for f in FAMILIES if f in fc.enabled_families)
         lines.append(f"#families\t{families}")
-        lines.append(f"#category_scheme\t{fc.category_scheme}")
         lines.append(f"#max_prep_senses\t{fc.max_prep_senses}")
     for name in sorted(model.weights):
         lines.append(f"{name}\t{model.weights[name]!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_model(path) -> AttachmentModel:
@@ -365,10 +384,13 @@ def load_model(path) -> AttachmentModel:
             if len(fields) != 2:
                 raise FormatError(path, lineno, "expected feature-name and weight")
             try:
-                weights[fields[0]] = float(fields[1])
+                weight = float(fields[1])
             except ValueError:
                 raise FormatError(path, lineno,
                                   f"weight is not a number: {fields[1]!r}") from None
+            if not math.isfinite(weight):
+                raise FormatError(path, lineno, f"weight is not finite: {fields[1]!r}")
+            weights[fields[0]] = weight
     if header.get(MODEL_FORMAT) != MODEL_VERSION:
         raise FormatError(path, 1, f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")
     try:
@@ -385,7 +407,6 @@ def load_model(path) -> AttachmentModel:
     if "families" in header:
         feature_config = FeatureConfig(
             enabled_families=frozenset(header["families"].split(",")),
-            category_scheme=header.get("category_scheme", "default"),
             max_prep_senses=int(header.get("max_prep_senses", 5)),
         )
     return AttachmentModel(

@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .features import VERB, FeatureConfig, PPInstance, extract_features
+from .features import VERB, FeatureConfig, PPInstance, extract_features, row_tokens
 from .kb import KnowledgeBase
-from .model import AttachmentModel, classify
-from .tsv import FormatError, iter_rows, norm_token
+from .model import AttachmentModel, classify_many
+from .tsv import FormatError, iter_rows, norm_token, write_lines
 
 #: Role labels assignable to the preposition-introduced third argument.
 ROLE_LABELS = (
@@ -62,17 +62,22 @@ def _require_n0(inst: PPInstance) -> str:
     return inst.n0
 
 
+def _verb_attached(tuples, model: AttachmentModel, kb: KnowledgeBase,
+                   cfg: FeatureConfig | None) -> list[PPInstance]:
+    """The 5-tuples the model attaches to the verb, in input order."""
+    tuples = list(tuples)
+    for inst in tuples:
+        _require_n0(inst)
+    decisions = classify_many(model, (extract_features(inst, kb, cfg) for inst in tuples))
+    return [inst for inst, (label, _) in zip(tuples, decisions) if label == VERB]
+
+
 def extract_ternary(tuples, model: AttachmentModel, kb: KnowledgeBase,
                     cfg: FeatureConfig | None = None) -> list[TernaryInstance]:
     """One ternary instance per tuple the model attaches to the verb;
     noun-attached tuples are dropped. Input order is preserved."""
-    out = []
-    for inst in tuples:
-        n0 = _require_n0(inst)
-        label, _ = classify(model, extract_features(inst, kb, cfg))
-        if label == VERB:
-            out.append(TernaryInstance(n0, inst.v, inst.n1, inst.p, inst.n2))
-    return out
+    return [TernaryInstance(inst.n0, inst.v, inst.n1, inst.p, inst.n2)
+            for inst in _verb_attached(tuples, model, kb, cfg)]
 
 
 def map_relations_to_verbs(kb: KnowledgeBase, tuples,
@@ -147,11 +152,7 @@ def apply_role_templates(templates, tuples, model: AttachmentModel,
     for t in templates:
         by_vp.setdefault((t.verb, t.preposition), []).append(t)
     out = []
-    for inst in tuples:
-        n0 = _require_n0(inst)
-        label, _ = classify(model, extract_features(inst, kb, cfg))
-        if label != VERB:
-            continue
+    for inst in _verb_attached(tuples, model, kb, cfg):
         t1s = kb.types_of(inst.n1)
         t2s = kb.types_of(inst.n2)
         matches = [t for t in by_vp.get((norm_token(inst.v), norm_token(inst.p)), ())
@@ -159,7 +160,7 @@ def apply_role_templates(templates, tuples, model: AttachmentModel,
         role = None
         if matches:
             role = sorted(matches, key=lambda t: (-t.support, t.label))[0].label
-        out.append(TernaryInstance(n0, inst.v, inst.n1, inst.p, inst.n2,
+        out.append(TernaryInstance(inst.n0, inst.v, inst.n1, inst.p, inst.n2,
                                    role_label=role))
     return out
 
@@ -173,10 +174,7 @@ def read_tuples(path) -> list[PPInstance]:
     for lineno, fields in iter_rows(path):
         if len(fields) != 5:
             raise FormatError(path, lineno, f"expected 5 columns, got {len(fields)}")
-        tokens = [norm_token(f) for f in fields]
-        if not all(tokens):
-            raise FormatError(path, lineno, "empty token")
-        n0, v, n1, p, n2 = tokens
+        n0, v, n1, p, n2 = row_tokens(path, lineno, fields)
         out.append(PPInstance(v=v, n1=n1, p=p, n2=n2, n0=n0))
     return out
 
@@ -187,13 +185,10 @@ def read_role_tuples(path) -> list[tuple[PPInstance, str]]:
     for lineno, fields in iter_rows(path):
         if len(fields) != 6:
             raise FormatError(path, lineno, f"expected 6 columns, got {len(fields)}")
-        tokens = [norm_token(f) for f in fields[:5]]
-        if not all(tokens):
-            raise FormatError(path, lineno, "empty token")
+        n0, v, n1, p, n2 = row_tokens(path, lineno, fields[:5])
         label = fields[5]
         if label not in ROLE_LABELS:
             raise FormatError(path, lineno, f"unknown role label {label!r}")
-        n0, v, n1, p, n2 = tokens
         out.append((PPInstance(v=v, n1=n1, p=p, n2=n2, n0=n0), label))
     return out
 
@@ -205,28 +200,11 @@ def write_ternary(instances, path) -> None:
     for t in instances:
         lines.append("\t".join([t.n0, t.v, t.n1, t.p, t.n2,
                                 t.relation or "-", t.role_label or "-"]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, lines)
 
 
 def write_templates(templates, path) -> None:
     lines = [f"{t.label}\t{t.verb}\t{t.arg1_type}\t{t.preposition}\t{t.arg2_type}\t{t.support}"
              for t in templates]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, lines)
 
-
-def read_templates(path) -> list[RoleTemplate]:
-    out = []
-    for lineno, fields in iter_rows(path):
-        if len(fields) != 6:
-            raise FormatError(path, lineno, f"expected 6 columns, got {len(fields)}")
-        if fields[0] not in ROLE_LABELS:
-            raise FormatError(path, lineno, f"unknown role label {fields[0]!r}")
-        try:
-            support = int(fields[5])
-        except ValueError:
-            raise FormatError(path, lineno, "support is not an integer") from None
-        out.append(RoleTemplate(fields[0], norm_token(fields[1]), norm_token(fields[2]),
-                                norm_token(fields[3]), norm_token(fields[4]), support))
-    return out

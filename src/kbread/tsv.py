@@ -1,4 +1,4 @@
-"""Small helpers shared by every tab-separated file loader in the package."""
+"""Small helpers shared by every tab-separated file reader and writer in the package."""
 
 from __future__ import annotations
 
@@ -29,3 +29,10 @@ def iter_rows(path):
             if not stripped.strip() or stripped.lstrip().startswith("#"):
                 continue
             yield lineno, [f.strip() for f in stripped.split("\t")]
+
+
+def write_lines(path, lines) -> None:
+    """Write a list of lines as UTF-8 with ``\\n`` line ends; the file ends
+    with a newline unless ``lines`` is empty."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + ("\n" if lines else ""))

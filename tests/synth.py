@@ -1,5 +1,6 @@
 """Synthetic data generators and independent oracles shared by the tests."""
 
+import math
 import os
 import random
 
@@ -38,6 +39,22 @@ def two_cluster_data(seed, n_labeled=4, n_unlabeled=200, n_test=100):
         return out
 
     return draw(n_labeled, True), draw(n_unlabeled, False), draw(n_test, True)
+
+
+def sorted_sum_classify(weights, fv):
+    """Reference scorer: one instance at a time, weights summed in sorted
+    feature order with unseen names adding zero, then the logistic clamped
+    into (0, 1) and verb attachment winning at p >= 0.5."""
+    z = 0.0
+    for name in sorted(fv):
+        z += weights.get(name, 0.0)
+    if z >= 0:
+        p = 1.0 / (1.0 + math.exp(-z))
+    else:
+        e = math.exp(z)
+        p = e / (1.0 + e)
+    p = min(max(p, 1e-12), 1.0 - 1e-12)
+    return (VERB if p >= 0.5 else NOUN), p
 
 
 # -- random corpora for the back-off baseline --------------------------------

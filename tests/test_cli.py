@@ -118,6 +118,18 @@ class TestPredict:
         assert by_verb["acquired"] == "V"
         assert by_verb["expect"] == "N"
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_exits_2(self, paths, tmp_path, capsys, weight):
+        model_path = train_fixture_model(paths, tmp_path)
+        with open(model_path, "a", encoding="utf-8") as fh:
+            fh.write(f"F15:(with)\t{weight}\n")
+        lineno = open(model_path, encoding="utf-8").read().count("\n")
+        out = str(tmp_path / "pred.tsv")
+        assert run("predict", "--model", model_path, "--input", paths["test"],
+                   "--kb-dir", paths["kb"], "--out", out) == 2
+        assert f"{model_path}:{lineno}:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_reruns_are_byte_identical(self, paths, tmp_path):
         model_path = train_fixture_model(paths, tmp_path)
         out1, out2 = str(tmp_path / "p1.tsv"), str(tmp_path / "p2.tsv")
@@ -146,6 +158,17 @@ class TestEval:
     def test_requires_some_method(self, paths, tmp_path):
         assert run("eval", "--test", paths["test"],
                    "--out", str(tmp_path / "r.txt")) == 2
+
+    def test_empty_test_file_reports_dashes(self, paths, tmp_path):
+        model_path = train_fixture_model(paths, tmp_path)
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# no data rows\n", encoding="utf-8")
+        out = str(tmp_path / "report.txt")
+        assert run("eval", "--test", str(empty), "--model", model_path,
+                   "--collins-train", paths["labeled"], "--kb-dir", paths["kb"],
+                   "--out", out) == 0
+        overall = [l.split() for l in open(out, encoding="utf-8") if l.startswith("overall")]
+        assert overall == [["overall", "0", "0", "-"]] * 2
 
 
 class TestTernaryCommands:

@@ -75,22 +75,22 @@ class TestEvaluate:
 class TestCompare:
     def test_reports_per_method_in_order(self, hand_tallied):
         _, gold = hand_tallied
-        methods = {"always_verb": lambda inst: VERB,
-                   "echo_gold": lambda inst: inst.label}
+        methods = {"always_verb": lambda insts: [VERB] * len(insts),
+                   "echo_gold": lambda insts: [inst.label for inst in insts]}
         reports = compare(methods, gold)
         assert [r.method for r in reports] == ["always_verb", "echo_gold"]
         assert reports[1].accuracy == 1.0
 
     def test_adding_a_method_changes_no_other_row(self, hand_tallied):
         _, gold = hand_tallied
-        one = compare({"always_verb": lambda inst: VERB}, gold)
-        two = compare({"always_verb": lambda inst: VERB,
-                       "always_noun": lambda inst: NOUN}, gold)
+        one = compare({"always_verb": lambda insts: [VERB] * len(insts)}, gold)
+        two = compare({"always_verb": lambda insts: [VERB] * len(insts),
+                       "always_noun": lambda insts: [NOUN] * len(insts)}, gold)
         assert one[0] == two[0]
 
     def test_deterministic(self, hand_tallied):
         _, gold = hand_tallied
-        methods = {"always_verb": lambda inst: VERB}
+        methods = {"always_verb": lambda insts: [VERB] * len(insts)}
         assert compare(methods, gold) == compare(methods, gold)
 
 

@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kbread.features import (FAMILIES, FeatureConfig,
                              PPInstance, expand_with_synonyms,
                              extract_features, feature_name,
                              parse_feature_name, read_corpus)
 from kbread.kb import load_kb
+from kbread.ternary import read_role_tuples, read_tuples
 from kbread.tsv import FormatError
 
 ALL = FeatureConfig(enabled_families=frozenset(FAMILIES))
@@ -167,6 +168,36 @@ class TestFeatureNames:
     def test_round_trip(self, family, parts):
         name = feature_name(family, parts)
         assert parse_feature_name(name) == (family, tuple(parts))
+
+    @settings(deadline=None, max_examples=100)
+    @given(words=st.lists(st.text(st.characters(blacklist_characters=",\t\n\r",
+                                                blacklist_categories=("Cs",)),
+                                  min_size=1, max_size=6),
+                          min_size=4, max_size=4))
+    def test_round_trip_of_tokens_the_reader_accepts(self, tmp_path_factory, words):
+        path = tmp_path_factory.mktemp("corpus") / "c.tsv"
+        path.write_text("\t".join(words) + "\n", encoding="utf-8")
+        try:
+            insts = read_corpus(path)
+        except FormatError:
+            insts = []
+        assume(insts)
+        (inst,) = insts
+        parts = (inst.v, inst.n1, inst.p, inst.n2)
+        for family in FAMILIES:
+            assert parse_feature_name(feature_name(family, parts)) == (family, parts)
+
+
+@pytest.mark.parametrize("reader, row", [
+    (read_corpus, "see\ta,b\twith\tc"),
+    (read_tuples, "sam\tsee\ta\tb,with\tc"),
+    (read_role_tuples, "sam\tbuy\tring,box\tfor\tmom\tnp_v_np_pp.beneficiary"),
+])
+def test_readers_reject_commas_in_tokens(tmp_path, reader, row):
+    path = tmp_path / "rows.tsv"
+    path.write_text("# one data row\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"rows\.tsv:2: token contains a comma"):
+        reader(path)
 
 
 class TestSynonymExpansion:

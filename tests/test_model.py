@@ -2,13 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbread.features import NOUN, VERB
-from kbread.model import (AttachmentModel, TrainConfig, classify,
+from kbread.model import (AttachmentModel, TrainConfig, classify, classify_many,
                           conditional_log_likelihood, expected_log_likelihood,
                           gradient, load_model, predict_proba, save_model,
                           train_em, train_supervised)
-from synth import two_cluster_data
+from synth import sorted_sum_classify, two_cluster_data
 
 NO_REG = TrainConfig(l2_penalty=0.0)
 
@@ -67,6 +68,31 @@ class TestPredictProba:
         assert classify(model, frozenset(["x"]))[0] == VERB
         assert classify(model, frozenset(["y"]))[0] == NOUN
         assert classify(model, frozenset())[0] == VERB  # ties go to the verb
+
+
+class TestClassifyMany:
+    NAMES = tuple(f"f{i}" for i in range(12))
+
+    @settings(deadline=None, max_examples=200)
+    @given(weights=st.dictionaries(
+               st.sampled_from(NAMES[:8]),
+               st.one_of(st.floats(-1e4, 1e4, allow_nan=False),
+                         st.sampled_from((1e4, -1e4, 0.0, -0.0)))),
+           fvs=st.lists(st.frozensets(st.sampled_from(NAMES)), max_size=12))
+    def test_matches_sorted_sum_oracle_exactly(self, weights, fvs):
+        # f8..f11 never carry a weight; empty sets and ±1e4 weights are drawn.
+        # The CLI passes a generator, so the property does too.
+        model = AttachmentModel(weights)
+        assert classify_many(model, iter(fvs)) == [sorted_sum_classify(weights, fv)
+                                                   for fv in fvs]
+
+    def test_single_views_agree_with_the_batch(self):
+        model = AttachmentModel({"a": 0.7, "b": -1.9, "c": 1e-3})
+        fvs = [frozenset(), frozenset(["a"]), frozenset(["a", "b", "z"]),
+               frozenset(["c", "b"])]
+        batch = classify_many(model, fvs)
+        assert [classify(model, fv) for fv in fvs] == batch
+        assert [predict_proba(model, fv) for fv in fvs] == [p for _, p in batch]
 
 
 class TestLogLikelihood:
@@ -259,6 +285,20 @@ class TestModelFile:
         path = tmp_path / "model.tsv"
         save_model(model, path)
         loaded = load_model(path)
+        assert loaded.feature_config == model.feature_config
+
+    def test_old_category_scheme_header_is_ignored(self, tmp_path):
+        from kbread.features import FeatureConfig
+        model = train_supervised([(frozenset(["a"]), VERB)], TrainConfig())
+        model.feature_config = FeatureConfig()
+        path = tmp_path / "model.tsv"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        assert "#category_scheme" not in text
+        path.write_text(text.replace("#max_prep_senses", "#category_scheme\tdefault\n"
+                                     "#max_prep_senses"), encoding="utf-8")
+        loaded = load_model(path)
+        assert loaded.weights == model.weights
         assert loaded.feature_config == model.feature_config
 
     def test_rejects_other_files(self, tmp_path):
