@@ -32,6 +32,7 @@ from scipy.special import expit
 from .features import VERB, NOUN, FAMILIES, FeatureConfig
 from .tsv import FormatError, write_lines
 
+_FIRST_STEP = 0.5
 _MIN_STEP = 1e-12
 _P_EPS = 1e-12
 
@@ -41,21 +42,18 @@ MODEL_VERSION = "1"
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.5
     l2_penalty: float = 1e-4
     max_em_iters: int = 20
     max_gradient_steps: int = 200
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be nonnegative")
+        if not 0 <= self.l2_penalty < math.inf:
+            raise ValueError("l2_penalty must be finite and nonnegative")
         if self.max_em_iters < 1 or self.max_gradient_steps < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0 < self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be finite and positive")
 
 
 @dataclass
@@ -153,11 +151,12 @@ class _Problem:
 
 
 def _ascend(problem, w, cfg):
-    """Gradient ascent with backtracking: the step size doubles after each
-    accepted step and halves while a step would lower the objective, so only
-    non-decreasing steps are accepted. Returns ``(w, value, accepted_steps)``."""
+    """Gradient ascent with backtracking: the step size starts at
+    ``_FIRST_STEP``, doubles after each accepted step and halves while a step
+    would lower the objective, so only non-decreasing steps are accepted.
+    Returns ``(w, value, accepted_steps)``."""
     value = problem.value(w)
-    lr = cfg.learning_rate
+    lr = _FIRST_STEP
     steps = 0
     for _ in range(cfg.max_gradient_steps):
         g = problem.grad(w)
@@ -236,13 +235,6 @@ def expected_log_likelihood(model: AttachmentModel, data) -> float:
     conditional log likelihood.
     """
     items = [(fv, _posterior_pair(t)) for fv, t in data]
-    problem, w, _ = _model_problem(model, items)
-    return problem.value(w)
-
-
-def conditional_log_likelihood(model: AttachmentModel, data) -> float:
-    """L2-penalized conditional log likelihood of hard-labeled data."""
-    items = [(fv, _hard_pair(t)) for fv, t in data]
     problem, w, _ = _model_problem(model, items)
     return problem.value(w)
 
@@ -342,18 +334,17 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
 
 # -- model files ------------------------------------------------------------
 
+#: The training settings in a model header, with their parsers.
+_TRAIN_HEADER = (("l2_penalty", float), ("max_em_iters", int),
+                 ("max_gradient_steps", int), ("convergence_tol", float))
+
 
 def save_model(model: AttachmentModel, path) -> None:
     """Write a model as a versioned TSV; loading reproduces predictions
     exactly (weights are stored with round-trip float precision)."""
-    cfg = model.config
     lines = [
         f"#{MODEL_FORMAT}\t{MODEL_VERSION}",
-        f"#learning_rate\t{cfg.learning_rate!r}",
-        f"#l2_penalty\t{cfg.l2_penalty!r}",
-        f"#max_em_iters\t{cfg.max_em_iters}",
-        f"#max_gradient_steps\t{cfg.max_gradient_steps}",
-        f"#convergence_tol\t{cfg.convergence_tol!r}",
+        *(f"#{key}\t{getattr(model.config, key)!r}" for key, _ in _TRAIN_HEADER),
         f"#n_labeled\t{model.n_labeled}",
         f"#n_unlabeled\t{model.n_unlabeled}",
     ]
@@ -368,6 +359,9 @@ def save_model(model: AttachmentModel, path) -> None:
 
 
 def load_model(path) -> AttachmentModel:
+    """Read a model file. Header keys of older files (``learning_rate``,
+    ``category_scheme``) are ignored. A header value that does not parse, or
+    that the settings' own checks reject, is a FormatError at its line."""
     header = {}
     weights = {}
     with open(path, encoding="utf-8") as fh:
@@ -379,7 +373,7 @@ def load_model(path) -> AttachmentModel:
             if line.startswith("#"):
                 if len(fields) != 2:
                     raise FormatError(path, lineno, "malformed header line")
-                header[fields[0][1:]] = fields[1]
+                header[fields[0][1:]] = (fields[1], lineno)
                 continue
             if len(fields) != 2:
                 raise FormatError(path, lineno, "expected feature-name and weight")
@@ -391,28 +385,32 @@ def load_model(path) -> AttachmentModel:
             if not math.isfinite(weight):
                 raise FormatError(path, lineno, f"weight is not finite: {fields[1]!r}")
             weights[fields[0]] = weight
-    if header.get(MODEL_FORMAT) != MODEL_VERSION:
+    if header.get(MODEL_FORMAT, (None,))[0] != MODEL_VERSION:
         raise FormatError(path, 1, f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")
+
+    def value(key, convert, settings=None, field=None):
+        """A header value, checked as ``settings(field=value)``."""
+        text, lineno = header[key]
+        try:
+            parsed = convert(text)
+            if settings is not None:
+                settings(**{field or key: parsed})
+        except ValueError as exc:
+            raise FormatError(path, lineno, f"#{key} {text!r}: {exc}") from None
+        return parsed
+
     try:
-        cfg = TrainConfig(
-            learning_rate=float(header["learning_rate"]),
-            l2_penalty=float(header["l2_penalty"]),
-            max_em_iters=int(header["max_em_iters"]),
-            max_gradient_steps=int(header["max_gradient_steps"]),
-            convergence_tol=float(header["convergence_tol"]),
-        )
+        cfg = TrainConfig(**{key: value(key, convert, TrainConfig)
+                             for key, convert in _TRAIN_HEADER})
     except KeyError as missing:
         raise FormatError(path, 1, f"missing header field {missing}") from None
     feature_config = None
     if "families" in header:
-        feature_config = FeatureConfig(
-            enabled_families=frozenset(header["families"].split(",")),
-            max_prep_senses=int(header.get("max_prep_senses", 5)),
-        )
-    return AttachmentModel(
-        weights=weights,
-        config=cfg,
-        n_labeled=int(header.get("n_labeled", 0)),
-        n_unlabeled=int(header.get("n_unlabeled", 0)),
-        feature_config=feature_config,
-    )
+        fields = {"enabled_families": value("families", lambda text: frozenset(text.split(",")),
+                                            FeatureConfig, "enabled_families")}
+        if "max_prep_senses" in header:
+            fields["max_prep_senses"] = value("max_prep_senses", int, FeatureConfig)
+        feature_config = FeatureConfig(**fields)
+    counts = {key: value(key, int) for key in ("n_labeled", "n_unlabeled") if key in header}
+    return AttachmentModel(weights=weights, config=cfg, feature_config=feature_config,
+                           **counts)

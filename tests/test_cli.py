@@ -254,6 +254,10 @@ class TestKbCheck:
     def test_missing_dir_exits_2(self, tmp_path):
         assert run("kb-check", "--kb-dir", str(tmp_path / "missing")) == 2
 
+    def test_dry_run_loads_without_printing_stats(self, paths, capsys):
+        assert run("kb-check", "--kb-dir", paths["kb"], "--dry-run") == 0
+        assert capsys.readouterr().out == "dry run: inputs ok\n"
+
 
 class TestFamilyFlags:
     def test_unknown_family_exits_2(self, paths, tmp_path):
@@ -284,4 +288,180 @@ class TestConfigPrecedence:
         model = load_model(model_path)
         assert model.config.l2_penalty == 0.25      # flag wins
         assert model.config.max_em_iters == 7       # config file beats default
-        assert model.config.learning_rate == 0.5    # default survives
+        assert model.config.max_gradient_steps == 200   # default survives
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory, fixtures_dir, kb_dir):
+    """A model trained with --families all, so it carries F6 weights, and
+    knom mappings learned from the fixtures."""
+    base = tmp_path_factory.mktemp("trained")
+    model, mappings = str(base / "model.tsv"), str(base / "mappings.tsv")
+    assert run("train", "--labeled", f"{fixtures_dir}/quads_labeled.tsv",
+               "--unlabeled", f"{fixtures_dir}/quads_unlabeled.tsv", "--kb-dir", kb_dir,
+               "--model-out", model, "--families", "all") == 0
+    assert run("knom-learn", "--compounds", f"{fixtures_dir}/compounds.tsv",
+               "--kb-dir", kb_dir, "--seq-min-support", "3", "--min-support", "3",
+               "--out", mappings) == 0
+    return model, mappings
+
+
+def fixture_command(name, paths, trained, out_dir):
+    """A complete argument list for ``name`` on the fixtures, writing every
+    output into ``out_dir``."""
+    model, mappings = trained
+    out = {f: str(out_dir / f) for f in ("a.tsv", "b.tsv", "c.tsv")}
+    own = {
+        "train": ["--labeled", paths["labeled"], "--unlabeled", paths["unlabeled"],
+                  "--model-out", out["a.tsv"]],
+        "predict": ["--model", model, "--input", paths["labeled"], "--out", out["a.tsv"]],
+        "eval": ["--test", paths["labeled"], "--model", model, "--out", out["a.tsv"],
+                 "--tsv-out", out["b.tsv"]],
+        "ternary-extract": ["--model", model, "--tuples", paths["tuples"],
+                            "--out", out["a.tsv"]],
+        "ternary-templates": ["--labeled-tuples", paths["roles"], "--tuples",
+                              paths["tuples"], "--model", model, "--out", out["a.tsv"],
+                              "--labeled-out", out["b.tsv"]],
+        "knom-mine": ["--compounds", paths["compounds"], "--out", out["a.tsv"]],
+        "knom-learn": ["--compounds", paths["compounds"], "--out", out["a.tsv"]],
+        "knom-predict": ["--compounds", paths["compounds"], "--mappings", mappings,
+                         "--out", out["a.tsv"], "--sample-out", out["b.tsv"]],
+        "kb-check": [],
+    }[name]
+    return [name, "--kb-dir", paths["kb"], *own]
+
+
+def outputs(name, paths, trained, out_dir, *extra):
+    out_dir.mkdir()
+    assert run(*fixture_command(name, paths, trained, out_dir), *extra) == 0
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+FEATURE_COMMANDS = ("train", "predict", "eval", "ternary-extract", "ternary-templates")
+
+#: (subcommand, setting, value, whether the value changes the outputs on
+#: the fixtures): every tunable option of every subcommand.
+TUNABLES = [
+    *[(name, "min_svo_count", "6", name in ("train", "predict"))
+      for name in FEATURE_COMMANDS],
+    *[(name, "families", "F1", True) for name in FEATURE_COMMANDS],
+    *[(name, "max_prep_senses", "0", name in ("train", "predict"))
+      for name in FEATURE_COMMANDS],
+    ("train", "l2_penalty", "0.5", True),
+    ("train", "max_em_iters", "1", True),
+    ("train", "max_gradient_steps", "3", True),
+    ("train", "convergence_tol", "0.5", True),
+    ("ternary-extract", "min_support", "1", True),
+    ("ternary-templates", "min_support", "3", True),
+    ("knom-mine", "min_support", "3", True),
+    ("knom-learn", "seq_min_support", "3", False),   # min_support stays 10
+    ("knom-learn", "min_support", "3", False),       # seq_min_support stays 10
+    ("knom-predict", "sample_size", "2", True),
+]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("name,key,value,changes", TUNABLES)
+    def test_flag_and_config_key_write_identical_outputs(self, paths, trained, tmp_path,
+                                                         name, key, value, changes):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\n{key}={value}\n", encoding="utf-8")
+        by_flag = outputs(name, paths, trained, tmp_path / "flag",
+                          "--" + key.replace("_", "-"), value)
+        by_config = outputs(name, paths, trained, tmp_path / "config", "--config", str(cfg))
+        assert by_flag == by_config
+        assert (by_flag != outputs(name, paths, trained, tmp_path / "unset")) == changes
+
+    @pytest.mark.parametrize("name,flag", [
+        *[(name, flag) for name in ("knom-mine", "knom-learn", "knom-predict", "kb-check")
+          for flag in ("--min-svo-count", "--families", "--max-prep-senses")],
+        ("train", "--learning-rate"),
+    ])
+    def test_flag_a_subcommand_never_reads_is_rejected(self, paths, trained, tmp_path,
+                                                       capsys, name, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(*fixture_command(name, paths, trained, tmp_path), flag, "1")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name,text,lineno", [
+        ("train", "l2_penlty=0.5", 2),                  # unknown key
+        ("train", "learning_rate=0.5", 2),              # deleted setting
+        ("knom-mine", "families=all", 2),               # not read by knom-mine
+        ("train", "max_prep_senses=abc", 2),            # does not convert
+        ("predict", "families=F1,F99", 2),
+        ("train", "l2_penalty=nan", 2),                 # fails the library's check
+        ("predict", "min_svo_count=0", 2),
+        ("knom-mine", "min_support=3\nmin_support=4", 3),   # set twice
+        ("knom-mine", "min_support", 2),                # not key=value
+    ])
+    def test_bad_config_line_exits_2_at_its_line(self, paths, trained, tmp_path, capsys,
+                                                 name, text, lineno):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\n{text}\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = fixture_command(name, paths, trained, out_dir)
+        assert run(*argv, "--config", str(cfg)) == 2
+        assert f"{cfg}:{lineno}:" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_flag_before_config_wins_too(self, paths, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("l2_penalty=0.5\n", encoding="utf-8")
+        model_path = str(tmp_path / "m.tsv")
+        assert run("train", "--labeled", paths["labeled"], "--kb-dir", paths["kb"],
+                   "--model-out", model_path, "--l2-penalty", "0.25",
+                   "--config", str(cfg)) == 0
+        assert load_model(model_path).config.l2_penalty == 0.25
+
+    def test_predict_reads_each_feature_setting_on_its_own(self, paths, trained, tmp_path):
+        model, _ = trained
+
+        def predict(out, *extra):
+            assert run("predict", "--model", model, "--input", paths["labeled"],
+                       "--kb-dir", paths["kb"], "--out", str(tmp_path / out), *extra) == 0
+            return (tmp_path / out).read_bytes()
+
+        zero = predict("zero.tsv", "--max-prep-senses", "0")
+        assert zero == predict("both.tsv", "--families", "all", "--max-prep-senses", "0")
+        assert zero != predict("stored.tsv")
+
+    @pytest.mark.parametrize("name,extra", [
+        ("eval", ["--test", "labeled", "--collins-train", "labeled", "--families", "all"]),
+        ("ternary-templates", ["--labeled-tuples", "roles", "--min-svo-count", "1"]),
+        ("ternary-templates", ["--labeled-tuples", "roles", "--labeled-out", "labeled_out"]),
+        ("knom-predict", ["--compounds", "compounds", "--mappings", "compounds",
+                          "--sample-size", "3"]),
+    ])
+    def test_setting_without_the_input_it_applies_to_exits_2(self, paths, tmp_path,
+                                                             name, extra):
+        files = {**paths, "labeled_out": str(tmp_path / "labeled.tsv")}
+        assert run(name, "--kb-dir", paths["kb"], *[files.get(a, a) for a in extra],
+                   "--out", str(tmp_path / "out.tsv")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_training_setting_exits_2(self, paths, tmp_path, value):
+        model_path = tmp_path / "m.tsv"
+        assert run("train", "--labeled", paths["labeled"], "--kb-dir", paths["kb"],
+                   "--model-out", str(model_path), "--l2-penalty", value) == 2
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("l2_penalty", "nan"), ("convergence_tol", "inf"), ("max_em_iters", "2.5"),
+        ("max_prep_senses", "five"), ("families", "F1,F99"), ("n_labeled", "x"),
+    ])
+    def test_bad_model_header_exits_2_at_its_line(self, paths, tmp_path, capsys, key, value):
+        model_path = train_fixture_model(paths, tmp_path)
+        lines = open(model_path, encoding="utf-8").read().splitlines()
+        lineno = next(i for i, l in enumerate(lines, 1) if l.startswith(f"#{key}\t"))
+        lines[lineno - 1] = f"#{key}\t{value}"
+        with open(model_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = str(tmp_path / "pred.tsv")
+        assert run("predict", "--model", model_path, "--input", paths["test"],
+                   "--kb-dir", paths["kb"], "--out", out) == 2
+        assert f"{model_path}:{lineno}:" in capsys.readouterr().err
+        assert not os.path.exists(out)

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kbread.features import NOUN, VERB
 from kbread.model import (AttachmentModel, TrainConfig, classify, classify_many,
-                          conditional_log_likelihood, expected_log_likelihood,
-                          gradient, load_model, predict_proba, save_model,
-                          train_em, train_supervised)
+                          expected_log_likelihood, gradient, load_model,
+                          predict_proba, save_model, train_em, train_supervised)
 from synth import sorted_sum_classify, two_cluster_data
 
 NO_REG = TrainConfig(l2_penalty=0.0)
@@ -25,7 +24,7 @@ def fd_gradient(model, data, h=1e-6):
         for sign in (+1, -1):
             w = dict(model.weights)
             w[name] = w.get(name, 0.0) + sign * h
-            shifted[sign] = conditional_log_likelihood(
+            shifted[sign] = expected_log_likelihood(
                 AttachmentModel(w, config=model.config), data)
         out[name] = (shifted[+1] - shifted[-1]) / (2 * h)
     return out
@@ -100,31 +99,30 @@ class TestLogLikelihood:
         model = AttachmentModel({}, config=NO_REG)
         data = [(frozenset(["a"]), VERB), (frozenset(["b"]), NOUN),
                 (frozenset(["a", "b"]), VERB)]
-        assert conditional_log_likelihood(model, data) == pytest.approx(
+        assert expected_log_likelihood(model, data) == pytest.approx(
             3 * -math.log(2), abs=1e-12)
 
     def test_single_instance_closed_form(self):
         model = AttachmentModel({"x": 2.0}, config=NO_REG)
         data = [(frozenset(["x"]), VERB)]
-        assert conditional_log_likelihood(model, data) == pytest.approx(
+        assert expected_log_likelihood(model, data) == pytest.approx(
             2.0 - math.log(1.0 + math.exp(2.0)), abs=1e-12)
 
     def test_never_positive(self):
         rng = random.Random(7)
         for _ in range(25):
             model, data = random_problem(rng)
-            assert conditional_log_likelihood(model, data) <= 0.0
+            assert expected_log_likelihood(model, data) <= 0.0
 
     def test_posteriors_rejected(self):
-        model = AttachmentModel({})
         with pytest.raises(ValueError):
-            conditional_log_likelihood(model, [(frozenset(["a"]), (0.5, 0.5))])
+            train_supervised([(frozenset(["a"]), (0.5, 0.5))])
 
     def test_finite_at_extreme_scores(self):
         for z in (1e4, -1e4):
             model = AttachmentModel({"x": z}, config=NO_REG)
             data = [(frozenset(["x"]), VERB), (frozenset(["x"]), NOUN)]
-            assert math.isfinite(conditional_log_likelihood(model, data))
+            assert math.isfinite(expected_log_likelihood(model, data))
             assert all(math.isfinite(v) for v in gradient(model, data).values())
 
     def test_expected_matches_conditional_on_hard_labels(self):
@@ -132,7 +130,7 @@ class TestLogLikelihood:
         model, data = random_problem(rng)
         soft = [(fv, (1.0, 0.0) if y == VERB else (0.0, 1.0)) for fv, y in data]
         assert expected_log_likelihood(model, soft) == pytest.approx(
-            conditional_log_likelihood(model, data), abs=1e-12)
+            expected_log_likelihood(model, data), abs=1e-12)
 
 
 class TestGradient:
@@ -184,8 +182,8 @@ class TestTrainSupervised:
             _, data = random_problem(rng)
             cfg = TrainConfig()
             model = train_supervised(data, cfg)
-            start = conditional_log_likelihood(AttachmentModel({}, config=cfg), data)
-            assert conditional_log_likelihood(model, data) >= start - 1e-12
+            start = expected_log_likelihood(AttachmentModel({}, config=cfg), data)
+            assert expected_log_likelihood(model, data) >= start - 1e-12
 
     def test_duplicated_dataset_classifies_identically(self):
         data = [(frozenset(["a"]), VERB), (frozenset(["a"]), VERB),
@@ -263,6 +261,14 @@ class TestTrainEM:
             assert acc(em) >= acc(sup)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["l2_penalty", "convergence_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
+
+
 class TestModelFile:
     def test_round_trip_reproduces_predictions_exactly(self, tmp_path):
         labeled, unlabeled, test = two_cluster_data(seed=5)
@@ -294,9 +300,11 @@ class TestModelFile:
         path = tmp_path / "model.tsv"
         save_model(model, path)
         text = path.read_text(encoding="utf-8")
-        assert "#category_scheme" not in text
+        assert "#category_scheme" not in text and "#learning_rate" not in text
+        # Older files also carry the deleted learning_rate setting.
         path.write_text(text.replace("#max_prep_senses", "#category_scheme\tdefault\n"
-                                     "#max_prep_senses"), encoding="utf-8")
+                                     "#learning_rate\t0.5\n#max_prep_senses"),
+                        encoding="utf-8")
         loaded = load_model(path)
         assert loaded.weights == model.weights
         assert loaded.feature_config == model.feature_config
