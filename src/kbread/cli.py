@@ -2,7 +2,7 @@
 ternary-extract, ternary-templates, knom-mine, knom-learn, knom-predict,
 and kb-check.
 
-Every subcommand accepts --kb-dir, --config, --seed, and --dry-run. A
+Every subcommand accepts --kb-dir, --config and --dry-run. A
 tunable option resolves as its flag, then its key in the --config file
 (flat key=value lines), then, for the feature settings of a command that
 reads a model, the model's stored value, then the library's own default.
@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--kb-dir", help="directory of knowledge files")
     shared.add_argument("--config", action=_Config,
                         help="flat key=value file setting this subcommand's tunable options")
-    shared.add_argument("--seed", type=int, default=0, help="seed for any sampling")
     shared.add_argument("--dry-run", action="store_true",
                         help="read and validate every input, write nothing")
     features = argparse.ArgumentParser(add_help=False, parents=[shared])
@@ -307,6 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma list of feature families, or all/default")
     features.add_argument("--max-prep-senses", action=_Setting, convert=int,
                           check=FeatureConfig)
+    # train, predict and eval draw no random numbers; they take --seed so that
+    # a script can pass one seed to every step of a pipeline.
+    seeded = argparse.ArgumentParser(add_help=False, parents=[features])
+    seeded.add_argument("--seed", type=int, help="accepted and unused")
 
     parser = argparse.ArgumentParser(prog="kbread",
                                      description="PP attachment and compound-noun "
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    p = command("train", cmd_train, features, "train an attachment model")
+    p = command("train", cmd_train, seeded, "train an attachment model")
     p.add_argument("--labeled", required=True)
     p.add_argument("--unlabeled")
     p.add_argument("--model-out", required=True)
@@ -334,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convergence-tol", action=_Setting, convert=float,
                    check=TrainConfig)
 
-    p = command("predict", cmd_predict, features, "classify a corpus")
+    p = command("predict", cmd_predict, seeded, "classify a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
 
-    p = command("eval", cmd_eval, features, "score methods on labeled data")
+    p = command("eval", cmd_eval, seeded, "score methods on labeled data")
     p.add_argument("--test", required=True)
     p.add_argument("--model")
     p.add_argument("--collins-train")
@@ -352,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--tuples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-support", action=_Setting, convert=int)
+    p.add_argument("--min-support", action=_Setting, convert=int,
+                   check=lambda min_support: ternary.map_relations_to_verbs(None, [], min_support))
 
     p = command("ternary-templates", cmd_ternary_templates, features,
                 "learn (and optionally apply) role templates")
@@ -361,18 +365,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuples")
     p.add_argument("--model")
     p.add_argument("--labeled-out", help="default ternary_labeled.tsv")
-    p.add_argument("--min-support", action=_Setting, convert=int)
+    p.add_argument("--min-support", action=_Setting, convert=int,
+                   check=lambda min_support: ternary.learn_role_templates([], None, min_support))
 
     p = command("knom-mine", cmd_knom_mine, shared, "mine type sequences")
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-support", action=_Setting, convert=int)
+    p.add_argument("--min-support", action=_Setting, convert=int,
+                   check=lambda min_support: knom.mine_sequences([], None, min_support))
 
     p = command("knom-learn", cmd_knom_learn, shared, "learn sequence-to-relation mappings")
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seq-min-support", action=_Setting, convert=int)
-    p.add_argument("--min-support", action=_Setting, convert=int)
+    p.add_argument("--seq-min-support", action=_Setting, convert=int,
+                   check=lambda seq_min_support: knom.mine_sequences([], None, seq_min_support))
+    p.add_argument("--min-support", action=_Setting, convert=int,
+                   check=lambda min_support: knom.learn_mappings([], None, min_support))
 
     p = command("knom-predict", cmd_knom_predict, shared,
                 "predict relation instances from compounds")
@@ -382,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true",
                    help="wildcard type elements before matching")
     p.add_argument("--sample-out")
-    p.add_argument("--sample-size", action=_Setting, convert=int)
+    p.add_argument("--sample-size", action=_Setting, convert=int,
+                   check=lambda sample_size: knom.sample_predictions([], sample_size))
+    p.add_argument("--seed", type=int, default=0, help="seed of the sample draw")
 
     command("kb-check", cmd_kb_check, shared, "load and summarize a knowledge base")
     return parser

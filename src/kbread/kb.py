@@ -7,13 +7,15 @@ file simply yields an empty store. All strings are case-folded and
 whitespace-normalized at load time, queries fold their arguments the same
 way, and lookups on unknown keys return empty results instead of raising.
 A loaded store is never mutated afterwards, so it is safe to share across
-threads.
+threads. The pair index behind ``relations_between`` is built on first use;
+threads that race to build it build equal ones.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .tsv import FormatError, iter_rows, norm_token
 
@@ -124,10 +126,18 @@ class KnowledgeBase:
         pair = (norm_token(arg1), norm_token(arg2))
         return pair in self.relation_pairs(relation)
 
+    @cached_property
+    def _relations_by_pair(self) -> dict[tuple[str, str], set[str]]:
+        index = {}
+        for r, pairs in self._relations.items():
+            for pair in pairs:
+                index.setdefault(pair, set()).add(r)
+        return index
+
     def relations_between(self, arg1: str, arg2: str) -> set[str]:
         """Names of every relation holding between the ordered pair."""
         pair = (norm_token(arg1), norm_token(arg2))
-        return {r for r, pairs in self._relations.items() if pair in pairs}
+        return set(self._relations_by_pair.get(pair, ()))
 
     # -- miscellany --------------------------------------------------------
 

@@ -70,36 +70,60 @@ class Prediction:
     known: bool
 
 
-def type_compound(cn: CompoundNoun, kb: KnowledgeBase) -> list[TypeSequence]:
-    """All candidate type sequences for one compound.
-
-    Each token contributes one choice per category; tokens with no
-    categories stay as literal anchors. Candidates are the product of the
-    per-token choices, in deterministic order.
-    """
+def _token_choices(cn: CompoundNoun, kb: KnowledgeBase) -> list[list[tuple[str, str]]]:
+    """Each token's element choices: one per category, in sorted order, or
+    the token itself as a literal anchor when it has no categories."""
     choices = []
     for token in cn.tokens:
         token = norm_token(token)
         types = sorted(kb.types_of(token))
         choices.append([(TYPE, t) for t in types] or [(LEX, token)])
-    return [TypeSequence(combo) for combo in itertools.product(*choices)]
+    return choices
+
+
+def type_compound(cn: CompoundNoun, kb: KnowledgeBase) -> list[TypeSequence]:
+    """All candidate type sequences for one compound: the product of the
+    per-token choices, in deterministic order."""
+    return [TypeSequence(combo) for combo in itertools.product(*_token_choices(cn, kb))]
 
 
 def mine_sequences(corpus, kb: KnowledgeBase,
                    min_support: int = DEFAULT_MIN_SUPPORT) -> list[MinedSequence]:
-    """Aggregate candidate sequences over a corpus and keep those with at
-    least ``min_support`` distinct supporting compounds."""
-    support = {}
+    """The candidate sequences (see :func:`type_compound`) of the corpus
+    that have at least ``min_support`` distinct supporting source ids. Of
+    the supporters that share an id, the last in corpus order is kept.
+
+    Sequences grow one position at a time, for each compound length on its
+    own, and a prefix is extended only while enough distinct ids still fit
+    it. Support can only fall as a prefix grows, so this keeps exactly the
+    sequences that counting every candidate would keep (Apriori pruning),
+    without building the product of categories.
+    """
+    if min_support < 1:
+        raise ValueError("min_support must be >= 1")
+    by_length = {}                              # length -> [(compound, choices)]
     for cn in corpus:
-        for seq in type_compound(cn, kb):
-            support.setdefault(seq.elements, {})[cn.source] = cn
+        by_length.setdefault(len(cn.tokens), []).append((cn, _token_choices(cn, kb)))
     mined = []
-    for elements in sorted(support):
-        by_source = support[elements]
-        if len(by_source) < min_support:
-            continue
-        supporters = tuple(by_source[s] for s in sorted(by_source))
-        mined.append(MinedSequence(TypeSequence(elements, len(supporters)), supporters))
+    for length, group in by_length.items():
+        stack = [((), group)]                   # (prefix, members fitting it in corpus order)
+        while stack:
+            prefix, members = stack.pop()
+            depth = len(prefix)
+            if len({cn.source for cn, _ in members}) < min_support:
+                continue
+            if depth == length:
+                by_source = {cn.source: cn for cn, _ in members}
+                supporters = tuple(by_source[s] for s in sorted(by_source))
+                mined.append(MinedSequence(TypeSequence(prefix, len(supporters)), supporters))
+                continue
+            extensions = {}
+            for member in members:
+                for element in member[1][depth]:
+                    extensions.setdefault(element, []).append(member)
+            stack.extend((prefix + (element,), fitting)
+                         for element, fitting in extensions.items())
+    mined.sort(key=lambda m: m.sequence.elements)
     return mined
 
 
@@ -112,6 +136,8 @@ def learn_mappings(mined, kb: KnowledgeBase,
     known instance of the relation; each supporter counts once per
     (relation, i, j). Mappings below ``min_support`` are dropped.
     """
+    if min_support < 1:
+        raise ValueError("min_support must be >= 1")
     out = []
     for m in mined:
         length = len(m.sequence.elements)
@@ -144,6 +170,18 @@ def _matches(cn: CompoundNoun, seq: TypeSequence, kb: KnowledgeBase) -> bool:
     return True
 
 
+def _anchor(seq: TypeSequence):
+    """Index key of a sequence: its length and its first element that is
+    not a wildcard, as (length, position, kind, value). None when there is
+    none, or when that element's kind is unknown, so that such a mapping is
+    tried on every compound of its length and :func:`_matches` rejects the
+    kind as it always has."""
+    for pos, (kind, value) in enumerate(seq.elements):
+        if kind != ANY:
+            return (len(seq.elements), pos, kind, value) if kind in (TYPE, LEX) else None
+    return None
+
+
 def predict_instances(mappings, corpus, kb: KnowledgeBase) -> list[Prediction]:
     """Apply mappings to compounds, yielding deduplicated relation instances.
 
@@ -152,10 +190,28 @@ def predict_instances(mappings, corpus, kb: KnowledgeBase) -> list[Prediction]:
     prediction with the smallest source id; instances already in the
     knowledge base are flagged as known. Output is sorted, so it depends
     only on the inputs, not on corpus order.
+
+    A compound tries only the mappings whose anchor (see :func:`_anchor`)
+    is one of its tokens or categories at the anchor's position, and those
+    with no anchor; :func:`_matches` decides each.
     """
+    anchored, unanchored = {}, {}               # anchor -> [mapping]; length -> [mapping]
+    for mp in mappings:
+        key = _anchor(mp.sequence)
+        if key is None:
+            unanchored.setdefault(len(mp.sequence.elements), []).append(mp)
+        else:
+            anchored.setdefault(key, []).append(mp)
     found = {}
     for cn in corpus:
-        for mp in mappings:
+        length = len(cn.tokens)
+        candidates = list(unanchored.get(length, ()))
+        for pos, token in enumerate(cn.tokens):
+            token = norm_token(token)
+            candidates += anchored.get((length, pos, LEX, token), ())
+            for t in kb.types_of(token):
+                candidates += anchored.get((length, pos, TYPE, t), ())
+        for mp in candidates:
             if not _matches(cn, mp.sequence, kb):
                 continue
             arg1 = norm_token(cn.tokens[mp.arg1_pos - 1])
@@ -190,6 +246,8 @@ def baseline_mappings(mappings) -> list[TypeSequenceMapping]:
 
 def sample_predictions(predictions, size: int = 100, seed: int = 0) -> list[Prediction]:
     """Uniform sample (without replacement) for manual precision annotation."""
+    if size < 0:
+        raise ValueError("size must be >= 0")
     predictions = list(predictions)
     if len(predictions) <= size:
         return predictions

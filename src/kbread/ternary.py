@@ -88,6 +88,8 @@ def map_relations_to_verbs(kb: KnowledgeBase, tuples,
     pair is a known instance of the relation; combinations below
     ``min_support`` are dropped.
     """
+    if min_support < 1:
+        raise ValueError("min_support must be >= 1")
     support = Counter()
     for inst in tuples:
         n0 = _require_n0(inst)
@@ -125,6 +127,8 @@ def learn_role_templates(tuples, kb: KnowledgeBase,
     of n2 is counted; combinations reaching ``min_support`` become
     templates. Tuples whose nouns carry no categories contribute nothing.
     """
+    if min_support < 1:
+        raise ValueError("min_support must be >= 1")
     counts = Counter()
     for inst, label in tuples:
         if label not in ROLE_LABELS:

@@ -5,7 +5,10 @@ import os
 import random
 
 from kbread.features import NOUN, VERB, PPInstance
-from kbread.knom import CompoundNoun
+from kbread.kb import KnowledgeBase
+from kbread.knom import (ANY, LEX, TYPE, CompoundNoun, MinedSequence, Prediction,
+                         TypeSequence, TypeSequenceMapping, _matches, type_compound)
+from kbread.tsv import norm_token
 
 # -- two-cluster attachment data ------------------------------------------
 
@@ -103,6 +106,88 @@ def backoff_oracle(train, inst):
         if verb + noun:
             return VERB if verb / (verb + noun) >= 0.5 else NOUN
     return NOUN
+
+
+# -- random compound-noun worlds and brute-force knom oracles --------------------
+
+KNOM_WORDS = tuple(f"w{i}" for i in range(6))
+_KNOM_CATS = tuple(f"c{i}" for i in range(6))
+_KNOM_RELATIONS = ("r0", "r1", "r2")
+_KNOM_SOURCES = tuple(f"s{i}" for i in range(8))   # few, so ids repeat
+
+
+def random_knom_world(rng):
+    """A knowledge base giving each word 0-6 categories (a word with none
+    stays literal) plus random relation instances, and up to 24 compounds
+    of 2-5 tokens whose source ids repeat across different tokens. Few
+    categories and short compounds are the likelier draws, so the product
+    the oracles build stays small and some sequences reach support 4 or 5."""
+    types = {w: rng.sample(_KNOM_CATS, rng.choice((0, 1, 1, 2, 2, 3, 6)))
+             for w in KNOM_WORDS}
+    relations = {r: {(rng.choice(KNOM_WORDS), rng.choice(KNOM_WORDS))
+                     for _ in range(rng.randint(1, 12))}
+                 for r in _KNOM_RELATIONS if rng.random() < 0.8}
+    kb = KnowledgeBase({}, types, [], {}, {}, relations)
+    corpus = [CompoundNoun(tuple(rng.choices(KNOM_WORDS, k=rng.choice((2, 2, 2, 3, 3, 4, 5)))),
+                           rng.choice(_KNOM_SOURCES))
+              for _ in range(rng.randint(0, 24))]
+    return kb, corpus
+
+
+def random_mapping(rng):
+    """A mapping of 2-5 category, literal and wildcard elements; one in
+    five is all wildcards."""
+    length = rng.randint(2, 5)
+    if rng.random() < 0.2:
+        elements = [(ANY, "*")] * length
+    else:
+        elements = [rng.choice(((TYPE, rng.choice(_KNOM_CATS)),
+                                (LEX, rng.choice(KNOM_WORDS)), (ANY, "*")))
+                    for _ in range(length)]
+    arg1, arg2 = rng.sample(range(1, length + 1), 2)
+    return TypeSequenceMapping(rng.choice(_KNOM_RELATIONS), arg1, arg2,
+                               TypeSequence(tuple(elements), 1), 1)
+
+
+def scan_relations_between(kb, arg1, arg2):
+    """Reference pair lookup: every relation's instance set is scanned."""
+    pair = (norm_token(arg1), norm_token(arg2))
+    return {r for r in kb.relation_names() if pair in kb.relation_pairs(r)}
+
+
+def product_mine_sequences(corpus, kb, min_support):
+    """Reference miner: every candidate of every compound (the full product
+    of its tokens' categories) is counted by distinct source id; the last
+    compound with an id is its supporter."""
+    support = {}
+    for cn in corpus:
+        for seq in type_compound(cn, kb):
+            support.setdefault(seq.elements, {})[cn.source] = cn
+    mined = []
+    for elements in sorted(support):
+        by_source = support[elements]
+        if len(by_source) < min_support:
+            continue
+        supporters = tuple(by_source[s] for s in sorted(by_source))
+        mined.append(MinedSequence(TypeSequence(elements, len(supporters)), supporters))
+    return mined
+
+
+def all_pairs_predict_instances(mappings, corpus, kb):
+    """Reference prediction: every mapping is tried against every compound;
+    duplicate triples keep the smallest source id."""
+    found = {}
+    for cn in corpus:
+        for mp in mappings:
+            if not _matches(cn, mp.sequence, kb):
+                continue
+            arg1 = norm_token(cn.tokens[mp.arg1_pos - 1])
+            arg2 = norm_token(cn.tokens[mp.arg2_pos - 1])
+            key = (mp.relation, arg1, arg2)
+            if key not in found or cn.source < found[key]:
+                found[key] = cn.source
+    return [Prediction(rel, arg1, arg2, source, (arg1, arg2) in kb.relation_pairs(rel))
+            for (rel, arg1, arg2), source in sorted(found.items())]
 
 
 # -- planted compound-noun corpus ------------------------------------------

@@ -376,6 +376,8 @@ class TestOptions:
         *[(name, flag) for name in ("knom-mine", "knom-learn", "knom-predict", "kb-check")
           for flag in ("--min-svo-count", "--families", "--max-prep-senses")],
         ("train", "--learning-rate"),
+        *[(name, "--seed") for name in ("ternary-extract", "ternary-templates", "knom-mine",
+                                        "knom-learn", "kb-check")],
     ])
     def test_flag_a_subcommand_never_reads_is_rejected(self, paths, trained, tmp_path,
                                                        capsys, name, flag):
@@ -395,6 +397,10 @@ class TestOptions:
         ("predict", "min_svo_count=0", 2),
         ("knom-mine", "min_support=3\nmin_support=4", 3),   # set twice
         ("knom-mine", "min_support", 2),                # not key=value
+        ("knom-mine", "min_support=0", 2),              # below the library's range
+        ("knom-learn", "seq_min_support=0", 2),
+        ("ternary-templates", "min_support=-1", 2),
+        ("knom-predict", "sample_size=-2", 2),
     ])
     def test_bad_config_line_exits_2_at_its_line(self, paths, trained, tmp_path, capsys,
                                                  name, text, lineno):
@@ -406,6 +412,20 @@ class TestOptions:
         assert run(*argv, "--config", str(cfg)) == 2
         assert f"{cfg}:{lineno}:" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("name,flag,value", [
+        ("knom-predict", "--sample-size", "-2"),
+        ("knom-mine", "--min-support", "0"),
+        ("knom-learn", "--seq-min-support", "0"),
+        ("knom-learn", "--min-support", "-1"),
+        ("ternary-extract", "--min-support", "0"),
+        ("ternary-templates", "--min-support", "0"),
+    ])
+    def test_out_of_range_flag_exits_2_before_any_output(self, paths, trained, tmp_path,
+                                                         capsys, name, flag, value):
+        assert run(*fixture_command(name, paths, trained, tmp_path), flag, value) == 2
+        assert f"error: {flag[2:].replace('-', '_')} {value!r}:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_flag_before_config_wins_too(self, paths, tmp_path):
         cfg = tmp_path / "run.cfg"

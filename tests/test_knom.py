@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbread.knom import (CompoundNoun, TypeSequence, TypeSequenceMapping,
                          baseline_mappings, learn_mappings, mine_sequences,
@@ -6,7 +9,9 @@ from kbread.knom import (CompoundNoun, TypeSequence, TypeSequenceMapping,
                          sample_predictions, type_compound, write_mappings,
                          write_predictions)
 from kbread.tsv import FormatError
-from synth import PLANTED, planted_corpus
+from synth import (KNOM_WORDS, PLANTED, all_pairs_predict_instances, planted_corpus,
+                   product_mine_sequences, random_knom_world, random_mapping,
+                   scan_relations_between)
 from test_kb import make_kb
 
 
@@ -226,3 +231,49 @@ class TestSamplingAndFiles:
                            Prediction("r", "x", "z", "s2", False)], path)
         assert path.read_text(encoding="utf-8") == (
             "r\tx\ty\ts1\tknown\nr\tx\tz\ts2\tnew\n")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("min_support", [0, -3])
+    def test_support_threshold_below_one_rejected(self, kb, min_support):
+        with pytest.raises(ValueError, match="min_support"):
+            mine_sequences([cn(["blue", "gizmo"])], kb, min_support)
+        with pytest.raises(ValueError, match="min_support"):
+            learn_mappings([], kb, min_support)
+
+    def test_negative_sample_size_rejected(self):
+        with pytest.raises(ValueError, match="size"):
+            sample_predictions([], size=-2)
+        assert sample_predictions([], size=0) == []
+
+
+class TestAgainstOracles:
+    """The indexed and pruned code returns exactly what the brute-force
+    oracles in ``synth`` return, on random worlds drawn from a seed."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(min_value=0))
+    def test_pair_index_equals_scan(self, seed):
+        kb, _ = random_knom_world(random.Random(seed))
+        for arg1 in KNOM_WORDS + ("W1", "unknown"):
+            for arg2 in KNOM_WORDS:
+                assert kb.relations_between(arg1, arg2) == scan_relations_between(kb, arg1, arg2)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(min_value=0), min_support=st.integers(min_value=1, max_value=5))
+    def test_pruned_mining_equals_product(self, seed, min_support):
+        kb, corpus = random_knom_world(random.Random(seed))
+        assert (mine_sequences(corpus, kb, min_support)
+                == product_mine_sequences(corpus, kb, min_support))
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(min_value=0), min_support=st.integers(min_value=1, max_value=5))
+    def test_indexed_prediction_equals_all_pairs(self, seed, min_support):
+        rng = random.Random(seed)
+        kb, corpus = random_knom_world(rng)
+        drawn = [random_mapping(rng) for _ in range(rng.randint(0, 12))]
+        mined = mine_sequences(corpus, kb, min_support)
+        learned = learn_mappings(rng.sample(mined, min(len(mined), 10)), kb, 1)
+        mappings = drawn + learned + baseline_mappings(drawn + learned)
+        assert (predict_instances(mappings, corpus, kb)
+                == all_pairs_predict_instances(mappings, corpus, kb))

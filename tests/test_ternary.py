@@ -135,6 +135,15 @@ class TestRoleTemplates:
                       for t in lo}
 
 
+class TestSupportThreshold:
+    @pytest.mark.parametrize("min_support", [0, -1])
+    def test_below_one_rejected(self, kb, fixture_tuples, min_support):
+        with pytest.raises(ValueError, match="min_support"):
+            map_relations_to_verbs(kb, fixture_tuples, min_support)
+        with pytest.raises(ValueError, match="min_support"):
+            learn_role_templates([], kb, min_support)
+
+
 class TestApplyTemplates:
     def test_round_trip_recovers_training_labels(self, kb, fixtures_dir):
         labeled = read_role_tuples(f"{fixtures_dir}/tuples_roles.tsv")
