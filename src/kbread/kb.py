@@ -6,9 +6,12 @@ Each resource lives in its own tab-separated file and is optional; a missing
 file simply yields an empty store. All strings are case-folded and
 whitespace-normalized at load time, queries fold their arguments the same
 way, and lookups on unknown keys return empty results instead of raising.
-A loaded store is never mutated afterwards, so it is safe to share across
-threads. The pair index behind ``relations_between`` is built on first use;
-threads that race to build it build equal ones.
+The constructor builds one index per query, so each query is a few dict
+lookups: triples are kept by ``(subject, object)`` and role entries by
+``(verb synonym group, filler)``. Only the pair index behind
+``relations_between`` is built lazily, on first use, because most commands
+never ask for it; threads that race to build it build equal ones. A loaded
+store is never mutated afterwards, so it is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -48,30 +51,35 @@ class KnowledgeBase:
         if min_svo_count < 1:
             raise ValueError("min_svo_count must be >= 1")
         self.min_svo_count = min_svo_count
-        self._svo = dict(svo)                      # (s, v, o) -> count
-        self._svo_pairs = {}                       # (s, o) -> {v: count}
-        for (s, v, o), c in self._svo.items():
-            self._svo_pairs.setdefault((s, o), {})[v] = c
+        self._svo = {}                             # (s, o) -> {v: count}
+        for (s, v, o), c in svo.items():
+            self._svo.setdefault((s, o), {})[v] = c
         self._types = {n: frozenset(ts) for n, ts in types.items()}
-        self._role_entries = tuple(role_entries)
-        self._role_index = {}                      # verb -> [entry index]
-        for i, entry in enumerate(self._role_entries):
-            for verb in entry.verb_group:
-                self._role_index.setdefault(verb, []).append(i)
-        self._prepdefs = {p: tuple(vs) for p, vs in prepdefs.items()}
         self._synonyms = dict(synonyms)            # verb -> frozenset(group)
+        # (the verb's group, or the verb itself when it has none, filler)
+        # -> roles. Groups are disjoint and hold their own verbs, as
+        # _merge_groups builds them, so two verbs share a key exactly when
+        # one is the other or a synonym of it.
+        role_entries = tuple(role_entries)
+        self._n_role_entries = len(role_entries)
+        self._roles = {}
+        for entry in role_entries:
+            for verb in entry.verb_group:
+                key = (self._synonyms.get(verb, verb), entry.filler)
+                self._roles.setdefault(key, set()).add(entry.role)
+        self._prepdefs = {p: tuple(vs) for p, vs in prepdefs.items()}
         self._relations = {r: frozenset(pairs) for r, pairs in relations.items()}
 
     # -- subject-verb-object triples ------------------------------------
 
     def svo_exists(self, subject: str, verb: str, obj: str) -> bool:
         """True when the exact triple was seen at least ``min_svo_count`` times."""
-        key = (norm_token(subject), norm_token(verb), norm_token(obj))
-        return self._svo.get(key, 0) >= self.min_svo_count
+        verbs = self._svo.get((norm_token(subject), norm_token(obj)), {})
+        return verbs.get(norm_token(verb), 0) >= self.min_svo_count
 
     def svo_any_verb(self, subject: str, obj: str) -> set[str]:
         """All verbs linking the noun pair at or above the count threshold."""
-        verbs = self._svo_pairs.get((norm_token(subject), norm_token(obj)), {})
+        verbs = self._svo.get((norm_token(subject), norm_token(obj)), {})
         return {v for v, c in verbs.items() if c >= self.min_svo_count}
 
     # -- noun categories -------------------------------------------------
@@ -89,17 +97,11 @@ class KnowledgeBase:
         noun or one of the noun's categories.
         """
         verb = norm_token(verb)
+        group = self._synonyms.get(verb, verb)
         n2 = norm_token(n2)
-        candidates = {verb} | self.synonyms_of(verb)
-        entry_ids = set()
-        for cv in candidates:
-            entry_ids.update(self._role_index.get(cv, ()))
-        n2_types = self.types_of(n2)
-        roles = set()
-        for i in entry_ids:
-            entry = self._role_entries[i]
-            if entry.filler == n2 or entry.filler in n2_types:
-                roles.add(entry.role)
+        roles = set(self._roles.get((group, n2), ()))
+        for category in self.types_of(n2):
+            roles.update(self._roles.get((group, category), ()))
         return roles
 
     # -- preposition senses ------------------------------------------------
@@ -143,9 +145,9 @@ class KnowledgeBase:
 
     def stats(self) -> dict[str, int]:
         return {
-            "svo_triples": len(self._svo),
+            "svo_triples": sum(len(verbs) for verbs in self._svo.values()),
             "typed_nouns": len(self._types),
-            "role_entries": len(self._role_entries),
+            "role_entries": self._n_role_entries,
             "prepositions": len(self._prepdefs),
             "synonym_groups": len(set(map(frozenset, self._synonyms.values()))),
             "relations": len(self._relations),
@@ -156,41 +158,42 @@ class KnowledgeBase:
 # -- loading ------------------------------------------------------------------
 
 
-def _require(fields, n, path, lineno, what):
-    if len(fields) != n:
-        raise FormatError(path, lineno, f"expected {n} columns ({what}), got {len(fields)}")
-    for f in fields:
-        if not f:
+def _rows(path, columns):
+    """Yield ``(lineno, fields)`` for each row of a KB file, every field
+    folded with ``norm_token``. A row with the wrong number of columns or an
+    empty field is a :class:`FormatError`."""
+    for lineno, fields in iter_rows(path):
+        if len(fields) != len(columns):
+            raise FormatError(path, lineno, f"expected {len(columns)} columns "
+                              f"({', '.join(columns)}), got {len(fields)}")
+        fields = [norm_token(f) for f in fields]
+        if not all(fields):
             raise FormatError(path, lineno, "empty field")
+        yield lineno, fields
 
 
 def _load_svo(path):
     svo = {}
-    for lineno, fields in iter_rows(path):
-        _require(fields, 4, path, lineno, "subject, verb, object, count")
-        s, v, o = (norm_token(f) for f in fields[:3])
+    for lineno, (s, v, o, count) in _rows(path, ("subject", "verb", "object", "count")):
         try:
-            count = int(fields[3])
+            count = int(count)
         except ValueError:
-            raise FormatError(path, lineno, f"count is not an integer: {fields[3]!r}") from None
+            raise FormatError(path, lineno, f"count is not an integer: {count!r}") from None
         if count < 1:
             raise FormatError(path, lineno, "count must be >= 1")
-        key = (s, v, o)
-        svo[key] = svo.get(key, 0) + count
+        svo[s, v, o] = svo.get((s, v, o), 0) + count
     return svo
 
 
 def _load_isa(path):
     types = {}
-    for lineno, fields in iter_rows(path):
-        _require(fields, 2, path, lineno, "noun, category")
-        noun, cat = norm_token(fields[0]), norm_token(fields[1])
+    for _, (noun, cat) in _rows(path, ("noun", "category")):
         types.setdefault(noun, set()).add(cat)
     return types
 
 
 def _split_verbs(field, path, lineno):
-    verbs = [norm_token(v) for v in field.split(",")]
+    verbs = [v.strip() for v in field.split(",")]
     verbs = [v for v in verbs if v]
     if not verbs:
         raise FormatError(path, lineno, "empty verb list")
@@ -198,21 +201,14 @@ def _split_verbs(field, path, lineno):
 
 
 def _load_roles(path):
-    entries = []
-    for lineno, fields in iter_rows(path):
-        _require(fields, 3, path, lineno, "verb[,verb...], filler, role")
-        verbs = _split_verbs(fields[0], path, lineno)
-        entries.append(VerbRoleEntry(frozenset(verbs),
-                                     norm_token(fields[1]),
-                                     norm_token(fields[2])))
-    return entries
+    return [VerbRoleEntry(frozenset(_split_verbs(verbs, path, lineno)), filler, role)
+            for lineno, (verbs, filler, role)
+            in _rows(path, ("verb[,verb...]", "filler", "role"))]
 
 
 def _load_prepdefs(path):
     prepdefs = {}
-    for lineno, fields in iter_rows(path):
-        _require(fields, 2, path, lineno, "preposition, sense verb")
-        prep, sense = norm_token(fields[0]), norm_token(fields[1])
+    for _, (prep, sense) in _rows(path, ("preposition", "sense verb")):
         senses = prepdefs.setdefault(prep, [])
         if sense not in senses:
             senses.append(sense)
@@ -220,15 +216,13 @@ def _load_prepdefs(path):
 
 
 def _load_synsets(path):
-    groups = []
-    for lineno, fields in iter_rows(path):
-        _require(fields, 1, path, lineno, "verb[,verb...]")
-        groups.append(set(_split_verbs(fields[0], path, lineno)))
-    return _merge_groups(groups)
+    return _merge_groups([set(_split_verbs(verbs, path, lineno))
+                          for lineno, (verbs,) in _rows(path, ("verb[,verb...]",))])
 
 
 def _merge_groups(groups):
-    """Union groups that share a member until all groups are disjoint."""
+    """Union groups that share a member until all groups are disjoint. Each
+    verb maps to its group; the members of a group share one frozenset."""
     parent = {}
 
     def find(x):
@@ -247,16 +241,13 @@ def _merge_groups(groups):
     members = {}
     for verb in parent:
         members.setdefault(find(verb), set()).add(verb)
-    return {v: frozenset(g) for g in members.values() for v in g}
+    return {v: g for g in map(frozenset, members.values()) for v in g}
 
 
 def _load_relations(path):
     relations = {}
-    for lineno, fields in iter_rows(path):
-        _require(fields, 3, path, lineno, "relation, arg1, arg2")
-        rel = norm_token(fields[0])
-        pair = (norm_token(fields[1]), norm_token(fields[2]))
-        relations.setdefault(rel, set()).add(pair)
+    for _, (rel, arg1, arg2) in _rows(path, ("relation", "arg1", "arg2")):
+        relations.setdefault(rel, set()).add((arg1, arg2))
     return relations
 
 

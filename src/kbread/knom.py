@@ -279,7 +279,7 @@ def _parse_element(text, path, lineno):
     kind, sep, value = text.partition(":")
     if not sep or kind not in (TYPE, LEX, ANY) or not value:
         raise FormatError(path, lineno, f"bad sequence element {text!r}")
-    return kind, value
+    return kind, norm_token(value)
 
 
 def write_sequences(mined, path) -> None:

@@ -5,7 +5,7 @@ import os
 import random
 
 from kbread.features import NOUN, VERB, PPInstance
-from kbread.kb import KnowledgeBase
+from kbread.kb import KnowledgeBase, VerbRoleEntry, _merge_groups
 from kbread.knom import (ANY, LEX, TYPE, CompoundNoun, MinedSequence, Prediction,
                          TypeSequence, TypeSequenceMapping, _matches, type_compound)
 from kbread.tsv import norm_token
@@ -106,6 +106,58 @@ def backoff_oracle(train, inst):
         if verb + noun:
             return VERB if verb / (verb + noun) >= 0.5 else NOUN
     return NOUN
+
+
+# -- random knowledge bases and brute-force KB query oracles ---------------
+
+KB_VERBS = tuple(f"v{i}" for i in range(8))
+KB_NOUNS = tuple(f"n{i}" for i in range(5))
+KB_CATEGORIES = tuple(f"c{i}" for i in range(4))
+
+
+def random_kb_inputs(rng):
+    """Constructor inputs for a ``KnowledgeBase``: triples with counts 1-6
+    over few nouns and verbs (so pairs share verbs), 0-3 categories per
+    noun, role entries of 1-3 verbs whose filler is a noun or a category,
+    synonym groups drawn so that they often overlap and merge (some verbs
+    keep none), and a count threshold of 1-5."""
+    svo = {(rng.choice(KB_NOUNS), rng.choice(KB_VERBS), rng.choice(KB_NOUNS)):
+           rng.randint(1, 6) for _ in range(rng.randint(0, 30))}
+    types = {n: set(rng.sample(KB_CATEGORIES, rng.randint(0, 3))) for n in KB_NOUNS}
+    role_entries = [VerbRoleEntry(frozenset(rng.sample(KB_VERBS, rng.randint(1, 3))),
+                                  rng.choice(KB_NOUNS + KB_CATEGORIES),
+                                  rng.choice(("instrument", "topic", "source")))
+                    for _ in range(rng.randint(0, 12))]
+    groups = [set(rng.sample(KB_VERBS[:6], rng.randint(1, 3)))
+              for _ in range(rng.randint(0, 4))]
+    return {"svo": svo, "types": types, "role_entries": role_entries, "prepdefs": {},
+            "synonyms": _merge_groups(groups), "relations": {},
+            "min_svo_count": rng.randint(1, 5)}
+
+
+def scan_roles_for(inputs, verb, n2):
+    """Reference role lookup: every entry is scanned for one whose verb
+    group meets the verb or its synonym group and whose filler is the noun
+    or one of its categories."""
+    verb, n2 = norm_token(verb), norm_token(n2)
+    candidates = {verb} | inputs["synonyms"].get(verb, frozenset())
+    n2_types = inputs["types"].get(n2, set())
+    return {entry.role for entry in inputs["role_entries"]
+            if entry.verb_group & candidates
+            and (entry.filler == n2 or entry.filler in n2_types)}
+
+
+def lookup_svo_exists(inputs, subject, verb, obj):
+    """Reference triple test: the ``(s, v, o)`` count against the threshold."""
+    key = (norm_token(subject), norm_token(verb), norm_token(obj))
+    return inputs["svo"].get(key, 0) >= inputs["min_svo_count"]
+
+
+def scan_svo_any_verb(inputs, subject, obj):
+    """Reference pair lookup: every triple is scanned."""
+    s, o = norm_token(subject), norm_token(obj)
+    return {v for (ts, v, to), c in inputs["svo"].items()
+            if (ts, to) == (s, o) and c >= inputs["min_svo_count"]}
 
 
 # -- random compound-noun worlds and brute-force knom oracles --------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -38,6 +39,9 @@ class TestEvaluate:
         assert report.accuracy == pytest.approx(0.8)
         assert report.n_excl_of == 7
         assert report.accuracy_excl_of == pytest.approx(1.0)
+        # "Of" is "of", as the back-off baseline folds it
+        folded = [replace(i, p="Of") if i.p == "of" else i for i in gold]
+        assert evaluate(predictions, folded) == report
 
     def test_gold_distribution_recount(self, hand_tallied):
         predictions, gold = hand_tallied

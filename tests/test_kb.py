@@ -1,8 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbread.kb import load_kb, load_kb_dir
+from kbread.cli import main
+from kbread.kb import KB_FILENAMES, KnowledgeBase, load_kb, load_kb_dir
 from kbread.tsv import FormatError
+from synth import (KB_CATEGORIES, KB_NOUNS, KB_VERBS, lookup_svo_exists, random_kb_inputs,
+                   scan_roles_for, scan_svo_any_verb)
 
 
 def make_kb(tmp_path, min_svo_count=3, **contents):
@@ -60,6 +65,47 @@ class TestLoading:
             assert a.svo_exists(s, v, o) == b.svo_exists(s, v, o)
         assert a.prep_senses("with") == b.prep_senses("with")
         assert a.stats() == b.stats()
+
+
+GOOD_ROWS = {
+    "svo": "net\tcaught\tbutterfly\t3",
+    "isa": "sun\tstar",
+    "roles": "caught\tnet\tinstrument",
+    "prepdefs": "with\tusing",
+    "synsets": "run,jog",
+    "relations": "worksfor\tshubert\tcnn",
+}
+
+
+# A one-column synsets row cannot have an empty field: a line holding only
+# whitespace is skipped as blank.
+@pytest.mark.parametrize("name,bad_row,message", [
+    pytest.param("svo", "net\tcaught\tbutterfly", "expected 4 columns", id="svo-columns"),
+    pytest.param("svo", "net\t\tbutterfly\t3", "empty field", id="svo-empty"),
+    pytest.param("isa", "sun\tstar\tbright", "expected 2 columns", id="isa-columns"),
+    pytest.param("isa", "\tstar", "empty field", id="isa-empty"),
+    pytest.param("roles", "caught\tnet", "expected 3 columns", id="roles-columns"),
+    pytest.param("roles", "caught\tnet\t", "empty field", id="roles-empty"),
+    pytest.param("roles", ", ,\tnet\tinstrument", "empty verb list", id="roles-no-verbs"),
+    pytest.param("prepdefs", "with", "expected 2 columns", id="prepdefs-columns"),
+    pytest.param("prepdefs", "with\t ", "empty field", id="prepdefs-empty"),
+    pytest.param("synsets", "run\tjog", "expected 1 columns", id="synsets-columns"),
+    pytest.param("synsets", ",", "empty verb list", id="synsets-no-verbs"),
+    pytest.param("relations", "worksfor\tshubert", "expected 3 columns", id="relations-columns"),
+    pytest.param("relations", "worksfor\t\tcnn", "empty field", id="relations-empty"),
+])
+def test_malformed_kb_row_names_file_and_line(tmp_path, capsys, name, bad_row, message):
+    filename = KB_FILENAMES[name]
+    (tmp_path / filename).write_text(f"{GOOD_ROWS[name]}\n# comment\n{bad_row}\n",
+                                     encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_kb_dir(tmp_path)
+    assert f"{filename}:3: {message}" in str(err.value)
+    assert main(["kb-check", "--kb-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"{filename}:3: {message}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestSvoQueries:
@@ -180,3 +226,26 @@ def test_raising_threshold_never_enables_triples(tmp_path_factory, rows, low, bu
     for s, v, o, _ in rows:
         if kb_high.svo_exists(s, v, o):
             assert kb_low.svo_exists(s, v, o)
+
+
+class TestAgainstOracles:
+    """Each query answers from its load-time index exactly what a scan of
+    the constructor inputs in ``synth`` answers, on random KBs drawn from a
+    seed: merged synonym groups, multi-verb role entries, noun and category
+    fillers, and verbs and nouns the KB does not know."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(min_value=0))
+    def test_queries_equal_scans(self, seed):
+        inputs = random_kb_inputs(random.Random(seed))
+        kb = KnowledgeBase(**inputs)
+        verbs = KB_VERBS + ("V1", "unknown")
+        nouns = KB_NOUNS + KB_CATEGORIES + ("N2", "unknown")
+        for verb in verbs:
+            for n2 in nouns:
+                assert kb.roles_for(verb, n2) == scan_roles_for(inputs, verb, n2)
+        for s in nouns:
+            for o in nouns:
+                assert kb.svo_any_verb(s, o) == scan_svo_any_verb(inputs, s, o)
+                for verb in verbs:
+                    assert kb.svo_exists(s, verb, o) == lookup_svo_exists(inputs, s, verb, o)

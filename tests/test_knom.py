@@ -218,6 +218,22 @@ class TestSamplingAndFiles:
         write_mappings(mappings, path)
         assert read_mappings(path) == mappings
 
+    def test_upper_cased_mappings_predict_identically(self, tmp_path, kb, fixtures_dir):
+        corpus = read_compounds(f"{fixtures_dir}/compounds.tsv")
+        mappings = learn_mappings(mine_sequences(corpus, kb, min_support=3), kb, min_support=3)
+        lower = tmp_path / "mappings.tsv"
+        write_mappings(mappings, lower)
+        upper = tmp_path / "upper.tsv"
+        upper.write_text(lower.read_text(encoding="utf-8").upper()
+                         .replace("TYPE:", "type:").replace("LEX:", "lex:"), encoding="utf-8")
+        outputs = []
+        for path in (lower, upper):
+            out = tmp_path / f"predicted-{path.name}"
+            write_predictions(predict_instances(read_mappings(path), corpus, kb), out)
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") == 6
+        assert outputs[1] == outputs[0]
+
     def test_read_compounds_rejects_short_rows(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("id1\tonly\n", encoding="utf-8")
