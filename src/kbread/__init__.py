@@ -8,7 +8,7 @@ from .features import (DEFAULT_FAMILIES, FAMILIES, NOUN, VERB, FeatureConfig,
 from .kb import KnowledgeBase, VerbRoleEntry, load_kb, load_kb_dir
 from .model import (AttachmentModel, TrainConfig, classify, classify_many,
                     expected_log_likelihood, gradient, load_model,
-                    predict_proba, save_model, train_em, train_supervised)
+                    save_model, train_em, train_supervised)
 from .tsv import FormatError
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "VERB", "VerbRoleEntry", "classify", "classify_many",
     "expand_with_synonyms", "expected_log_likelihood", "extract_features",
     "gradient", "load_kb", "load_kb_dir", "load_model", "parse_feature_name",
-    "predict_proba", "read_corpus", "save_model", "train_em",
-    "train_supervised",
+    "read_corpus", "save_model", "train_em", "train_supervised",
 ]

@@ -12,7 +12,6 @@ falls back to noun attachment.
 from __future__ import annotations
 
 from .features import NOUN, VERB, PPInstance
-from .tsv import norm_token, write_lines
 
 _LEVELS = (
     (("v", "n1", "p", "n2"),),
@@ -31,22 +30,20 @@ class BackoffCounts:
 
     def _add(self, inst: PPInstance):
         slot = 0 if inst.label == VERB else 1
-        vals = {s: norm_token(getattr(inst, s)) for s in ("v", "n1", "p", "n2")}
         for level in _LEVELS:
             for pattern in level:
-                key = tuple(vals[s] for s in pattern)
+                key = tuple(getattr(inst, s) for s in pattern)
                 cell = self._tables[pattern].setdefault(key, [0, 0])
                 cell[slot] += 1
         self.n_instances += 1
 
     def level_counts(self, inst: PPInstance):
         """Pooled (verb, noun) counts per back-off level, deepest first."""
-        vals = {s: norm_token(getattr(inst, s)) for s in ("v", "n1", "p", "n2")}
         pooled = []
         for level in _LEVELS:
             cv = cn = 0
             for pattern in level:
-                cell = self._tables[pattern].get(tuple(vals[s] for s in pattern))
+                cell = self._tables[pattern].get(tuple(getattr(inst, s) for s in pattern))
                 if cell:
                     cv += cell[0]
                     cn += cell[1]
@@ -78,7 +75,7 @@ def predict(counts: BackoffCounts, inst: PPInstance) -> tuple[str, float]:
     deepest level with any count, ties (0.5) going to the verb; when even
     the preposition is unseen the decision defaults to noun.
     """
-    if norm_token(inst.p) == "of":
+    if inst.p == "of":
         return NOUN, 0.0
     for cv, cn in counts.level_counts(inst):
         total = cv + cn
@@ -86,17 +83,3 @@ def predict(counts: BackoffCounts, inst: PPInstance) -> tuple[str, float]:
             p_verb = cv / total
             return (VERB if p_verb >= 0.5 else NOUN), p_verb
     return NOUN, 0.0
-
-
-def save_counts(counts: BackoffCounts, path) -> None:
-    """Dump the tables as TSV for inspection: pattern, words, verb count,
-    noun count."""
-    lines = ["#pattern\twords\tverb\tnoun"]
-    for level in _LEVELS:
-        for pattern in level:
-            name = ",".join(pattern)
-            table = counts.pattern_counts(pattern)
-            for key in sorted(table):
-                cv, cn = table[key]
-                lines.append(f"{name}\t{' '.join(key)}\t{cv}\t{cn}")
-    write_lines(path, lines)

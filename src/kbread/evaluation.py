@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .features import NOUN, VERB
-from .tsv import norm_token, write_lines
+from .tsv import write_lines
 
 
 @dataclass
@@ -48,8 +48,7 @@ def evaluate(predictions, gold, method: str = "model") -> EvalReport:
 
     ``predictions`` is a sequence of "V"/"N" decisions parallel to ``gold``;
     a length mismatch, a missing gold label, or an invalid decision raises.
-    Prepositions are folded with ``norm_token``, as the back-off baseline
-    folds them, so "Of" counts as "of".
+    :class:`PPInstance` folds the preposition, so "Of" counts as "of".
     """
     predictions = list(predictions)
     gold = list(gold)
@@ -61,8 +60,7 @@ def evaluate(predictions, gold, method: str = "model") -> EvalReport:
             raise ValueError("gold instances must be labeled")
         if pred not in (VERB, NOUN):
             raise ValueError(f"invalid prediction {pred!r}")
-        prep = norm_token(inst.p)
-        stats = report.per_prep.setdefault(prep, PrepStats())
+        stats = report.per_prep.setdefault(inst.p, PrepStats())
         stats.n += 1
         if inst.label == VERB:
             stats.gold_verb += 1
@@ -72,7 +70,7 @@ def evaluate(predictions, gold, method: str = "model") -> EvalReport:
         if hit:
             report.correct += 1
             stats.correct += 1
-        if prep != "of":
+        if inst.p != "of":
             report.n_excl_of += 1
             if hit:
                 report.correct_excl_of += 1

@@ -17,8 +17,8 @@ feature has value 1 when present. Fifteen feature families exist:
 
 Feature names are canonical strings such as ``"F11:(butterfly,with,net)"``
 or ``"F4:isA(net,device)"``; :func:`parse_feature_name` recovers the family
-and constituent strings. Constituents are comma-joined, so the corpus
-readers reject tokens that contain a comma (:func:`row_tokens`).
+and constituent strings. Constituents are comma-joined, so :class:`PPInstance`
+rejects words that contain a comma.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .kb import KnowledgeBase
-from .tsv import FormatError, iter_rows, norm_token
+from .tsv import FormatError, at_line, iter_rows, norm_token
 
 VERB = "V"
 NOUN = "N"
@@ -52,9 +52,24 @@ _LEXICAL_SLOTS = {
 }
 
 
+def check_word(token: str) -> str:
+    """A folded word of a PP tuple, unless it is empty or holds a comma,
+    which would make feature names collide."""
+    if not token:
+        raise ValueError("empty token")
+    if "," in token:
+        raise ValueError("token contains a comma")
+    return token
+
+
 @dataclass(frozen=True)
 class PPInstance:
-    """One attachment problem: does (p, n2) modify the verb or the noun?"""
+    """One attachment problem: does (p, n2) modify the verb or the noun?
+
+    The words, and ``n0`` when given, are folded with ``norm_token`` when
+    the instance is built and checked with :func:`check_word`, so every
+    consumer sees them in their canonical form.
+    """
 
     v: str
     n1: str
@@ -64,11 +79,10 @@ class PPInstance:
     label: str | None = None
 
     def __post_init__(self):
-        for slot in ("v", "n1", "p", "n2"):
-            if not getattr(self, slot):
-                raise ValueError(f"{slot} must be non-empty")
+        for slot in ("v", "n1", "p", "n2") + (() if self.n0 is None else ("n0",)):
+            object.__setattr__(self, slot, check_word(norm_token(getattr(self, slot))))
         if self.label is not None and self.label not in (VERB, NOUN):
-            raise ValueError(f"label must be {VERB!r} or {NOUN!r}, got {self.label!r}")
+            raise ValueError(f"label must be V or N, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -100,18 +114,6 @@ def parse_feature_name(name: str):
     return family, tuple(inner.split(","))
 
 
-def row_tokens(path, lineno, fields) -> list[str]:
-    """Normalize the word fields of one input row. Empty tokens are
-    rejected, and so are tokens with a comma, which would make feature
-    names collide."""
-    tokens = [norm_token(f) for f in fields]
-    if not all(tokens):
-        raise FormatError(path, lineno, "empty token")
-    if any("," in t for t in tokens):
-        raise FormatError(path, lineno, "token contains a comma")
-    return tokens
-
-
 def extract_features(inst: PPInstance, kb: KnowledgeBase,
                      cfg: FeatureConfig | None = None) -> frozenset[str]:
     """Extract the enabled feature families for one instance.
@@ -122,9 +124,7 @@ def extract_features(inst: PPInstance, kb: KnowledgeBase,
     """
     cfg = cfg or FeatureConfig()
     fam = cfg.enabled_families
-    vals = {slot: norm_token(getattr(inst, slot)) for slot in ("v", "n1", "p", "n2")}
-    v, n1, p, n2 = vals["v"], vals["n1"], vals["p"], vals["n2"]
-    n0 = norm_token(inst.n0) if inst.n0 else None
+    v, n1, p, n2, n0 = inst.v, inst.n1, inst.p, inst.n2, inst.n0
 
     feats = set()
     if "F1" in fam and kb.svo_exists(n2, v, n1):
@@ -150,7 +150,7 @@ def extract_features(inst: PPInstance, kb: KnowledgeBase,
             feats.add(feature_name("F7", (n0, t)))
     for family, slots in _LEXICAL_SLOTS.items():
         if family in fam:
-            feats.add(feature_name(family, tuple(vals[s] for s in slots)))
+            feats.add(feature_name(family, tuple(getattr(inst, s) for s in slots)))
     return frozenset(feats)
 
 
@@ -165,8 +165,7 @@ def expand_with_synonyms(data, kb: KnowledgeBase) -> list[PPInstance]:
     out = []
     for inst in data:
         out.append(inst)
-        verb = norm_token(inst.v)
-        for other in sorted(kb.synonyms_of(verb) - {verb}):
+        for other in sorted(kb.synonyms_of(inst.v) - {inst.v}):
             out.append(replace(inst, v=other))
     return out
 
@@ -177,8 +176,8 @@ def read_corpus(path) -> list[PPInstance]:
     Rows have 4, 5, or 6 tab-separated columns: ``[n0] v n1 p n2 [label]``
     with label ``V`` or ``N``. Four columns are an unlabeled quad and six a
     labeled 5-tuple; a 5-column row is ambiguous and requires an earlier
-    ``format=quad`` or ``format=tuple`` line. Tokens are case-folded and
-    whitespace-normalized.
+    ``format=quad`` or ``format=tuple`` line. A row :class:`PPInstance`
+    rejects is a :class:`FormatError` at its line.
     """
     mode = None
     out = []
@@ -206,9 +205,6 @@ def read_corpus(path) -> list[PPInstance]:
         else:
             raise FormatError(path, lineno, f"expected 4-6 columns, got {len(fields)}")
         if label is not None:
-            label = label.strip().upper()
-            if label not in (VERB, NOUN):
-                raise FormatError(path, lineno, f"label must be V or N, got {label!r}")
-        words = [v, n1, p, n2] if n0 is None else [v, n1, p, n2, n0]
-        out.append(PPInstance(*row_tokens(path, lineno, words), label=label))
+            label = label.upper()
+        out.append(at_line(path, lineno, PPInstance, v, n1, p, n2, n0, label))
     return out

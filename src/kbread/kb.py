@@ -118,15 +118,8 @@ class KnowledgeBase:
 
     # -- relation instances ---------------------------------------------------
 
-    def relation_names(self) -> list[str]:
-        return sorted(self._relations)
-
     def relation_pairs(self, relation: str) -> frozenset[tuple[str, str]]:
         return self._relations.get(norm_token(relation), frozenset())
-
-    def has_instance(self, relation: str, arg1: str, arg2: str) -> bool:
-        pair = (norm_token(arg1), norm_token(arg2))
-        return pair in self.relation_pairs(relation)
 
     @cached_property
     def _relations_by_pair(self) -> dict[tuple[str, str], set[str]]:

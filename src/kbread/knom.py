@@ -14,36 +14,59 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 
 from .kb import KnowledgeBase
-from .tsv import FormatError, iter_rows, norm_token, write_lines
+from .tsv import FormatError, at_line, iter_rows, norm_token, write_lines
 
 #: Sequence element kinds: a category name, a literal word, or a wildcard.
 TYPE, LEX, ANY = "type", "lex", "any"
 
 DEFAULT_MIN_SUPPORT = 10
 
+#: The whitespace before a sequence element in a mappings file: ``lex``
+#: values may hold spaces, so only this splits elements. Case is ignored so
+#: that a mistyped ``TYPE:`` is read, and rejected, as an element.
+_ELEMENT_BREAK = re.compile(rf"\s(?=(?:{TYPE}|{LEX}|{ANY}):)", re.IGNORECASE)
+
 
 @dataclass(frozen=True)
 class CompoundNoun:
+    """Two or more tokens from the compound with id ``source``. The tokens
+    are folded with ``norm_token`` when it is built. An empty token or id is
+    rejected, and so is a token holding an element break (" lex:" say),
+    which a mappings file could not hold as one ``lex`` value."""
+
     tokens: tuple[str, ...]
     source: str
 
     def __post_init__(self):
-        if len(self.tokens) < 2:
+        tokens = tuple(norm_token(t) for t in self.tokens)
+        object.__setattr__(self, "tokens", tokens)
+        if len(tokens) < 2:
             raise ValueError("a compound noun needs at least two tokens")
+        if not self.source or not all(tokens):
+            raise ValueError("empty field")
+        for token in tokens:
+            if _ELEMENT_BREAK.search(token):
+                raise ValueError(f"token {token!r} holds a sequence element break")
 
 
 @dataclass(frozen=True)
 class TypeSequence:
     """Ordered elements, each a (kind, value) pair; kind is "type" for a
     category, "lex" for a literal token kept as an anchor, or "any" for a
-    baseline wildcard."""
+    baseline wildcard. Any other kind is rejected."""
 
     elements: tuple[tuple[str, str], ...]
     support: int = 0
+
+    def __post_init__(self):
+        for kind, _ in self.elements:
+            if kind not in (TYPE, LEX, ANY):
+                raise ValueError(f"unknown sequence element kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +98,6 @@ def _token_choices(cn: CompoundNoun, kb: KnowledgeBase) -> list[list[tuple[str, 
     the token itself as a literal anchor when it has no categories."""
     choices = []
     for token in cn.tokens:
-        token = norm_token(token)
         types = sorted(kb.types_of(token))
         choices.append([(TYPE, t) for t in types] or [(LEX, token)])
     return choices
@@ -143,9 +165,8 @@ def learn_mappings(mined, kb: KnowledgeBase,
         length = len(m.sequence.elements)
         counts = Counter()
         for cn in m.supporters:
-            tokens = [norm_token(t) for t in cn.tokens]
             for i, j in itertools.permutations(range(1, length + 1), 2):
-                for rel in kb.relations_between(tokens[i - 1], tokens[j - 1]):
+                for rel in kb.relations_between(cn.tokens[i - 1], cn.tokens[j - 1]):
                     counts[(rel, i, j)] += 1
         for (rel, i, j), c in sorted(counts.items()):
             if c >= min_support:
@@ -158,27 +179,19 @@ def _matches(cn: CompoundNoun, seq: TypeSequence, kb: KnowledgeBase) -> bool:
     if len(cn.tokens) != len(seq.elements):
         return False
     for token, (kind, value) in zip(cn.tokens, seq.elements):
-        token = norm_token(token)
-        if kind == TYPE:
-            if value not in kb.types_of(token):
-                return False
-        elif kind == LEX:
-            if token != value:
-                return False
-        elif kind != ANY:
-            raise ValueError(f"unknown sequence element kind {kind!r}")
+        if (kind == TYPE and value not in kb.types_of(token)
+                or kind == LEX and token != value):
+            return False
     return True
 
 
 def _anchor(seq: TypeSequence):
     """Index key of a sequence: its length and its first element that is
-    not a wildcard, as (length, position, kind, value). None when there is
-    none, or when that element's kind is unknown, so that such a mapping is
-    tried on every compound of its length and :func:`_matches` rejects the
-    kind as it always has."""
+    not a wildcard, as (length, position, kind, value); None when every
+    element is a wildcard."""
     for pos, (kind, value) in enumerate(seq.elements):
         if kind != ANY:
-            return (len(seq.elements), pos, kind, value) if kind in (TYPE, LEX) else None
+            return (len(seq.elements), pos, kind, value)
     return None
 
 
@@ -207,15 +220,13 @@ def predict_instances(mappings, corpus, kb: KnowledgeBase) -> list[Prediction]:
         length = len(cn.tokens)
         candidates = list(unanchored.get(length, ()))
         for pos, token in enumerate(cn.tokens):
-            token = norm_token(token)
             candidates += anchored.get((length, pos, LEX, token), ())
             for t in kb.types_of(token):
                 candidates += anchored.get((length, pos, TYPE, t), ())
         for mp in candidates:
             if not _matches(cn, mp.sequence, kb):
                 continue
-            arg1 = norm_token(cn.tokens[mp.arg1_pos - 1])
-            arg2 = norm_token(cn.tokens[mp.arg2_pos - 1])
+            arg1, arg2 = cn.tokens[mp.arg1_pos - 1], cn.tokens[mp.arg2_pos - 1]
             key = (mp.relation, arg1, arg2)
             if key not in found or cn.source < found[key]:
                 found[key] = cn.source
@@ -263,10 +274,7 @@ def read_compounds(path) -> list[CompoundNoun]:
     for lineno, fields in iter_rows(path):
         if len(fields) < 3:
             raise FormatError(path, lineno, f"expected id plus >= 2 tokens, got {len(fields)} columns")
-        tokens = tuple(norm_token(f) for f in fields[1:])
-        if not fields[0] or not all(tokens):
-            raise FormatError(path, lineno, "empty field")
-        out.append(CompoundNoun(tokens, fields[0]))
+        out.append(at_line(path, lineno, CompoundNoun, fields[1:], fields[0]))
     return out
 
 
@@ -277,9 +285,10 @@ def _format_element(element) -> str:
 
 def _parse_element(text, path, lineno):
     kind, sep, value = text.partition(":")
+    value = norm_token(value)
     if not sep or kind not in (TYPE, LEX, ANY) or not value:
         raise FormatError(path, lineno, f"bad sequence element {text!r}")
-    return kind, norm_token(value)
+    return kind, value
 
 
 def write_sequences(mined, path) -> None:
@@ -302,6 +311,9 @@ def write_mappings(mappings, path) -> None:
 
 
 def read_mappings(path) -> list[TypeSequenceMapping]:
+    """Read mappings as :func:`write_mappings` writes them. The sequence is
+    split only where whitespace precedes ``type:``, ``lex:`` or ``any:``, so
+    a ``lex`` value may hold spaces."""
     out = []
     for lineno, fields in iter_rows(path):
         if len(fields) != 5:
@@ -311,7 +323,8 @@ def read_mappings(path) -> list[TypeSequenceMapping]:
             support = int(fields[4])
         except ValueError:
             raise FormatError(path, lineno, "positions and support must be integers") from None
-        elements = tuple(_parse_element(e, path, lineno) for e in fields[3].split())
+        elements = tuple(_parse_element(e, path, lineno)
+                         for e in _ELEMENT_BREAK.split(fields[3]) if e)
         if not elements:
             raise FormatError(path, lineno, "empty sequence")
         length = len(elements)

@@ -217,11 +217,6 @@ def classify_many(model: AttachmentModel, fvs) -> list[tuple[str, float]]:
     return [((VERB if p >= 0.5 else NOUN), p) for p in map(_logistic, z.tolist())]
 
 
-def predict_proba(model: AttachmentModel, fv) -> float:
-    """Probability of verb attachment for one feature set."""
-    return classify_many(model, [fv])[0][1]
-
-
 def classify(model: AttachmentModel, fv) -> tuple[str, float]:
     """Decision plus probability for one feature set."""
     return classify_many(model, [fv])[0]
@@ -361,7 +356,8 @@ def save_model(model: AttachmentModel, path) -> None:
 def load_model(path) -> AttachmentModel:
     """Read a model file. Header keys of older files (``learning_rate``,
     ``category_scheme``) are ignored. A header value that does not parse, or
-    that the settings' own checks reject, is a FormatError at its line."""
+    that the settings' own checks reject, is a FormatError at its line, and
+    so is a header key or feature name that an earlier line already set."""
     header = {}
     weights = {}
     with open(path, encoding="utf-8") as fh:
@@ -373,6 +369,8 @@ def load_model(path) -> AttachmentModel:
             if line.startswith("#"):
                 if len(fields) != 2:
                     raise FormatError(path, lineno, "malformed header line")
+                if fields[0][1:] in header:
+                    raise FormatError(path, lineno, f"repeated header key {fields[0]!r}")
                 header[fields[0][1:]] = (fields[1], lineno)
                 continue
             if len(fields) != 2:
@@ -384,6 +382,8 @@ def load_model(path) -> AttachmentModel:
                                   f"weight is not a number: {fields[1]!r}") from None
             if not math.isfinite(weight):
                 raise FormatError(path, lineno, f"weight is not finite: {fields[1]!r}")
+            if fields[0] in weights:
+                raise FormatError(path, lineno, f"repeated feature {fields[0]!r}")
             weights[fields[0]] = weight
     if header.get(MODEL_FORMAT, (None,))[0] != MODEL_VERSION:
         raise FormatError(path, 1, f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")

@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .features import VERB, FeatureConfig, PPInstance, extract_features, row_tokens
+from .features import VERB, FeatureConfig, PPInstance, check_word, extract_features
 from .kb import KnowledgeBase
 from .model import AttachmentModel, classify_many
-from .tsv import FormatError, iter_rows, norm_token, write_lines
+from .tsv import FormatError, at_line, iter_rows, norm_token, write_lines
 
 #: Role labels assignable to the preposition-introduced third argument.
 ROLE_LABELS = (
@@ -29,6 +29,8 @@ ROLE_LABELS = (
 
 @dataclass(frozen=True)
 class TernaryInstance:
+    """A ternary relation instance; words are folded and checked as in :class:`PPInstance`."""
+
     n0: str
     v: str
     n1: str
@@ -36,6 +38,10 @@ class TernaryInstance:
     n2: str
     relation: str | None = None
     role_label: str | None = None
+
+    def __post_init__(self):
+        for slot in ("n0", "v", "n1", "p", "n2"):
+            object.__setattr__(self, slot, check_word(norm_token(getattr(self, slot))))
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ def map_relations_to_verbs(kb: KnowledgeBase, tuples,
     for inst in tuples:
         n0 = _require_n0(inst)
         for rel in kb.relations_between(n0, inst.n1):
-            support[(rel, norm_token(inst.v), norm_token(inst.p))] += 1
+            support[(rel, inst.v, inst.p)] += 1
     return [RelationVerbMap(rel, v, p, c)
             for (rel, v, p), c in sorted(support.items())
             if c >= min_support]
@@ -113,7 +119,7 @@ def annotate_relations(instances, maps) -> list[TernaryInstance]:
             best[key] = m
     out = []
     for inst in instances:
-        m = best.get((norm_token(inst.v), norm_token(inst.p)))
+        m = best.get((inst.v, inst.p))
         out.append(replace(inst, relation=m.relation) if m else inst)
     return out
 
@@ -135,7 +141,7 @@ def learn_role_templates(tuples, kb: KnowledgeBase,
             raise ValueError(f"unknown role label {label!r}")
         for t1 in kb.types_of(inst.n1):
             for t2 in kb.types_of(inst.n2):
-                counts[(label, norm_token(inst.v), t1, norm_token(inst.p), t2)] += 1
+                counts[(label, inst.v, t1, inst.p, t2)] += 1
     return [RoleTemplate(*key, support=c)
             for key, c in sorted(counts.items())
             if c >= min_support]
@@ -159,7 +165,7 @@ def apply_role_templates(templates, tuples, model: AttachmentModel,
     for inst in _verb_attached(tuples, model, kb, cfg):
         t1s = kb.types_of(inst.n1)
         t2s = kb.types_of(inst.n2)
-        matches = [t for t in by_vp.get((norm_token(inst.v), norm_token(inst.p)), ())
+        matches = [t for t in by_vp.get((inst.v, inst.p), ())
                    if t.arg1_type in t1s and t.arg2_type in t2s]
         role = None
         if matches:
@@ -178,8 +184,8 @@ def read_tuples(path) -> list[PPInstance]:
     for lineno, fields in iter_rows(path):
         if len(fields) != 5:
             raise FormatError(path, lineno, f"expected 5 columns, got {len(fields)}")
-        n0, v, n1, p, n2 = row_tokens(path, lineno, fields)
-        out.append(PPInstance(v=v, n1=n1, p=p, n2=n2, n0=n0))
+        n0, v, n1, p, n2 = fields
+        out.append(at_line(path, lineno, PPInstance, v, n1, p, n2, n0))
     return out
 
 
@@ -189,11 +195,11 @@ def read_role_tuples(path) -> list[tuple[PPInstance, str]]:
     for lineno, fields in iter_rows(path):
         if len(fields) != 6:
             raise FormatError(path, lineno, f"expected 6 columns, got {len(fields)}")
-        n0, v, n1, p, n2 = row_tokens(path, lineno, fields[:5])
-        label = fields[5]
+        n0, v, n1, p, n2, label = fields
+        inst = at_line(path, lineno, PPInstance, v, n1, p, n2, n0)
         if label not in ROLE_LABELS:
             raise FormatError(path, lineno, f"unknown role label {label!r}")
-        out.append((PPInstance(v=v, n1=n1, p=p, n2=n2, n0=n0), label))
+        out.append((inst, label))
     return out
 
 

@@ -17,6 +17,16 @@ def norm_token(s: str) -> str:
     return " ".join(s.casefold().split())
 
 
+def at_line(path, lineno, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ``ValueError`` it raises reported as
+    a :class:`FormatError` at ``path:lineno``. Readers build the values a
+    row holds through this, so the values' own checks name the row."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(path, lineno, str(exc)) from None
+
+
 def iter_rows(path):
     """Yield ``(lineno, fields)`` for each data line of a TSV file.
 

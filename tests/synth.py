@@ -202,9 +202,10 @@ def random_mapping(rng):
 
 
 def scan_relations_between(kb, arg1, arg2):
-    """Reference pair lookup: every relation's instance set is scanned."""
+    """Reference pair lookup: the instance set of every relation a
+    :func:`random_knom_world` can hold is scanned."""
     pair = (norm_token(arg1), norm_token(arg2))
-    return {r for r in kb.relation_names() if pair in kb.relation_pairs(r)}
+    return {r for r in _KNOM_RELATIONS if pair in kb.relation_pairs(r)}
 
 
 def product_mine_sequences(corpus, kb, min_support):

@@ -130,6 +130,19 @@ class TestPredict:
         assert f"{model_path}:{lineno}:" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("key, value", [("#l2_penalty", "5.0"), ("F15:(with)", "99.0")])
+    def test_repeated_model_line_exits_2(self, paths, tmp_path, capsys, key, value):
+        model_path = train_fixture_model(paths, tmp_path)
+        assert f"\n{key}\t" in open(model_path, encoding="utf-8").read()
+        with open(model_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{key}\t{value}\n")
+        lineno = open(model_path, encoding="utf-8").read().count("\n")
+        out = str(tmp_path / "pred.tsv")
+        assert run("predict", "--model", model_path, "--input", paths["test"],
+                   "--kb-dir", paths["kb"], "--out", out) == 2
+        assert f"{model_path}:{lineno}: repeated" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_reruns_are_byte_identical(self, paths, tmp_path):
         model_path = train_fixture_model(paths, tmp_path)
         out1, out2 = str(tmp_path / "p1.tsv"), str(tmp_path / "p2.tsv")
@@ -242,6 +255,24 @@ class TestKnomCommands:
         learned = read_mappings(out)
         assert {(m.relation, m.arg1_pos, m.arg2_pos, m.sequence.elements)
                 for m in learned} == set(PLANTED)
+
+    def test_multi_word_lex_token_survives_its_mappings_file(self, tmp_path):
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        (kb_dir / "isa.tsv").write_text("japanese\tnationality\n", encoding="utf-8")
+        (kb_dir / "relations.tsv").write_text("citizenof\tastro one\tjapanese\n",
+                                              encoding="utf-8")
+        compounds = tmp_path / "compounds.tsv"
+        compounds.write_text("c1\tjapanese\tAstro  One\n", encoding="utf-8")
+        mappings, preds = str(tmp_path / "map.tsv"), str(tmp_path / "preds.tsv")
+        assert run("knom-learn", "--compounds", str(compounds), "--kb-dir", str(kb_dir),
+                   "--min-support", "1", "--seq-min-support", "1", "--out", mappings) == 0
+        assert open(mappings, encoding="utf-8").read() == (
+            "citizenof\t2\t1\ttype:nationality lex:astro one\t1\n")
+        assert run("knom-predict", "--compounds", str(compounds), "--mappings", mappings,
+                   "--kb-dir", str(kb_dir), "--out", preds) == 0
+        assert open(preds, encoding="utf-8").read() == (
+            "citizenof\tastro one\tjapanese\tc1\tknown\n")
 
 
 class TestKbCheck:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kbread.collins import fit_counts, predict, save_counts
+from kbread.collins import fit_counts, predict
 from kbread.features import NOUN, VERB, PPInstance
 from synth import backoff_oracle, random_attachment_corpus
 
@@ -111,13 +111,3 @@ class TestPredict:
         b = fit_counts(shuffled)
         for inst in test:
             assert predict(a, inst) == predict(b, inst)
-
-
-def test_counts_serialize_for_inspection(tmp_path):
-    counts = fit_counts([quad("give", "aid", "to", "city", VERB),
-                         quad("see", "man", "with", "scope", NOUN)])
-    path = tmp_path / "counts.tsv"
-    save_counts(counts, path)
-    text = path.read_text(encoding="utf-8")
-    assert "v,n1,p,n2\tgive aid to city\t1\t0" in text
-    assert "p\twith\t0\t1" in text

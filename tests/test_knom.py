@@ -1,14 +1,16 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kbread.kb import KnowledgeBase
 from kbread.knom import (CompoundNoun, TypeSequence, TypeSequenceMapping,
                          baseline_mappings, learn_mappings, mine_sequences,
                          predict_instances, read_compounds, read_mappings,
                          sample_predictions, type_compound, write_mappings,
                          write_predictions)
-from kbread.tsv import FormatError
+from kbread.tsv import FormatError, norm_token
 from synth import (KNOM_WORDS, PLANTED, all_pairs_predict_instances, planted_corpus,
                    product_mine_sequences, random_knom_world, random_mapping,
                    scan_relations_between)
@@ -17,6 +19,14 @@ from test_kb import make_kb
 
 def cn(tokens, source="c0"):
     return CompoundNoun(tuple(tokens), source)
+
+
+#: Compound tokens with inner spaces and colons, some of which look like
+#: the start of a sequence element without being one.
+TOKENS = st.one_of(
+    st.sampled_from(["astro one", "New  York", "a:b", "type:x", "lex:", "x :y", ":"]),
+    st.text(alphabet="ab :", min_size=1, max_size=6),
+).filter(norm_token)
 
 
 class TestTypeCompound:
@@ -217,6 +227,28 @@ class TestSamplingAndFiles:
         path = tmp_path / "mappings.tsv"
         write_mappings(mappings, path)
         assert read_mappings(path) == mappings
+
+    @settings(deadline=None, max_examples=100)
+    @given(words=st.lists(TOKENS, min_size=2, max_size=6, unique_by=norm_token),
+           seed=st.integers(min_value=0))
+    def test_learned_mappings_round_trip(self, tmp_path_factory, words, seed):
+        # A mappings file holds each mapping's own support, not that of
+        # the mined sequence it came from.
+        rng = random.Random(seed)
+        words = [norm_token(w) for w in words]
+        corpus = [cn(rng.choices(words, k=rng.randint(2, 3)), f"s{i}")
+                  for i in range(rng.randint(1, 8))]
+        types = {w: {rng.choice(("person", "tv show", "a:b"))}
+                 for w in words if rng.random() < 0.5}
+        pairs = {(rng.choice(words), rng.choice(words)) for _ in range(6)}
+        pairs.add(corpus[0].tokens[:2])
+        kb = KnowledgeBase({}, types, [], {}, {}, {"r": pairs})
+        mappings = learn_mappings(mine_sequences(corpus, kb, 1), kb, 1)
+        assert mappings
+        path = tmp_path_factory.mktemp("knom") / "mappings.tsv"
+        write_mappings(mappings, path)
+        assert read_mappings(path) == [
+            replace(mp, sequence=replace(mp.sequence, support=mp.support)) for mp in mappings]
 
     def test_upper_cased_mappings_predict_identically(self, tmp_path, kb, fixtures_dir):
         corpus = read_compounds(f"{fixtures_dir}/compounds.tsv")

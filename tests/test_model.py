@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kbread.features import NOUN, VERB
 from kbread.model import (AttachmentModel, TrainConfig, classify, classify_many,
                           expected_log_likelihood, gradient, load_model,
-                          predict_proba, save_model, train_em, train_supervised)
+                          save_model, train_em, train_supervised)
 from synth import sorted_sum_classify, two_cluster_data
 
 NO_REG = TrainConfig(l2_penalty=0.0)
@@ -42,24 +42,26 @@ def random_problem(rng, max_features=10, max_instances=20):
 
 
 class TestPredictProba:
+    """The probability of verb attachment that ``classify`` returns."""
+
     def test_zero_weights_give_half(self):
         model = AttachmentModel({})
-        assert predict_proba(model, frozenset(["a", "b"])) == 0.5
+        assert classify(model, frozenset(["a", "b"]))[1] == 0.5
 
     def test_single_weight_matches_logistic(self):
         model = AttachmentModel({"x": 2.0})
         expected = 1.0 / (1.0 + math.exp(-2.0))
-        assert predict_proba(model, frozenset(["x"])) == pytest.approx(expected, abs=1e-12)
+        assert classify(model, frozenset(["x"]))[1] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.8808, abs=1e-4)
 
     def test_unseen_features_are_zero_weight(self):
         model = AttachmentModel({"x": 3.0})
-        assert predict_proba(model, frozenset(["y", "z"])) == 0.5
+        assert classify(model, frozenset(["y", "z"]))[1] == 0.5
 
     def test_extreme_scores_stay_inside_open_interval(self):
         for z in (1e4, -1e4, 700.0, -700.0):
             model = AttachmentModel({"x": z})
-            p = predict_proba(model, frozenset(["x"]))
+            p = classify(model, frozenset(["x"]))[1]
             assert 0.0 < p < 1.0
 
     def test_decision_threshold(self):
@@ -91,7 +93,6 @@ class TestClassifyMany:
                frozenset(["c", "b"])]
         batch = classify_many(model, fvs)
         assert [classify(model, fv) for fv in fvs] == batch
-        assert [predict_proba(model, fv) for fv in fvs] == [p for _, p in batch]
 
 
 class TestLogLikelihood:
@@ -170,7 +171,7 @@ class TestTrainSupervised:
 
     def test_single_verb_instance_pushes_up(self):
         model = train_supervised([(frozenset(["a"]), VERB)], NO_REG)
-        assert predict_proba(model, frozenset(["a"])) > 0.5
+        assert classify(model, frozenset(["a"]))[1] > 0.5
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -205,8 +206,8 @@ class TestTrainSupervised:
         m = train_supervised(data, NO_REG)
         m_flip = train_supervised(flipped, NO_REG)
         for fv, _ in data:
-            assert predict_proba(m_flip, fv) == pytest.approx(
-                1.0 - predict_proba(m, fv), abs=1e-6)
+            assert classify(m_flip, fv)[1] == pytest.approx(
+                1.0 - classify(m, fv)[1], abs=1e-6)
 
     def test_decisions_invariant_under_feature_renaming(self):
         rng = random.Random(13)
@@ -281,7 +282,7 @@ class TestModelFile:
         assert loaded.n_labeled == model.n_labeled
         assert loaded.n_unlabeled == model.n_unlabeled
         for fv, _ in test:
-            assert predict_proba(loaded, fv) == predict_proba(model, fv)
+            assert classify(loaded, fv)[1] == classify(model, fv)[1]
 
     def test_feature_settings_survive_round_trip(self, tmp_path):
         from kbread.features import FeatureConfig
