@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import collins, evaluation, knom, ternary
-from .features import (DEFAULT_FAMILIES, FAMILIES, FeatureConfig,
-                       expand_with_synonyms, extract_features, read_corpus)
+from .features import (FeatureConfig, expand_with_synonyms, extract_features,
+                       parse_families, read_corpus)
 from .kb import load_kb, load_kb_dir
 from .model import (AttachmentModel, TrainConfig, classify_many, load_model,
                     save_model, train_em)
@@ -91,18 +92,6 @@ def _given(args, *names, **renamed):
             if getattr(args, dest, None) is not None}
 
 
-def _parse_families(text: str) -> frozenset[str]:
-    if text == "all":
-        return frozenset(FAMILIES)
-    if text == "default":
-        return DEFAULT_FAMILIES
-    families = frozenset(f.strip() for f in text.split(",") if f.strip())
-    unknown = families - set(FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown feature families: {sorted(unknown)}")
-    return families
-
-
 def _load_kb(args):
     given = _given(args, "min_svo_count")
     if not args.kb_dir:
@@ -152,8 +141,7 @@ def _write_train_log(model: AttachmentModel, path) -> None:
 
 def cmd_train(args, kb):
     feature_cfg = _feature_config(args)
-    train_cfg = TrainConfig(**_given(args, "l2_penalty", "max_em_iters",
-                                     "max_gradient_steps", "convergence_tol"))
+    train_cfg = TrainConfig(**_given(args, *(f.name for f in fields(TrainConfig))))
     labeled_insts = _require_labeled(read_corpus(args.labeled), args.labeled)
     if args.expand_synonyms:
         labeled_insts = expand_with_synonyms(labeled_insts, kb)
@@ -302,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     features = argparse.ArgumentParser(add_help=False, parents=[shared])
     features.add_argument("--min-svo-count", action=_Setting, convert=int,
                           check=load_kb)
-    features.add_argument("--families", action=_Setting, convert=_parse_families,
+    features.add_argument("--families", action=_Setting, convert=parse_families,
+                          check=lambda families: FeatureConfig(enabled_families=families),
                           help="comma list of feature families, or all/default")
     features.add_argument("--max-prep-senses", action=_Setting, convert=int,
                           check=FeatureConfig)
@@ -328,14 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-out")
     p.add_argument("--expand-synonyms", action="store_true",
                    help="copy labeled instances once per verb synonym")
-    p.add_argument("--l2-penalty", action=_Setting, convert=float,
-                   check=TrainConfig)
-    p.add_argument("--max-em-iters", action=_Setting, convert=int,
-                   check=TrainConfig)
-    p.add_argument("--max-gradient-steps", action=_Setting, convert=int,
-                   check=TrainConfig)
-    p.add_argument("--convergence-tol", action=_Setting, convert=float,
-                   check=TrainConfig)
+    for f in fields(TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), action=_Setting, convert=f.type,
+                       check=TrainConfig)
 
     p = command("predict", cmd_predict, seeded, "classify a corpus")
     p.add_argument("--model", required=True)

@@ -91,11 +91,28 @@ class FeatureConfig:
     max_prep_senses: int = 5
 
     def __post_init__(self):
+        if not self.enabled_families:
+            raise ValueError("no feature families enabled")
         unknown = set(self.enabled_families) - set(FAMILIES)
         if unknown:
             raise ValueError(f"unknown feature families: {sorted(unknown)}")
         if self.max_prep_senses < 0:
             raise ValueError("max_prep_senses must be >= 0")
+
+
+def parse_families(text: str) -> frozenset[str]:
+    """The families ``text`` names: ``all``, ``default`` or a comma list.
+    The names are checked by :class:`FeatureConfig`, not here."""
+    if text == "all":
+        return frozenset(FAMILIES)
+    if text == "default":
+        return DEFAULT_FAMILIES
+    return frozenset(f.strip() for f in text.split(",") if f.strip())
+
+
+def format_families(families) -> str:
+    """``families`` as the comma list :func:`parse_families` reads back."""
+    return ",".join(f for f in FAMILIES if f in families)
 
 
 def feature_name(family: str, parts) -> str:

@@ -32,12 +32,17 @@ DEFAULT_MIN_SUPPORT = 10
 _ELEMENT_BREAK = re.compile(rf"\s(?=(?:{TYPE}|{LEX}|{ANY}):)", re.IGNORECASE)
 
 
+def _check_unbroken(what: str, value: str) -> None:
+    """Reject a value that a mappings file could not hold as one element."""
+    if _ELEMENT_BREAK.search(value):
+        raise ValueError(f"{what} {value!r} holds a sequence element break")
+
+
 @dataclass(frozen=True)
 class CompoundNoun:
     """Two or more tokens from the compound with id ``source``. The tokens
     are folded with ``norm_token`` when it is built. An empty token or id is
-    rejected, and so is a token holding an element break (" lex:" say),
-    which a mappings file could not hold as one ``lex`` value."""
+    rejected, and so is a token holding an element break (" lex:" say)."""
 
     tokens: tuple[str, ...]
     source: str
@@ -50,23 +55,24 @@ class CompoundNoun:
         if not self.source or not all(tokens):
             raise ValueError("empty field")
         for token in tokens:
-            if _ELEMENT_BREAK.search(token):
-                raise ValueError(f"token {token!r} holds a sequence element break")
+            _check_unbroken("token", token)
 
 
 @dataclass(frozen=True)
 class TypeSequence:
-    """Ordered elements, each a (kind, value) pair; kind is "type" for a
-    category, "lex" for a literal token kept as an anchor, or "any" for a
-    baseline wildcard. Any other kind is rejected."""
+    """One or more (kind, value) elements: "type" names a category, "lex" is a
+    literal token kept as an anchor and "any" a baseline wildcard. Any other
+    kind is rejected, and so is a value holding an element break."""
 
     elements: tuple[tuple[str, str], ...]
-    support: int = 0
 
     def __post_init__(self):
-        for kind, _ in self.elements:
+        if not self.elements:
+            raise ValueError("empty sequence")
+        for kind, value in self.elements:
             if kind not in (TYPE, LEX, ANY):
                 raise ValueError(f"unknown sequence element kind {kind!r}")
+            _check_unbroken(kind, value)
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,22 @@ class MinedSequence:
 
 @dataclass(frozen=True)
 class TypeSequenceMapping:
+    """``relation`` (folded, not empty) between the tokens at two distinct
+    1-based positions of ``sequence``."""
+
     relation: str
     arg1_pos: int
     arg2_pos: int
     sequence: TypeSequence
     support: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "relation", norm_token(self.relation))
+        if not self.relation:
+            raise ValueError("empty field")
+        positions = range(1, len(self.sequence.elements) + 1)
+        if self.arg1_pos == self.arg2_pos or not {self.arg1_pos, self.arg2_pos} <= set(positions):
+            raise ValueError("argument positions out of range")
 
 
 @dataclass(frozen=True)
@@ -137,7 +154,7 @@ def mine_sequences(corpus, kb: KnowledgeBase,
             if depth == length:
                 by_source = {cn.source: cn for cn, _ in members}
                 supporters = tuple(by_source[s] for s in sorted(by_source))
-                mined.append(MinedSequence(TypeSequence(prefix, len(supporters)), supporters))
+                mined.append(MinedSequence(TypeSequence(prefix), supporters))
                 continue
             extensions = {}
             for member in members:
@@ -250,7 +267,7 @@ def baseline_mappings(mappings) -> list[TypeSequenceMapping]:
         key = (mp.relation, mp.arg1_pos, mp.arg2_pos, elements)
         cur = best.get(key)
         if cur is None or mp.support > cur.support:
-            best[key] = replace(mp, sequence=TypeSequence(elements, mp.sequence.support))
+            best[key] = replace(mp, sequence=TypeSequence(elements))
     return sorted(best.values(),
                   key=lambda mp: (mp.relation, mp.sequence.elements, mp.arg1_pos, mp.arg2_pos))
 
@@ -278,9 +295,8 @@ def read_compounds(path) -> list[CompoundNoun]:
     return out
 
 
-def _format_element(element) -> str:
-    kind, value = element
-    return f"{kind}:{value}"
+def _format_sequence(seq: TypeSequence) -> str:
+    return " ".join(f"{kind}:{value}" for kind, value in seq.elements)
 
 
 def _parse_element(text, path, lineno):
@@ -295,9 +311,8 @@ def write_sequences(mined, path) -> None:
     """Mined sequences as TSV: sequence, support, supporter ids."""
     lines = []
     for m in mined:
-        seq = " ".join(_format_element(e) for e in m.sequence.elements)
         ids = ",".join(cn.source for cn in m.supporters)
-        lines.append(f"{seq}\t{m.sequence.support}\t{ids}")
+        lines.append(f"{_format_sequence(m.sequence)}\t{len(m.supporters)}\t{ids}")
     write_lines(path, lines)
 
 
@@ -305,8 +320,8 @@ def write_mappings(mappings, path) -> None:
     """Mappings as TSV: relation, arg1 pos, arg2 pos, sequence, support."""
     lines = []
     for mp in mappings:
-        seq = " ".join(_format_element(e) for e in mp.sequence.elements)
-        lines.append(f"{mp.relation}\t{mp.arg1_pos}\t{mp.arg2_pos}\t{seq}\t{mp.support}")
+        lines.append(f"{mp.relation}\t{mp.arg1_pos}\t{mp.arg2_pos}"
+                     f"\t{_format_sequence(mp.sequence)}\t{mp.support}")
     write_lines(path, lines)
 
 
@@ -319,20 +334,14 @@ def read_mappings(path) -> list[TypeSequenceMapping]:
         if len(fields) != 5:
             raise FormatError(path, lineno, f"expected 5 columns, got {len(fields)}")
         try:
-            arg1_pos, arg2_pos = int(fields[1]), int(fields[2])
-            support = int(fields[4])
+            arg1_pos, arg2_pos, support = int(fields[1]), int(fields[2]), int(fields[4])
         except ValueError:
             raise FormatError(path, lineno, "positions and support must be integers") from None
         elements = tuple(_parse_element(e, path, lineno)
                          for e in _ELEMENT_BREAK.split(fields[3]) if e)
-        if not elements:
-            raise FormatError(path, lineno, "empty sequence")
-        length = len(elements)
-        if (arg1_pos == arg2_pos or not 1 <= arg1_pos <= length
-                or not 1 <= arg2_pos <= length):
-            raise FormatError(path, lineno, "argument positions out of range")
-        out.append(TypeSequenceMapping(norm_token(fields[0]), arg1_pos, arg2_pos,
-                                       TypeSequence(elements, support), support))
+        sequence = at_line(path, lineno, TypeSequence, elements)
+        out.append(at_line(path, lineno, TypeSequenceMapping, fields[0], arg1_pos, arg2_pos,
+                           sequence, support))
     return out
 
 

@@ -19,17 +19,15 @@ a hard label (``"V"``/``"N"``) or, for the posterior-weighted operations, a
 ``(p_verb, p_noun)`` pair.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from .features import VERB, NOUN, FAMILIES, FeatureConfig
+from .features import VERB, NOUN, FeatureConfig, format_families, parse_families
 from .tsv import FormatError, write_lines
 
 _FIRST_STEP = 0.5
@@ -42,6 +40,9 @@ MODEL_VERSION = "1"
 
 @dataclass
 class TrainConfig:
+    """Training settings. The ``train`` flags and the model header are made
+    from these fields, and each field's type parses its text."""
+
     l2_penalty: float = 1e-4
     max_em_iters: int = 20
     max_gradient_steps: int = 200
@@ -83,12 +84,6 @@ def _posterior_pair(target):
     if not (0.0 <= p1 <= 1.0 and 0.0 <= p0 <= 1.0):
         raise ValueError(f"posterior weights must lie in [0, 1], got {target!r}")
     return float(p1), float(p0)
-
-
-def _hard_pair(target):
-    if not isinstance(target, str):
-        raise ValueError("this operation requires hard labels")
-    return _posterior_pair(target)
 
 
 # -- packed objective -----------------------------------------------------
@@ -177,8 +172,10 @@ def _ascend(problem, w, cfg):
     return w, value, steps
 
 
-def _model_problem(model, items):
-    """Pack data against a model's weights; returns (problem, w, vocab)."""
+def _model_problem(model, data):
+    """Pack data with hard or posterior targets against a model's weights;
+    returns (problem, w, vocab)."""
+    items = [(fv, _posterior_pair(t)) for fv, t in data]
     vocab = {name: i for i, name in enumerate(model.weights)}
     rows = _intern([fv for fv, _ in items], vocab)
     pairs = [p for _, p in items]
@@ -229,8 +226,7 @@ def expected_log_likelihood(model: AttachmentModel, data) -> float:
     ``(p_verb, p_noun)`` pair. With hard labels this is the plain
     conditional log likelihood.
     """
-    items = [(fv, _posterior_pair(t)) for fv, t in data]
-    problem, w, _ = _model_problem(model, items)
+    problem, w, _ = _model_problem(model, data)
     return problem.value(w)
 
 
@@ -241,97 +237,71 @@ def gradient(model: AttachmentModel, data) -> dict[str, float]:
     (the penalty term contributes to the latter even when absent from the
     data).
     """
-    items = [(fv, _posterior_pair(t)) for fv, t in data]
-    problem, w, vocab = _model_problem(model, items)
+    problem, w, vocab = _model_problem(model, data)
     g = problem.grad(w)
     return {name: float(g[i]) for name, i in vocab.items()}
 
 
 def train_supervised(data, cfg: TrainConfig | None = None) -> AttachmentModel:
-    """Fit weights to labeled data by gradient ascent.
-
-    Runs until the objective improves by less than ``convergence_tol`` or
-    the step cap is reached; the returned model's objective is never below
-    the zero-weight starting point.
-    """
-    data = list(data)
-    if not data:
-        raise ValueError("training requires at least one labeled instance")
-    cfg = cfg or TrainConfig()
-    pairs = [_hard_pair(t) for _, t in data]
-    vocab = {}
-    rows = _intern([fv for fv, _ in data], vocab)
-    problem = _Problem(rows, len(vocab), pairs, cfg.l2_penalty)
-    w, value, steps = _ascend(problem, np.zeros(len(vocab)), cfg)
-    model = AttachmentModel(
-        weights={name: float(w[i]) for name, i in vocab.items()},
-        config=cfg,
-        n_labeled=len(data),
-    )
-    model.history.append({"phase": "supervised", "steps": steps, "ll": value})
-    return model
+    """Fit weights to labeled data by gradient ascent: :func:`train_em`
+    without unlabeled data."""
+    return train_em(data, (), cfg)
 
 
 def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentModel:
     """Fit weights to labeled plus unlabeled data.
 
     ``labeled`` holds ``(feature_set, label)`` pairs, ``unlabeled`` bare
-    feature sets. Weights start from supervised training on the labeled
-    data; with no unlabeled data that model is returned as is. Each
-    iteration fixes posteriors (hard for labeled instances, model
-    probabilities for unlabeled ones), then ascends the posterior-weighted
-    objective, and the loop stops when the labeled-data objective change
-    drops below ``convergence_tol`` or after ``max_em_iters`` iterations.
+    feature sets. Weights start from zero and ascend the labeled objective
+    until it improves by less than ``convergence_tol`` or the step cap is
+    reached. With unlabeled data, EM follows: each iteration fixes
+    posteriors (hard for labeled instances, model probabilities for
+    unlabeled ones), then ascends the posterior-weighted objective, and the
+    loop stops when the labeled-data objective change drops below
+    ``convergence_tol`` or after ``max_em_iters`` iterations.
     """
     labeled = list(labeled)
     unlabeled = list(unlabeled)
     if not labeled:
         raise ValueError("training requires at least one labeled instance")
+    if not all(isinstance(t, str) for _, t in labeled):
+        raise ValueError("training requires hard labels")
     cfg = cfg or TrainConfig()
-    base = train_supervised(labeled, cfg)
-    if not unlabeled:
-        return base
-
+    lab_pairs = [_posterior_pair(t) for _, t in labeled]
     vocab = {}
     lab_rows = _intern([fv for fv, _ in labeled], vocab)
-    unlab_rows = _intern(unlabeled, vocab)
-    lab_pairs = [_hard_pair(t) for _, t in labeled]
-    problem = _Problem(lab_rows + unlab_rows, len(vocab),
-                       lab_pairs + [(0.5, 0.5)] * len(unlab_rows), cfg.l2_penalty)
-    lab_problem = _Problem(lab_rows, len(vocab), lab_pairs, cfg.l2_penalty)
-    w = _weights_over(base.weights, vocab)
+    w, ll, steps = _ascend(_Problem(lab_rows, len(vocab), lab_pairs, cfg.l2_penalty),
+                           np.zeros(len(vocab)), cfg)
+    history = [{"phase": "supervised", "steps": steps, "ll": ll}]
 
-    history = list(base.history)
-    unlab = slice(len(lab_rows), None)
-    ll_prev = lab_problem.value(w)
-    for t in range(1, cfg.max_em_iters + 1):
-        p1 = expit(problem.scores(w)[unlab])
-        problem.p1[unlab] = p1
-        problem.p0[unlab] = 1.0 - p1
-        q_start = problem.value(w)
-        w, q_end, steps = _ascend(problem, w, cfg)
-        ll = lab_problem.value(w)
-        history.append({"phase": "em", "iter": t, "q_start": q_start,
-                        "q_end": q_end, "ll": ll, "m_steps": steps})
-        if abs(ll - ll_prev) < cfg.convergence_tol:
-            break
-        ll_prev = ll
+    if unlabeled:
+        unlab_rows = _intern(unlabeled, vocab)
+        w = np.pad(w, (0, len(vocab) - len(w)))
+        problem = _Problem(lab_rows + unlab_rows, len(vocab),
+                           lab_pairs + [(0.5, 0.5)] * len(unlab_rows), cfg.l2_penalty)
+        lab_problem = _Problem(lab_rows, len(vocab), lab_pairs, cfg.l2_penalty)
+        unlab = slice(len(lab_rows), None)
+        # Not ``ll``: ``w @ w`` over the padded ``w`` may round differently.
+        ll_prev = lab_problem.value(w)
+        for t in range(1, cfg.max_em_iters + 1):
+            p1 = expit(problem.scores(w)[unlab])
+            problem.p1[unlab] = p1
+            problem.p0[unlab] = 1.0 - p1
+            q_start = problem.value(w)
+            w, q_end, steps = _ascend(problem, w, cfg)
+            ll = lab_problem.value(w)
+            history.append({"phase": "em", "iter": t, "q_start": q_start,
+                            "q_end": q_end, "ll": ll, "m_steps": steps})
+            if abs(ll - ll_prev) < cfg.convergence_tol:
+                break
+            ll_prev = ll
 
-    model = AttachmentModel(
-        weights={name: float(w[i]) for name, i in vocab.items()},
-        config=cfg,
-        n_labeled=len(labeled),
-        n_unlabeled=len(unlabeled),
-    )
-    model.history = history
-    return model
+    weights = {name: float(w[i]) for name, i in vocab.items()}
+    return AttachmentModel(weights, cfg, n_labeled=len(labeled), n_unlabeled=len(unlabeled),
+                           history=history)
 
 
 # -- model files ------------------------------------------------------------
-
-#: The training settings in a model header, with their parsers.
-_TRAIN_HEADER = (("l2_penalty", float), ("max_em_iters", int),
-                 ("max_gradient_steps", int), ("convergence_tol", float))
 
 
 def save_model(model: AttachmentModel, path) -> None:
@@ -339,14 +309,13 @@ def save_model(model: AttachmentModel, path) -> None:
     exactly (weights are stored with round-trip float precision)."""
     lines = [
         f"#{MODEL_FORMAT}\t{MODEL_VERSION}",
-        *(f"#{key}\t{getattr(model.config, key)!r}" for key, _ in _TRAIN_HEADER),
+        *(f"#{f.name}\t{getattr(model.config, f.name)!r}" for f in fields(TrainConfig)),
         f"#n_labeled\t{model.n_labeled}",
         f"#n_unlabeled\t{model.n_unlabeled}",
     ]
     if model.feature_config is not None:
         fc = model.feature_config
-        families = ",".join(f for f in FAMILIES if f in fc.enabled_families)
-        lines.append(f"#families\t{families}")
+        lines.append(f"#families\t{format_families(fc.enabled_families)}")
         lines.append(f"#max_prep_senses\t{fc.max_prep_senses}")
     for name in sorted(model.weights):
         lines.append(f"{name}\t{model.weights[name]!r}")
@@ -365,26 +334,26 @@ def load_model(path) -> AttachmentModel:
             line = line.rstrip("\r\n")
             if not line.strip():
                 continue
-            fields = line.split("\t")
+            cols = line.split("\t")
             if line.startswith("#"):
-                if len(fields) != 2:
+                if len(cols) != 2:
                     raise FormatError(path, lineno, "malformed header line")
-                if fields[0][1:] in header:
-                    raise FormatError(path, lineno, f"repeated header key {fields[0]!r}")
-                header[fields[0][1:]] = (fields[1], lineno)
+                if cols[0][1:] in header:
+                    raise FormatError(path, lineno, f"repeated header key {cols[0]!r}")
+                header[cols[0][1:]] = (cols[1], lineno)
                 continue
-            if len(fields) != 2:
+            if len(cols) != 2:
                 raise FormatError(path, lineno, "expected feature-name and weight")
             try:
-                weight = float(fields[1])
+                weight = float(cols[1])
             except ValueError:
                 raise FormatError(path, lineno,
-                                  f"weight is not a number: {fields[1]!r}") from None
+                                  f"weight is not a number: {cols[1]!r}") from None
             if not math.isfinite(weight):
-                raise FormatError(path, lineno, f"weight is not finite: {fields[1]!r}")
-            if fields[0] in weights:
-                raise FormatError(path, lineno, f"repeated feature {fields[0]!r}")
-            weights[fields[0]] = weight
+                raise FormatError(path, lineno, f"weight is not finite: {cols[1]!r}")
+            if cols[0] in weights:
+                raise FormatError(path, lineno, f"repeated feature {cols[0]!r}")
+            weights[cols[0]] = weight
     if header.get(MODEL_FORMAT, (None,))[0] != MODEL_VERSION:
         raise FormatError(path, 1, f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")
 
@@ -400,17 +369,17 @@ def load_model(path) -> AttachmentModel:
         return parsed
 
     try:
-        cfg = TrainConfig(**{key: value(key, convert, TrainConfig)
-                             for key, convert in _TRAIN_HEADER})
+        cfg = TrainConfig(**{f.name: value(f.name, f.type, TrainConfig)
+                             for f in fields(TrainConfig)})
     except KeyError as missing:
         raise FormatError(path, 1, f"missing header field {missing}") from None
     feature_config = None
     if "families" in header:
-        fields = {"enabled_families": value("families", lambda text: frozenset(text.split(",")),
-                                            FeatureConfig, "enabled_families")}
+        given = {"enabled_families": value("families", parse_families,
+                                           FeatureConfig, "enabled_families")}
         if "max_prep_senses" in header:
-            fields["max_prep_senses"] = value("max_prep_senses", int, FeatureConfig)
-        feature_config = FeatureConfig(**fields)
+            given["max_prep_senses"] = value("max_prep_senses", int, FeatureConfig)
+        feature_config = FeatureConfig(**given)
     counts = {key: value(key, int) for key in ("n_labeled", "n_unlabeled") if key in header}
     return AttachmentModel(weights=weights, config=cfg, feature_config=feature_config,
                            **counts)

@@ -198,7 +198,7 @@ def random_mapping(rng):
                     for _ in range(length)]
     arg1, arg2 = rng.sample(range(1, length + 1), 2)
     return TypeSequenceMapping(rng.choice(_KNOM_RELATIONS), arg1, arg2,
-                               TypeSequence(tuple(elements), 1), 1)
+                               TypeSequence(tuple(elements)), 1)
 
 
 def scan_relations_between(kb, arg1, arg2):
@@ -222,7 +222,7 @@ def product_mine_sequences(corpus, kb, min_support):
         if len(by_source) < min_support:
             continue
         supporters = tuple(by_source[s] for s in sorted(by_source))
-        mined.append(MinedSequence(TypeSequence(elements, len(supporters)), supporters))
+        mined.append(MinedSequence(TypeSequence(elements), supporters))
     return mined
 
 

@@ -274,6 +274,35 @@ class TestKnomCommands:
         assert open(preds, encoding="utf-8").read() == (
             "citizenof\tastro one\tjapanese\tc1\tknown\n")
 
+    def test_category_holding_an_element_break_exits_2(self, tmp_path, capsys):
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        (kb_dir / "isa.tsv").write_text("japanese\tnationality\nastro\tfoo lex:bar\n",
+                                        encoding="utf-8")
+        (kb_dir / "relations.tsv").write_text("citizenof\tastro\tjapanese\n",
+                                              encoding="utf-8")
+        compounds = tmp_path / "compounds.tsv"
+        compounds.write_text("c1\tjapanese\tastro\n", encoding="utf-8")
+        mappings = tmp_path / "map.tsv"
+        assert run("knom-learn", "--compounds", str(compounds), "--kb-dir", str(kb_dir),
+                   "--min-support", "1", "--seq-min-support", "1",
+                   "--out", str(mappings)) == 2
+        assert "'foo lex:bar' holds a sequence element break" in capsys.readouterr().err
+        assert not mappings.exists()
+
+    @pytest.mark.parametrize("row,message", [
+        ("\t2\t1\ttype:nationality lex:astro\t1", "empty field"),
+        ("citizenof\t2\t3\ttype:nationality lex:astro\t1", "argument positions out of range"),
+    ], ids=["empty-relation", "position-out-of-range"])
+    def test_bad_mapping_row_exits_2_at_its_line(self, paths, tmp_path, capsys, row, message):
+        mappings = tmp_path / "map.tsv"
+        mappings.write_text(row + "\n", encoding="utf-8")
+        preds = tmp_path / "preds.tsv"
+        assert run("knom-predict", "--compounds", paths["compounds"], "--mappings",
+                   str(mappings), "--kb-dir", paths["kb"], "--out", str(preds)) == 2
+        assert f"{mappings}:1: {message}" in capsys.readouterr().err
+        assert not preds.exists()
+
 
 class TestKbCheck:
     def test_stats_printed(self, paths, capsys):
@@ -295,6 +324,13 @@ class TestFamilyFlags:
         assert run("train", "--labeled", paths["labeled"], "--kb-dir", paths["kb"],
                    "--model-out", str(tmp_path / "m.tsv"),
                    "--families", "F1,F99") == 2
+
+    def test_empty_family_list_exits_2(self, paths, tmp_path, capsys):
+        model_path = tmp_path / "m.tsv"
+        assert run("train", "--labeled", paths["labeled"], "--kb-dir", paths["kb"],
+                   "--model-out", str(model_path), "--families", ",") == 2
+        assert "no feature families enabled" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_all_families_enable_extra_features(self, paths, tmp_path):
         default_path = train_fixture_model(paths, tmp_path)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbread.features import NOUN, VERB
+from kbread.features import FAMILIES, NOUN, VERB, FeatureConfig, PPInstance, feature_name
 from kbread.model import (AttachmentModel, TrainConfig, classify, classify_many,
                           expected_log_likelihood, gradient, load_model,
                           save_model, train_em, train_supervised)
@@ -270,7 +270,46 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
 
+def _pp_word(text):
+    """``text`` as a PPInstance holds it, or None when it rejects it."""
+    try:
+        return PPInstance(v=text, n1="n1", p="p", n2="n2").v
+    except ValueError:
+        return None
+
+
+PP_WORDS = st.text(min_size=1, max_size=8).map(_pp_word).filter(bool)
+FEATURE_NAMES = st.builds(feature_name, st.sampled_from(FAMILIES),
+                          st.lists(PP_WORDS, min_size=1, max_size=4))
+TRAIN_CONFIGS = st.builds(
+    TrainConfig,
+    l2_penalty=st.floats(min_value=0, allow_infinity=False),
+    max_em_iters=st.integers(min_value=1),
+    max_gradient_steps=st.integers(min_value=1),
+    convergence_tol=st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+FEATURE_CONFIGS = st.none() | st.builds(
+    FeatureConfig,
+    enabled_families=st.frozensets(st.sampled_from(FAMILIES), min_size=1),
+    max_prep_senses=st.integers(min_value=0))
+
+
 class TestModelFile:
+    @settings(deadline=None, max_examples=100)
+    @given(weights=st.dictionaries(FEATURE_NAMES, st.floats(allow_nan=False,
+                                                            allow_infinity=False)),
+           config=TRAIN_CONFIGS, feature_config=FEATURE_CONFIGS,
+           n_labeled=st.integers(min_value=0), n_unlabeled=st.integers(min_value=0))
+    def test_any_model_round_trips(self, tmp_path_factory, weights, config, feature_config,
+                                   n_labeled, n_unlabeled):
+        model = AttachmentModel(weights, config, n_labeled, n_unlabeled, feature_config)
+        path = tmp_path_factory.mktemp("model") / "model.tsv"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.weights == weights
+        assert loaded.config == config
+        assert loaded.feature_config == feature_config
+        assert (loaded.n_labeled, loaded.n_unlabeled) == (n_labeled, n_unlabeled)
+
     def test_round_trip_reproduces_predictions_exactly(self, tmp_path):
         labeled, unlabeled, test = two_cluster_data(seed=5)
         model = train_em(labeled, unlabeled, TrainConfig())

@@ -4,10 +4,12 @@ are built, and every reader reports such a rejection at its ``path:line``."""
 import pytest
 
 from kbread.features import PPInstance, read_corpus
-from kbread.knom import CompoundNoun, TypeSequence, read_compounds, read_mappings
+from kbread.knom import (CompoundNoun, TypeSequence, TypeSequenceMapping, read_compounds,
+                         read_mappings)
 from kbread.ternary import TernaryInstance, read_role_tuples, read_tuples
 from kbread.tsv import FormatError
 
+PAIR = (("type", "country"), ("lex", "astronaut"))
 
 def test_constructors_fold_their_tokens():
     inst = PPInstance(v=" Ate ", n1="Cake", p="WITH", n2="a  Fork", n0="\tSam", label="V")
@@ -17,6 +19,7 @@ def test_constructors_fold_their_tokens():
     assert (tern.n0, tern.v, tern.n1, tern.p, tern.n2) == ("sam", "ate", "cake", "with", "a fork")
     compound = CompoundNoun([" Japanese ", "Astro  One"], "c1")
     assert compound.tokens == ("japanese", "astro one")
+    assert TypeSequenceMapping(" Citizen  Of", 1, 2, TypeSequence(PAIR), 1).relation == "citizen of"
 
 
 @pytest.mark.parametrize("build, message", [
@@ -50,6 +53,15 @@ def test_constructors_fold_their_tokens():
                  "unknown sequence element kind 'word'", id="sequence-kind"),
     pytest.param(lambda: TypeSequence((("TYPE", "country"),)),
                  "unknown sequence element kind", id="sequence-upper-kind"),
+    pytest.param(lambda: TypeSequence((("type", "foo lex:bar"), ("lex", "astro"))),
+                 "type 'foo lex:bar' holds a sequence element break", id="sequence-break"),
+    pytest.param(lambda: TypeSequence(()), "empty sequence", id="sequence-empty"),
+    pytest.param(lambda: TypeSequenceMapping(" ", 1, 2, TypeSequence(PAIR), 1),
+                 "empty field", id="mapping-blank-relation"),
+    pytest.param(lambda: TypeSequenceMapping("r", 2, 2, TypeSequence(PAIR), 1),
+                 "argument positions out of range", id="mapping-same-positions"),
+    pytest.param(lambda: TypeSequenceMapping("r", 0, 2, TypeSequence(PAIR), 1),
+                 "argument positions out of range", id="mapping-position-zero"),
 ])
 def test_constructors_reject_bad_tokens(build, message):
     with pytest.raises(ValueError, match=message):
@@ -69,6 +81,8 @@ def test_constructors_reject_bad_tokens(build, message):
     (read_mappings, "r\t1\t2\tword:a lex:b\t3", "bad sequence element 'word:a'"),
     (read_mappings, "r\t1\t2\ttype:a TYPE:b\t3", "bad sequence element 'TYPE:b'"),
     (read_mappings, "r\t1\t2\ttype:a type: \t3", "bad sequence element 'type:'"),
+    (read_mappings, " \t1\t2\ttype:a lex:b\t3", "empty field"),
+    (read_mappings, "r\t1\t3\ttype:a lex:b\t3", "argument positions out of range"),
 ])
 def test_readers_report_rejected_rows_at_their_line(tmp_path, reader, row, message):
     path = tmp_path / "rows.tsv"
