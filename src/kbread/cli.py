@@ -9,10 +9,13 @@ reads a model, the model's stored value, then the library's own default.
 A config key the subcommand does not take is an error.
 
 :func:`main` runs every subcommand the same way. It resolves the options,
-loads the knowledge base and starts the subcommand, a generator that reads
-and validates every input and yields once before it computes and writes;
---dry-run stops at that point. Outputs are byte-identical across runs given
-identical inputs and seed.
+loads the knowledge files the subcommand reads (the knom commands read
+isa.tsv and relations.tsv, every other command all of them) and starts the
+subcommand, a generator that reads and validates every input and yields
+once before it computes and writes; --dry-run stops at that point. On one
+machine, outputs are byte-identical across runs given identical inputs and
+seed; training's floating-point results may differ in the last bits
+between CPUs.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import fields
 from . import collins, evaluation, knom, ternary
 from .features import (FeatureConfig, expand_with_synonyms, extract_features,
                        parse_families, read_corpus)
-from .kb import load_kb, load_kb_dir
+from .kb import KB_FILENAMES, load_kb, load_kb_dir
 from .model import (AttachmentModel, TrainConfig, classify_many, load_model,
                     save_model, train_em)
 from .tsv import FormatError, iter_rows, write_lines
@@ -98,7 +101,7 @@ def _load_kb(args):
         return load_kb(**given)
     if not os.path.isdir(args.kb_dir):
         raise FileNotFoundError(f"knowledge directory not found: {args.kb_dir}")
-    return load_kb_dir(args.kb_dir, **given)
+    return load_kb_dir(args.kb_dir, resources=args.kb_files, **given)
 
 
 def _feature_config(args, stored: FeatureConfig | None = None) -> FeatureConfig:
@@ -305,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "relation tools backed by a knowledge base")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, parent, help):
+    def command(name, run, parent, help, kb_files=tuple(KB_FILENAMES)):
+        """A subcommand that reads the knowledge files ``kb_files``."""
         p = sub.add_parser(name, parents=[parent], help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, kb_files=kb_files)
         return p
 
     p = command("train", cmd_train, seeded, "train an attachment model")
@@ -352,13 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-support", action=_Setting, convert=int,
                    check=lambda min_support: ternary.learn_role_templates([], None, min_support))
 
-    p = command("knom-mine", cmd_knom_mine, shared, "mine type sequences")
+    knom_files = ("isa", "relations")
+    p = command("knom-mine", cmd_knom_mine, shared, "mine type sequences", knom_files)
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-support", action=_Setting, convert=int,
                    check=lambda min_support: knom.mine_sequences([], None, min_support))
 
-    p = command("knom-learn", cmd_knom_learn, shared, "learn sequence-to-relation mappings")
+    p = command("knom-learn", cmd_knom_learn, shared, "learn sequence-to-relation mappings",
+                knom_files)
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seq-min-support", action=_Setting, convert=int,
@@ -367,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    check=lambda min_support: knom.learn_mappings([], None, min_support))
 
     p = command("knom-predict", cmd_knom_predict, shared,
-                "predict relation instances from compounds")
+                "predict relation instances from compounds", knom_files)
     p.add_argument("--compounds", required=True)
     p.add_argument("--mappings", required=True)
     p.add_argument("--out", required=True)

@@ -3,7 +3,9 @@ noun category assertions, verb role entries, preposition sense definitions,
 verb synonym groups, and relation instances.
 
 Each resource lives in its own tab-separated file and is optional; a missing
-file simply yields an empty store. All strings are case-folded and
+file simply yields an empty store. :func:`load_kb_dir` opens only the
+files its ``resources`` argument names, so a command that never reads a file
+neither pays for it nor fails on it. All strings are case-folded and
 whitespace-normalized at load time, queries fold their arguments the same
 way, and lookups on unknown keys return empty results instead of raising.
 The constructor builds one index per query, so each query is a few dict
@@ -269,7 +271,12 @@ def load_kb(svo=None, isa=None, roles=None, prepdefs=None, synsets=None,
     )
 
 
-def load_kb_dir(directory, min_svo_count=DEFAULT_MIN_SVO_COUNT) -> KnowledgeBase:
-    """Load a knowledge base from a directory of conventionally named files."""
-    paths = {key: os.path.join(directory, name) for key, name in KB_FILENAMES.items()}
+def load_kb_dir(directory, min_svo_count=DEFAULT_MIN_SVO_COUNT,
+                resources=tuple(KB_FILENAMES)) -> KnowledgeBase:
+    """Load a knowledge base from a directory of conventionally named files.
+
+    Only the files of ``resources`` (keys of :data:`KB_FILENAMES`, all of
+    them by default) are opened and checked; the other stores stay empty.
+    """
+    paths = {key: os.path.join(directory, KB_FILENAMES[key]) for key in resources}
     return load_kb(min_svo_count=min_svo_count, **paths)

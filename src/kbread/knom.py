@@ -84,7 +84,7 @@ class MinedSequence:
 @dataclass(frozen=True)
 class TypeSequenceMapping:
     """``relation`` (folded, not empty) between the tokens at two distinct
-    1-based positions of ``sequence``."""
+    1-based positions of ``sequence``, seen in ``support`` (>= 1) compounds."""
 
     relation: str
     arg1_pos: int
@@ -99,6 +99,8 @@ class TypeSequenceMapping:
         positions = range(1, len(self.sequence.elements) + 1)
         if self.arg1_pos == self.arg2_pos or not {self.arg1_pos, self.arg2_pos} <= set(positions):
             raise ValueError("argument positions out of range")
+        if self.support < 1:
+            raise ValueError("support must be >= 1")
 
 
 @dataclass(frozen=True)

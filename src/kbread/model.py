@@ -23,9 +23,11 @@ import math
 from dataclasses import dataclass, field, fields
 from itertools import chain
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.special import expit
+# numpy and scipy are imported inside the functions that build or evaluate
+# the packed objective, not here: ``kbread.cli`` imports this module for
+# TrainConfig, whose fields make the ``train`` flags when the parser is built,
+# and the commands that never train or score (knom-*, kb-check) should not
+# pay for loading numpy and scipy.
 
 from .features import VERB, NOUN, FeatureConfig, format_families, parse_families
 from .tsv import FormatError, write_lines
@@ -104,6 +106,7 @@ def _intern(fvs, vocab):
 def _weights_over(weights, vocab):
     """A model's weights as a vector over a vocabulary; names without a
     weight get zero."""
+    import numpy as np
     w = np.zeros(len(vocab))
     for name, i in vocab.items():
         w[i] = weights.get(name, 0.0)
@@ -121,6 +124,8 @@ class _Problem:
     """
 
     def __init__(self, rows, n_features, pairs=(), l2=0.0):
+        import numpy as np
+        from scipy.sparse import csr_matrix
         counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         indptr = np.concatenate(([0], np.cumsum(counts)))
         indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=indptr[-1])
@@ -134,12 +139,14 @@ class _Problem:
         return self.X @ w
 
     def value(self, w):
+        import numpy as np
         z = self.scores(w)
         softplus = np.logaddexp(0.0, z)
         data = self.p1 @ z - (self.p1 + self.p0) @ softplus
         return float(data - 0.5 * self.l2 * (w @ w))
 
     def grad(self, w):
+        from scipy.special import expit
         z = self.scores(w)
         coef = self.p1 - (self.p1 + self.p0) * expit(z)
         return self.X.T @ coef - self.l2 * w
@@ -266,6 +273,8 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
         raise ValueError("training requires at least one labeled instance")
     if not all(isinstance(t, str) for _, t in labeled):
         raise ValueError("training requires hard labels")
+    import numpy as np
+    from scipy.special import expit
     cfg = cfg or TrainConfig()
     lab_pairs = [_posterior_pair(t) for _, t in labeled]
     vocab = {}

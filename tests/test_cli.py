@@ -1,6 +1,12 @@
+import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
+
+import kbread
 
 from kbread.cli import main
 from kbread.features import FeatureConfig, extract_features, read_corpus
@@ -293,7 +299,8 @@ class TestKnomCommands:
     @pytest.mark.parametrize("row,message", [
         ("\t2\t1\ttype:nationality lex:astro\t1", "empty field"),
         ("citizenof\t2\t3\ttype:nationality lex:astro\t1", "argument positions out of range"),
-    ], ids=["empty-relation", "position-out-of-range"])
+        ("citizenof\t2\t1\ttype:nationality lex:astro\t-7", "support must be >= 1"),
+    ], ids=["empty-relation", "position-out-of-range", "support-below-one"])
     def test_bad_mapping_row_exits_2_at_its_line(self, paths, tmp_path, capsys, row, message):
         mappings = tmp_path / "map.tsv"
         mappings.write_text(row + "\n", encoding="utf-8")
@@ -317,6 +324,94 @@ class TestKbCheck:
     def test_dry_run_loads_without_printing_stats(self, paths, capsys):
         assert run("kb-check", "--kb-dir", paths["kb"], "--dry-run") == 0
         assert capsys.readouterr().out == "dry run: inputs ok\n"
+
+
+#: Runs each argv of the JSON list in ``sys.argv[1]`` through ``cli.main`` and
+#: prints, per run, the command, its exit code and the numpy/scipy modules
+#: loaded so far.
+LOADED_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from kbread.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    heavy = sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+    results.append([argv[0], code, heavy])
+print(json.dumps(results))
+"""
+
+
+def knom_outputs(compounds, kb_dir, out_dir):
+    """Bytes written by knom-mine, knom-learn and knom-predict (typed and
+    --baseline) on one knowledge directory."""
+    out = {name: os.path.join(out_dir, name + ".tsv")
+           for name in ("sequences", "mappings", "typed", "baseline")}
+    common = ("--compounds", compounds, "--kb-dir", kb_dir)
+    assert run("knom-mine", *common, "--min-support", "3", "--out", out["sequences"]) == 0
+    assert run("knom-learn", *common, "--seq-min-support", "3", "--min-support", "3",
+               "--out", out["mappings"]) == 0
+    for name, extra in (("typed", ()), ("baseline", ("--baseline",))):
+        assert run("knom-predict", *common, "--mappings", out["mappings"],
+                   "--out", out[name], *extra) == 0
+    return {name: open(path, "rb").read() for name, path in out.items()}
+
+
+class TestKbFilesPerCommand:
+    """The knom commands read only isa.tsv and relations.tsv; the PP commands
+    and kb-check read every knowledge file."""
+
+    def test_knom_outputs_need_only_isa_and_relations(self, paths, tmp_path):
+        (tmp_path / "full").mkdir()
+        (tmp_path / "part").mkdir()
+        full = knom_outputs(paths["compounds"], paths["kb"], str(tmp_path / "full"))
+        part_kb = tmp_path / "kb"
+        part_kb.mkdir()
+        for name in ("isa.tsv", "relations.tsv"):
+            shutil.copy(os.path.join(paths["kb"], name), part_kb / name)
+        assert knom_outputs(paths["compounds"], str(part_kb), str(tmp_path / "part")) == full
+        assert full["sequences"] and full["mappings"] and full["typed"]
+
+    def test_malformed_file_fails_only_the_commands_that_read_it(self, paths, tmp_path,
+                                                                 capsys):
+        def learn(kb_dir, out):
+            assert run("knom-learn", "--compounds", paths["compounds"], "--kb-dir", kb_dir,
+                       "--seq-min-support", "3", "--min-support", "3", "--out", out) == 0
+            return open(out, "rb").read()
+
+        expected = learn(paths["kb"], str(tmp_path / "expected.tsv"))
+        kb_dir = tmp_path / "kb"
+        shutil.copytree(paths["kb"], kb_dir)
+        svo = kb_dir / "svo.tsv"
+        lineno = len(svo.read_text(encoding="utf-8").splitlines()) + 1
+        with open(svo, "a", encoding="utf-8") as fh:
+            fh.write("sam\tate\tcake\n")
+        assert learn(str(kb_dir), str(tmp_path / "mappings.tsv")) == expected
+        capsys.readouterr()
+        assert run("kb-check", "--kb-dir", str(kb_dir)) == 2
+        assert f"svo.tsv:{lineno}:" in capsys.readouterr().err
+        model_path = tmp_path / "model.tsv"
+        assert run("train", "--labeled", paths["labeled"], "--kb-dir", str(kb_dir),
+                   "--model-out", str(model_path)) == 2
+        assert f"svo.tsv:{lineno}:" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_knom_and_kb_check_leave_numpy_and_scipy_unloaded(self, paths, tmp_path):
+        # A child process: this test session has imported numpy already.
+        mappings = str(tmp_path / "mappings.tsv")
+        common = ["--compounds", paths["compounds"], "--kb-dir", paths["kb"]]
+        argvs = [
+            ["kb-check", "--kb-dir", paths["kb"]],
+            ["knom-mine", *common, "--min-support", "3", "--out", str(tmp_path / "s.tsv")],
+            ["knom-learn", *common, "--seq-min-support", "3", "--min-support", "3",
+             "--out", mappings],
+            ["knom-predict", *common, "--mappings", mappings, "--out", str(tmp_path / "p.tsv")],
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kbread.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == [[argv[0], 0, []] for argv in argvs]
 
 
 class TestFamilyFlags:

@@ -62,6 +62,8 @@ def test_constructors_fold_their_tokens():
                  "argument positions out of range", id="mapping-same-positions"),
     pytest.param(lambda: TypeSequenceMapping("r", 0, 2, TypeSequence(PAIR), 1),
                  "argument positions out of range", id="mapping-position-zero"),
+    pytest.param(lambda: TypeSequenceMapping("r", 1, 2, TypeSequence(PAIR), 0),
+                 "support must be >= 1", id="mapping-support-zero"),
 ])
 def test_constructors_reject_bad_tokens(build, message):
     with pytest.raises(ValueError, match=message):
@@ -83,6 +85,7 @@ def test_constructors_reject_bad_tokens(build, message):
     (read_mappings, "r\t1\t2\ttype:a type: \t3", "bad sequence element 'type:'"),
     (read_mappings, " \t1\t2\ttype:a lex:b\t3", "empty field"),
     (read_mappings, "r\t1\t3\ttype:a lex:b\t3", "argument positions out of range"),
+    (read_mappings, "r\t1\t2\ttype:a lex:b\t-7", "support must be >= 1"),
 ])
 def test_readers_report_rejected_rows_at_their_line(tmp_path, reader, row, message):
     path = tmp_path / "rows.tsv"
