@@ -65,6 +65,8 @@ class _Config(argparse.Action):
     is not given as a flag, before or after ``--config``."""
 
     def __call__(self, parser, namespace, path, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise ValueError(f"{option_string} may be given only once")
         setattr(namespace, self.dest, path)
         settings = {a.dest: a for a in parser._actions if isinstance(a, _Setting)}
         seen = set()
@@ -118,22 +120,11 @@ def _reject_unread(args, needed, *settings):
         raise ValueError(f"{', '.join(unread)}: read only with {needed}")
 
 
-def _require_labeled(instances, path):
-    for inst in instances:
-        if inst.label is None:
-            raise ValueError(f"{path}: corpus must be fully labeled")
-    return instances
-
-
 def _write_train_log(model: AttachmentModel, path) -> None:
     lines = ["#phase\tdetail"]
     for record in model.history:
-        if record["phase"] == "supervised":
-            lines.append(f"supervised\tsteps={record['steps']}\tll={record['ll']!r}")
-        else:
-            lines.append(f"em\titer={record['iter']}\tq_start={record['q_start']!r}"
-                         f"\tq_end={record['q_end']!r}\tll={record['ll']!r}"
-                         f"\tm_steps={record['m_steps']}")
+        details = [f"{key}={value!r}" for key, value in record.items() if key != "phase"]
+        lines.append("\t".join([record["phase"], *details]))
     lines.append(f"final\tlabeled={model.n_labeled}\tunlabeled={model.n_unlabeled}"
                  f"\tfeatures={len(model.weights)}")
     write_lines(path, lines)
@@ -145,7 +136,7 @@ def _write_train_log(model: AttachmentModel, path) -> None:
 def cmd_train(args, kb):
     feature_cfg = _feature_config(args)
     train_cfg = TrainConfig(**_given(args, *(f.name for f in fields(TrainConfig))))
-    labeled_insts = _require_labeled(read_corpus(args.labeled), args.labeled)
+    labeled_insts = read_corpus(args.labeled, labeled=True)
     if args.expand_synonyms:
         labeled_insts = expand_with_synonyms(labeled_insts, kb)
     labeled = [(extract_features(i, kb, feature_cfg), i.label) for i in labeled_insts]
@@ -176,7 +167,7 @@ def cmd_predict(args, kb):
 
 
 def cmd_eval(args, kb):
-    gold = _require_labeled(read_corpus(args.test), args.test)
+    gold = read_corpus(args.test, labeled=True)
     predictors = {}
     if args.model:
         model = load_model(args.model)
@@ -186,7 +177,7 @@ def cmd_eval(args, kb):
     else:
         _reject_unread(args, "--model", *_FEATURE_SETTINGS)
     if args.collins_train:
-        train = _require_labeled(read_corpus(args.collins_train), args.collins_train)
+        train = read_corpus(args.collins_train, labeled=True)
         counts = collins.fit_counts(train)
         predictors["collins"] = lambda insts: [collins.predict(counts, inst)[0]
                                                for inst in insts]

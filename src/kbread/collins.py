@@ -26,7 +26,6 @@ class BackoffCounts:
 
     def __init__(self):
         self._tables = {pattern: {} for level in _LEVELS for pattern in level}
-        self.n_instances = 0
 
     def _add(self, inst: PPInstance):
         slot = 0 if inst.label == VERB else 1
@@ -35,7 +34,6 @@ class BackoffCounts:
                 key = tuple(getattr(inst, s) for s in pattern)
                 cell = self._tables[pattern].setdefault(key, [0, 0])
                 cell[slot] += 1
-        self.n_instances += 1
 
     def level_counts(self, inst: PPInstance):
         """Pooled (verb, noun) counts per back-off level, deepest first."""

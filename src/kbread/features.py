@@ -187,14 +187,15 @@ def expand_with_synonyms(data, kb: KnowledgeBase) -> list[PPInstance]:
     return out
 
 
-def read_corpus(path) -> list[PPInstance]:
+def read_corpus(path, labeled=False) -> list[PPInstance]:
     """Read a quad/tuple corpus file.
 
     Rows have 4, 5, or 6 tab-separated columns: ``[n0] v n1 p n2 [label]``
     with label ``V`` or ``N``. Four columns are an unlabeled quad and six a
     labeled 5-tuple; a 5-column row is ambiguous and requires an earlier
     ``format=quad`` or ``format=tuple`` line. A row :class:`PPInstance`
-    rejects is a :class:`FormatError` at its line.
+    rejects, or with ``labeled`` a row without a label, is a
+    :class:`FormatError` at its line.
     """
     mode = None
     out = []
@@ -223,5 +224,7 @@ def read_corpus(path) -> list[PPInstance]:
             raise FormatError(path, lineno, f"expected 4-6 columns, got {len(fields)}")
         if label is not None:
             label = label.upper()
+        elif labeled:
+            raise FormatError(path, lineno, "corpus must be fully labeled")
         out.append(at_line(path, lineno, PPInstance, v, n1, p, n2, n0, label))
     return out

@@ -157,10 +157,7 @@ def _rows(path, columns):
     """Yield ``(lineno, fields)`` for each row of a KB file, every field
     folded with ``norm_token``. A row with the wrong number of columns or an
     empty field is a :class:`FormatError`."""
-    for lineno, fields in iter_rows(path):
-        if len(fields) != len(columns):
-            raise FormatError(path, lineno, f"expected {len(columns)} columns "
-                              f"({', '.join(columns)}), got {len(fields)}")
+    for lineno, fields in iter_rows(path, columns):
         fields = [norm_token(f) for f in fields]
         if not all(fields):
             raise FormatError(path, lineno, "empty field")

@@ -332,17 +332,16 @@ def read_mappings(path) -> list[TypeSequenceMapping]:
     split only where whitespace precedes ``type:``, ``lex:`` or ``any:``, so
     a ``lex`` value may hold spaces."""
     out = []
-    for lineno, fields in iter_rows(path):
-        if len(fields) != 5:
-            raise FormatError(path, lineno, f"expected 5 columns, got {len(fields)}")
+    columns = ("relation", "arg1 pos", "arg2 pos", "sequence", "support")
+    for lineno, (relation, arg1_pos, arg2_pos, seq_text, support) in iter_rows(path, columns):
         try:
-            arg1_pos, arg2_pos, support = int(fields[1]), int(fields[2]), int(fields[4])
+            arg1_pos, arg2_pos, support = int(arg1_pos), int(arg2_pos), int(support)
         except ValueError:
             raise FormatError(path, lineno, "positions and support must be integers") from None
         elements = tuple(_parse_element(e, path, lineno)
-                         for e in _ELEMENT_BREAK.split(fields[3]) if e)
+                         for e in _ELEMENT_BREAK.split(seq_text) if e)
         sequence = at_line(path, lineno, TypeSequence, elements)
-        out.append(at_line(path, lineno, TypeSequenceMapping, fields[0], arg1_pos, arg2_pos,
+        out.append(at_line(path, lineno, TypeSequenceMapping, relation, arg1_pos, arg2_pos,
                            sequence, support))
     return out
 

@@ -30,7 +30,7 @@ from itertools import chain
 # pay for loading numpy and scipy.
 
 from .features import VERB, NOUN, FeatureConfig, format_families, parse_families
-from .tsv import FormatError, write_lines
+from .tsv import FormatError, iter_lines, write_lines
 
 _FIRST_STEP = 0.5
 _MIN_STEP = 1e-12
@@ -338,31 +338,26 @@ def load_model(path) -> AttachmentModel:
     so is a header key or feature name that an earlier line already set."""
     header = {}
     weights = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if line.startswith("#"):
-                if len(cols) != 2:
-                    raise FormatError(path, lineno, "malformed header line")
-                if cols[0][1:] in header:
-                    raise FormatError(path, lineno, f"repeated header key {cols[0]!r}")
-                header[cols[0][1:]] = (cols[1], lineno)
-                continue
+    for lineno, line in iter_lines(path):
+        cols = line.split("\t")
+        if line.startswith("#"):
             if len(cols) != 2:
-                raise FormatError(path, lineno, "expected feature-name and weight")
-            try:
-                weight = float(cols[1])
-            except ValueError:
-                raise FormatError(path, lineno,
-                                  f"weight is not a number: {cols[1]!r}") from None
-            if not math.isfinite(weight):
-                raise FormatError(path, lineno, f"weight is not finite: {cols[1]!r}")
-            if cols[0] in weights:
-                raise FormatError(path, lineno, f"repeated feature {cols[0]!r}")
-            weights[cols[0]] = weight
+                raise FormatError(path, lineno, "malformed header line")
+            if cols[0][1:] in header:
+                raise FormatError(path, lineno, f"repeated header key {cols[0]!r}")
+            header[cols[0][1:]] = (cols[1], lineno)
+            continue
+        if len(cols) != 2:
+            raise FormatError(path, lineno, "expected feature-name and weight")
+        try:
+            weight = float(cols[1])
+        except ValueError:
+            raise FormatError(path, lineno, f"weight is not a number: {cols[1]!r}") from None
+        if not math.isfinite(weight):
+            raise FormatError(path, lineno, f"weight is not finite: {cols[1]!r}")
+        if cols[0] in weights:
+            raise FormatError(path, lineno, f"repeated feature {cols[0]!r}")
+        weights[cols[0]] = weight
     if header.get(MODEL_FORMAT, (None,))[0] != MODEL_VERSION:
         raise FormatError(path, 1, f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")
 

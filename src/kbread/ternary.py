@@ -180,22 +180,15 @@ def apply_role_templates(templates, tuples, model: AttachmentModel,
 
 def read_tuples(path) -> list[PPInstance]:
     """Read a 5-column tuple file: n0, v, n1, p, n2."""
-    out = []
-    for lineno, fields in iter_rows(path):
-        if len(fields) != 5:
-            raise FormatError(path, lineno, f"expected 5 columns, got {len(fields)}")
-        n0, v, n1, p, n2 = fields
-        out.append(at_line(path, lineno, PPInstance, v, n1, p, n2, n0))
-    return out
+    return [at_line(path, lineno, PPInstance, v, n1, p, n2, n0)
+            for lineno, (n0, v, n1, p, n2) in iter_rows(path, ("n0", "v", "n1", "p", "n2"))]
 
 
 def read_role_tuples(path) -> list[tuple[PPInstance, str]]:
     """Read a role-labeled tuple file: n0, v, n1, p, n2, role label."""
     out = []
-    for lineno, fields in iter_rows(path):
-        if len(fields) != 6:
-            raise FormatError(path, lineno, f"expected 6 columns, got {len(fields)}")
-        n0, v, n1, p, n2, label = fields
+    for lineno, (n0, v, n1, p, n2, label) in iter_rows(
+            path, ("n0", "v", "n1", "p", "n2", "role label")):
         inst = at_line(path, lineno, PPInstance, v, n1, p, n2, n0)
         if label not in ROLE_LABELS:
             raise FormatError(path, lineno, f"unknown role label {label!r}")

@@ -27,18 +27,40 @@ def at_line(path, lineno, make, *args, **kwargs):
         raise FormatError(path, lineno, str(exc)) from None
 
 
-def iter_rows(path):
-    """Yield ``(lineno, fields)`` for each data line of a TSV file.
+def iter_lines(path):
+    """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 text
+    file, without its line end; every input file is read through this. A
+    leading byte-order mark is dropped, and the first line that is not
+    valid UTF-8 is a :class:`FormatError`."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.isspace():
+                    yield lineno, line.rstrip("\r\n")
+    except UnicodeDecodeError:
+        # Text mode decodes in blocks, so find the line again in the bytes.
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise FormatError(path, lineno, "not valid UTF-8") from None
+        raise
 
-    Blank lines and lines starting with ``#`` are skipped. Fields are
-    stripped of surrounding whitespace but otherwise untouched.
-    """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\r\n")
-            if not stripped.strip() or stripped.lstrip().startswith("#"):
-                continue
-            yield lineno, [f.strip() for f in stripped.split("\t")]
+
+def iter_rows(path, columns=None):
+    """Yield ``(lineno, fields)`` for each data line of a TSV file: lines
+    starting with ``#`` are skipped as well as blank ones, and fields are
+    stripped of surrounding whitespace. Given the names of its ``columns``,
+    a row of another width is a :class:`FormatError`."""
+    for lineno, line in iter_lines(path):
+        if line.lstrip().startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if columns is not None and len(fields) != len(columns):
+            raise FormatError(path, lineno, f"expected {len(columns)} columns "
+                              f"({', '.join(columns)}), got {len(fields)}")
+        yield lineno, fields
 
 
 def write_lines(path, lines) -> None:

@@ -452,6 +452,17 @@ class TestConfigPrecedence:
         assert model.config.max_em_iters == 7       # config file beats default
         assert model.config.max_gradient_steps == 200   # default survives
 
+    def test_second_config_exits_2(self, paths, tmp_path, capsys):
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("l2_penalty=0.5\n", encoding="utf-8")
+        second.write_text("l2_penalty=0.9\nmax_em_iters=3\n", encoding="utf-8")
+        model_path = tmp_path / "m.tsv"
+        assert run("train", "--labeled", paths["labeled"], "--kb-dir", paths["kb"],
+                   "--model-out", str(model_path), "--config", str(first),
+                   "--config", str(second)) == 2
+        assert capsys.readouterr().err == "error: --config may be given only once\n"
+        assert not model_path.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, fixtures_dir, kb_dir):
