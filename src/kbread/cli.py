@@ -9,13 +9,13 @@ reads a model, the model's stored value, then the library's own default.
 A config key the subcommand does not take is an error.
 
 :func:`main` runs every subcommand the same way. It resolves the options,
-loads the knowledge files the subcommand reads (the knom commands read
-isa.tsv and relations.tsv, every other command all of them) and starts the
-subcommand, a generator that reads and validates every input and yields
-once before it computes and writes; --dry-run stops at that point. On one
-machine, outputs are byte-identical across runs given identical inputs and
-seed; training's floating-point results may differ in the last bits
-between CPUs.
+checks that every output's directory exists, loads the knowledge files the
+subcommand reads (the knom commands read isa.tsv and relations.tsv, every
+other command all of them) and starts the subcommand, a generator that
+reads and validates every input and yields once before it computes and
+writes; --dry-run stops at that point. On one machine, outputs are
+byte-identical across runs given identical inputs and seed; training's
+floating-point results may differ in the last bits between CPUs.
 """
 
 from __future__ import annotations
@@ -382,6 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for dest, path in vars(args).items():    # every output option ends in "out"
+            if dest.endswith("out") and path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(f"{path}: no such directory")
         steps = args.run(args, _load_kb(args))
         next(steps)                      # every input read and validated
         if args.dry_run:

@@ -3,13 +3,13 @@ feature sets.
 
 The probability of verb attachment is the logistic function of the summed
 weights of the present features. Supervised training maximizes the
-L2-penalized conditional log likelihood by full-batch gradient ascent with
-a backtracking step size, so the objective never decreases across accepted
-steps.
-Semi-supervised training wraps the same ascent in an
+L2-penalized conditional log likelihood by truncated Newton (Newton-CG;
+Lin, Weng & Keerthi, JMLR 2008), accepting only steps that do not lower
+the objective, until it converges.
+Semi-supervised training wraps the same optimizer in an
 expectation-maximization loop: the current model supplies posteriors for
 unlabeled instances, labeled instances keep hard 1/0 posteriors, and each
-maximization step ascends the posterior-weighted (expected complete-data)
+maximization step maximizes the posterior-weighted (expected complete-data)
 objective. Convergence is tracked on the labeled-data objective, which the
 loop never decreases; with no unlabeled data the loop degenerates to
 supervised training exactly.
@@ -32,8 +32,8 @@ from itertools import chain
 from .features import VERB, NOUN, FeatureConfig, format_families, parse_families
 from .tsv import FormatError, iter_lines, write_lines
 
-_FIRST_STEP = 0.5
-_MIN_STEP = 1e-12
+_CG_MAX_ITERS = 50
+_CG_RTOL = 0.1
 _P_EPS = 1e-12
 
 MODEL_FORMAT = "kbread-model"
@@ -47,7 +47,7 @@ class TrainConfig:
 
     l2_penalty: float = 1e-4
     max_em_iters: int = 20
-    max_gradient_steps: int = 200
+    max_gradient_steps: int = 200   # caps the Newton iterations of each optimization
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
@@ -117,10 +117,12 @@ class _Problem:
     """Posterior-weighted, L2-penalized conditional objective over instances
     packed as the rows of a sparse 0/1 matrix.
 
-    :meth:`scores` and :meth:`grad` are the only code that sums feature
-    weights. Each row keeps its columns in the order :func:`_intern` gave
-    them and the matrix is never canonicalised: sorting column ids would
-    change the order, and so the rounding, of every sum.
+    :meth:`scores` and :meth:`derivatives` are the only code that sums
+    feature weights. Each row keeps its columns in the order :func:`_intern`
+    gave them and the matrix is never canonicalised: sorting column ids would
+    change the order, and so the rounding, of every sum. Inner products here
+    and in :func:`_newton` are numpy sums, not BLAS dots, whose rounding
+    depends on how many threads split a long vector.
     """
 
     def __init__(self, rows, n_features, pairs=(), l2=0.0):
@@ -141,42 +143,53 @@ class _Problem:
     def value(self, w):
         import numpy as np
         z = self.scores(w)
-        softplus = np.logaddexp(0.0, z)
-        data = self.p1 @ z - (self.p1 + self.p0) @ softplus
-        return float(data - 0.5 * self.l2 * (w @ w))
+        data = self.p1 * z - (self.p1 + self.p0) * np.logaddexp(0.0, z)
+        return float(data.sum() - 0.5 * self.l2 * (w * w).sum())
 
-    def grad(self, w):
+    def derivatives(self, w):
+        """The gradient at ``w`` and the row weights ``D`` of ``−Hessian = X.T D X + l2 I``."""
         from scipy.special import expit
         z = self.scores(w)
-        coef = self.p1 - (self.p1 + self.p0) * expit(z)
-        return self.X.T @ coef - self.l2 * w
+        mass, sigma = self.p1 + self.p0, expit(z)
+        return self.X.T @ (self.p1 - mass * sigma) - self.l2 * w, mass * sigma * expit(-z)
 
 
-def _ascend(problem, w, cfg):
-    """Gradient ascent with backtracking: the step size starts at
-    ``_FIRST_STEP``, doubles after each accepted step and halves while a step
-    would lower the objective, so only non-decreasing steps are accepted.
-    Returns ``(w, value, accepted_steps)``."""
-    value = problem.value(w)
-    lr = _FIRST_STEP
-    steps = 0
-    for _ in range(cfg.max_gradient_steps):
-        g = problem.grad(w)
-        lr *= 2.0
-        while True:
-            w_new = w + lr * g
-            value_new = problem.value(w_new)
-            if value_new >= value:
+def _newton(problem, w, cfg):
+    """Maximize the objective from ``w`` by truncated Newton. Each iteration
+    solves ``(X.T D X + l2 I) d = g`` by conjugate gradient from zero, for at
+    most ``_CG_MAX_ITERS`` products or until the residual is below
+    ``_CG_RTOL * ‖g‖``, then halves the step ``d`` while it would lower the
+    objective. Stops when an iteration gains less than ``convergence_tol``,
+    when ``‖g‖`` falls below it or after ``max_gradient_steps`` iterations.
+    Returns ``(w, value, iterations, ‖g‖)``."""
+    import numpy as np
+    scale = max(1.0, problem.l2)    # the system over ``scale`` keeps ``l2 * v`` finite
+    X, XT, l2 = problem.X, problem.X.T, problem.l2 / scale
+    value, steps = problem.value(w), 0
+    g, curvature = problem.derivatives(w)
+    while steps < cfg.max_gradient_steps and math.sqrt((g * g).sum()) >= cfg.convergence_tol:
+        curvature, d, r = curvature / scale, np.zeros_like(g), g / scale
+        p, rr = r, (r * r).sum()
+        stop = _CG_RTOL ** 2 * rr
+        for _ in range(_CG_MAX_ITERS):
+            hp = XT @ (curvature * (X @ p)) + l2 * p
+            if (php := (p * hp).sum()) <= 0:
                 break
-            lr *= 0.5
-            if lr < _MIN_STEP:
-                return w, value, steps
+            alpha = rr / php
+            d, r = d + alpha * p, r - alpha * hp
+            rr, rr_old = (r * r).sum(), rr
+            if rr <= stop:
+                break
+            p = r + (rr / rr_old) * p
+        t = 1.0                     # halving ends once ``t * d`` cannot move ``w``
+        while (value_new := problem.value(w + t * d)) < value:
+            t *= 0.5
         steps += 1
-        gain = value_new - value
-        w, value = w_new, value_new
+        w, value, gain = w + t * d, value_new, value_new - value
+        g, curvature = problem.derivatives(w)
         if gain < cfg.convergence_tol:
             break
-    return w, value, steps
+    return w, value, steps, math.sqrt((g * g).sum())
 
 
 def _model_problem(model, data):
@@ -245,12 +258,12 @@ def gradient(model: AttachmentModel, data) -> dict[str, float]:
     data).
     """
     problem, w, vocab = _model_problem(model, data)
-    g = problem.grad(w)
+    g, _ = problem.derivatives(w)
     return {name: float(g[i]) for name, i in vocab.items()}
 
 
 def train_supervised(data, cfg: TrainConfig | None = None) -> AttachmentModel:
-    """Fit weights to labeled data by gradient ascent: :func:`train_em`
+    """Fit weights to labeled data by truncated Newton: :func:`train_em`
     without unlabeled data."""
     return train_em(data, (), cfg)
 
@@ -259,12 +272,13 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
     """Fit weights to labeled plus unlabeled data.
 
     ``labeled`` holds ``(feature_set, label)`` pairs, ``unlabeled`` bare
-    feature sets. Weights start from zero and ascend the labeled objective
-    until it improves by less than ``convergence_tol`` or the step cap is
-    reached. With unlabeled data, EM follows: each iteration fixes
-    posteriors (hard for labeled instances, model probabilities for
-    unlabeled ones), then ascends the posterior-weighted objective, and the
-    loop stops when the labeled-data objective change drops below
+    feature sets. Weights start from zero and maximize the labeled objective
+    by truncated Newton until an iteration gains less than ``convergence_tol``,
+    ``‖g‖`` falls below it or ``max_gradient_steps`` iterations have run.
+    With unlabeled data, EM follows: each iteration fixes posteriors (hard
+    for labeled instances, model probabilities for unlabeled ones), then
+    maximizes the posterior-weighted objective the same way, and the loop
+    stops when the labeled-data objective change drops below
     ``convergence_tol`` or after ``max_em_iters`` iterations.
     """
     labeled = list(labeled)
@@ -279,9 +293,9 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
     lab_pairs = [_posterior_pair(t) for _, t in labeled]
     vocab = {}
     lab_rows = _intern([fv for fv, _ in labeled], vocab)
-    w, ll, steps = _ascend(_Problem(lab_rows, len(vocab), lab_pairs, cfg.l2_penalty),
-                           np.zeros(len(vocab)), cfg)
-    history = [{"phase": "supervised", "steps": steps, "ll": ll}]
+    w, ll, steps, grad_norm = _newton(_Problem(lab_rows, len(vocab), lab_pairs,
+                                               cfg.l2_penalty), np.zeros(len(vocab)), cfg)
+    history = [{"phase": "supervised", "steps": steps, "ll": ll, "grad_norm": grad_norm}]
 
     if unlabeled:
         unlab_rows = _intern(unlabeled, vocab)
@@ -290,20 +304,17 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
                            lab_pairs + [(0.5, 0.5)] * len(unlab_rows), cfg.l2_penalty)
         lab_problem = _Problem(lab_rows, len(vocab), lab_pairs, cfg.l2_penalty)
         unlab = slice(len(lab_rows), None)
-        # Not ``ll``: ``w @ w`` over the padded ``w`` may round differently.
-        ll_prev = lab_problem.value(w)
         for t in range(1, cfg.max_em_iters + 1):
             p1 = expit(problem.scores(w)[unlab])
             problem.p1[unlab] = p1
             problem.p0[unlab] = 1.0 - p1
             q_start = problem.value(w)
-            w, q_end, steps = _ascend(problem, w, cfg)
-            ll = lab_problem.value(w)
-            history.append({"phase": "em", "iter": t, "q_start": q_start,
-                            "q_end": q_end, "ll": ll, "m_steps": steps})
+            w, q_end, steps, grad_norm = _newton(problem, w, cfg)
+            ll_prev, ll = ll, lab_problem.value(w)
+            history.append({"phase": "em", "iter": t, "q_start": q_start, "q_end": q_end,
+                            "ll": ll, "m_steps": steps, "grad_norm": grad_norm})
             if abs(ll - ll_prev) < cfg.convergence_tol:
                 break
-            ll_prev = ll
 
     weights = {name: float(w[i]) for name, i in vocab.items()}
     return AttachmentModel(weights, cfg, n_labeled=len(labeled), n_unlabeled=len(unlabeled),

@@ -8,7 +8,7 @@ import pytest
 
 import kbread
 
-from kbread.cli import main
+from kbread.cli import build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
 from kbread.model import TrainConfig, classify, load_model, train_supervised
 
@@ -642,6 +642,17 @@ class TestOptions:
                    "--model-out", str(model_path), "--l2-penalty", value) == 2
         assert not model_path.exists()
 
+    def test_largest_l2_penalty_trains_without_warning(self, paths, tmp_path):
+        # Warnings are errors under the test configuration, so an overflow
+        # inside training would fail this run.
+        model_path = str(tmp_path / "m.tsv")
+        assert run("train", "--labeled", paths["labeled"], "--unlabeled", paths["unlabeled"],
+                   "--kb-dir", paths["kb"], "--model-out", model_path,
+                   "--l2-penalty", "1e308") == 0
+        model = load_model(model_path)
+        assert model.config.l2_penalty == 1e308
+        assert all(abs(w) < 1e-300 for w in model.weights.values())
+
     @pytest.mark.parametrize("key,value", [
         ("l2_penalty", "nan"), ("convergence_tol", "inf"), ("max_em_iters", "2.5"),
         ("max_prep_senses", "five"), ("families", "F1,F99"), ("n_labeled", "x"),
@@ -658,3 +669,50 @@ class TestOptions:
                    "--kb-dir", paths["kb"], "--out", out) == 2
         assert f"{model_path}:{lineno}:" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+#: Every output option of every subcommand.
+OUTPUT_OPTIONS = [
+    ("train", "--model-out"), ("train", "--log-out"), ("predict", "--out"),
+    ("eval", "--out"), ("eval", "--tsv-out"), ("eval", "--chart-out"),
+    ("ternary-extract", "--out"), ("ternary-templates", "--out"),
+    ("ternary-templates", "--labeled-out"), ("knom-mine", "--out"),
+    ("knom-learn", "--out"), ("knom-predict", "--out"), ("knom-predict", "--sample-out"),
+]
+
+
+class TestOutputDirectories:
+    def test_every_output_option_is_listed(self):
+        subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+        found = {(name, option) for name, sub in subcommands.choices.items()
+                 for a in sub._actions for option in a.option_strings
+                 if option.endswith("-out")}
+        assert found == set(OUTPUT_OPTIONS)
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("name,option", OUTPUT_OPTIONS)
+    def test_missing_directory_exits_2_before_any_output(self, paths, trained, tmp_path,
+                                                         capsys, name, option, dry_run):
+        argv = fixture_command(name, paths, trained, tmp_path)
+        missing = str(tmp_path / "missing" / "out.tsv")
+        if option in argv:
+            argv[argv.index(option) + 1] = missing
+        else:
+            argv += [option, missing]
+        assert run(*argv, *(["--dry-run"] if dry_run else [])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {missing}:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_leaves_no_report_when_the_tsv_directory_is_missing(self, paths, tmp_path):
+        report = tmp_path / "report.txt"
+        assert run("eval", "--test", paths["test"], "--collins-train", paths["labeled"],
+                   "--out", str(report), "--tsv-out", str(tmp_path / "missing" / "r.tsv")) == 2
+        assert not report.exists()
+
+    def test_train_leaves_no_model_when_the_log_directory_is_missing(self, paths, tmp_path):
+        model_path = tmp_path / "m.tsv"
+        assert run("train", "--labeled", paths["labeled"], "--kb-dir", paths["kb"],
+                   "--model-out", str(model_path),
+                   "--log-out", str(tmp_path / "nodir" / "log.tsv")) == 2
+        assert not model_path.exists()

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +43,82 @@ def random_problem(rng, max_features=10, max_instances=20):
     weights = {f: rng.uniform(-2, 2) for f in pool}
     cfg = TrainConfig(l2_penalty=rng.choice((0.0, 1e-4, 0.1)))
     return AttachmentModel(weights, config=cfg), data
+
+
+def norm(vector):
+    return math.sqrt(sum(v * v for v in vector.values()))
+
+
+def supervised_ll_after(data, cfg, steps):
+    """The labeled objective after ``steps`` Newton iterations; the
+    optimizer is deterministic, so a lower cap replays a prefix of a run."""
+    if steps == 0:
+        return expected_log_likelihood(AttachmentModel({}, config=cfg), data)
+    capped = train_supervised(data, replace(cfg, max_gradient_steps=steps))
+    return capped.history[0]["ll"]
+
+
+def optimizer_cases():
+    """(labeled data, config) pairs: random problems at each penalty, plus
+    the two-cluster data with and without a penalty."""
+    rng = random.Random(17)
+    for _ in range(12):
+        model, data = random_problem(rng)
+        yield data, model.config
+    for seed in range(3):
+        labeled, _, _ = two_cluster_data(seed=seed)
+        yield labeled, TrainConfig()
+        yield labeled, NO_REG
+
+
+class TestNewton:
+    """The truncated-Newton optimizer behind every training call."""
+
+    @pytest.mark.parametrize("data, cfg", list(optimizer_cases()))
+    def test_converges_on_gradient_or_gain(self, data, cfg):
+        model = train_supervised(data, cfg)
+        record = model.history[0]
+        g0 = norm(gradient(AttachmentModel({}, config=cfg), data))
+        assert record["steps"] < cfg.max_gradient_steps
+        assert record["grad_norm"] == pytest.approx(norm(gradient(model, data)),
+                                                    rel=1e-9, abs=1e-12)
+        if record["grad_norm"] > 1e-4 * g0:
+            last_gain = record["ll"] - supervised_ll_after(data, cfg, record["steps"] - 1)
+            assert last_gain < cfg.convergence_tol
+
+    @pytest.mark.parametrize("data, cfg", list(optimizer_cases()))
+    def test_no_iteration_lowers_the_objective(self, data, cfg):
+        steps = train_supervised(data, cfg).history[0]["steps"]
+        lls = [supervised_ll_after(data, cfg, k) for k in range(steps + 1)]
+        assert all(b >= a for a, b in zip(lls, lls[1:]))
+
+    def test_weights_do_not_depend_on_the_blas_thread_count(self):
+        # Over 15,000 features, so a BLAS dot would split its vectors across
+        # threads (OpenBLAS does above 10,000); conjugate gradient amplifies
+        # any change in the rounding of its inner products.
+        script = (
+            "import random\n"
+            "from kbread.model import train_supervised\n"
+            "rng = random.Random(5)\n"
+            "data = [(frozenset({f'w{rng.randrange(60000)}' for _ in range(6)}\n"
+            "                  | {f'{y}{rng.randrange(5)}'}), y)\n"
+            "        for y in ['V', 'N'] * 1500]\n"
+            "print(sorted(train_supervised(data).weights.items()))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            outputs.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unpenalized_separable_data_gives_finite_weights(self, seed):
+        labeled, _, _ = two_cluster_data(seed=seed)
+        model = train_supervised(labeled, NO_REG)
+        assert all(math.isfinite(w) for w in model.weights.values())
+        assert all(classify(model, fv)[0] == y for fv, y in labeled)
 
 
 class TestPredictProba:
@@ -245,6 +325,34 @@ class TestTrainEM:
         model = train_em(labeled, unlabeled, TrainConfig())
         lls = [r["ll"] for r in model.history if r["phase"] == "em"]
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_converges_at_the_first_iteration_on_two_clusters(self, seed):
+        labeled, unlabeled, _ = two_cluster_data(seed=seed)
+        model = train_em(labeled, unlabeled, TrainConfig())
+        assert [r["iter"] for r in model.history if r["phase"] == "em"] == [1]
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32), l2=st.sampled_from((1e-4, 1e-2, 0.1, 1.0)))
+    def test_supervised_optimum_is_a_fixed_point(self, seed, l2):
+        # At the model's own posteriors the unlabeled gradient vanishes, so
+        # Q's gradient at the supervised optimum w is the labeled one, g.
+        # Q is l2-strongly concave, so a step that does not lower Q moves w
+        # by at most 2‖g‖/l2 and Q gains at most ‖g‖²/(2 l2).
+        rng = random.Random(seed)
+        _, labeled = random_problem(rng)
+        _, unlabeled = random_problem(rng)
+        unlabeled = [fv for fv, _ in unlabeled]
+        cfg = TrainConfig(l2_penalty=l2, max_em_iters=1)
+        sup = train_supervised(labeled, cfg)
+        em = train_em(labeled, unlabeled, cfg)
+        posteriors = [(fv, (p, 1.0 - p)) for fv in unlabeled
+                      for p in [classify(sup, fv)[1]]]
+        g = norm(gradient(sup, labeled + posteriors))
+        moved = norm({k: em.weights[k] - sup.weights.get(k, 0.0) for k in em.weights})
+        record = em.history[1]
+        assert moved <= 2 * g / l2 + 1e-9
+        assert record["q_end"] - record["q_start"] <= g * g / (2 * l2) + 1e-9
 
     def test_unlabeled_data_never_hurts_held_out_accuracy(self):
         # The posterior-weighted objective is concave, so its semi-supervised
