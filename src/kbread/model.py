@@ -24,10 +24,10 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 
 # numpy and scipy are imported inside the functions that build or evaluate
-# the packed objective, not here: ``kbread.cli`` imports this module for
-# TrainConfig, whose fields make the ``train`` flags when the parser is built,
-# and the commands that never train or score (knom-*, kb-check) should not
-# pay for loading numpy and scipy.
+# the packed objective, not here. Only training, expected_log_likelihood and
+# gradient use it; ``kbread.cli`` imports this module for TrainConfig, whose
+# fields make the ``train`` flags when the parser is built, and no command
+# but ``train`` should pay for loading numpy and scipy.
 
 from .features import VERB, NOUN, FeatureConfig, format_families, parse_families
 from .tsv import FormatError, iter_lines, write_lines
@@ -103,26 +103,17 @@ def _intern(fvs, vocab):
     return rows
 
 
-def _weights_over(weights, vocab):
-    """A model's weights as a vector over a vocabulary; names without a
-    weight get zero."""
-    import numpy as np
-    w = np.zeros(len(vocab))
-    for name, i in vocab.items():
-        w[i] = weights.get(name, 0.0)
-    return w
-
-
 class _Problem:
     """Posterior-weighted, L2-penalized conditional objective over instances
     packed as the rows of a sparse 0/1 matrix.
 
-    :meth:`scores` and :meth:`derivatives` are the only code that sums
-    feature weights. Each row keeps its columns in the order :func:`_intern`
-    gave them and the matrix is never canonicalised: sorting column ids would
-    change the order, and so the rounding, of every sum. Inner products here
-    and in :func:`_newton` are numpy sums, not BLAS dots, whose rounding
-    depends on how many threads split a long vector.
+    :meth:`scores` sums feature weights for training; :func:`classify_many`
+    computes the same sums one instance at a time, without numpy, and a
+    property test pins the two equal. Each row keeps its columns in the
+    order :func:`_intern` gave them and the matrix is never canonicalised:
+    sorting column ids would change the order, and so the rounding, of every
+    sum. Inner products here and in :func:`_newton` are numpy sums, not BLAS
+    dots, whose rounding depends on how many threads split a long vector.
     """
 
     def __init__(self, rows, n_features, pairs=(), l2=0.0):
@@ -195,17 +186,21 @@ def _newton(problem, w, cfg):
 def _model_problem(model, data):
     """Pack data with hard or posterior targets against a model's weights;
     returns (problem, w, vocab)."""
+    import numpy as np
     items = [(fv, _posterior_pair(t)) for fv, t in data]
     vocab = {name: i for i, name in enumerate(model.weights)}
     rows = _intern([fv for fv, _ in items], vocab)
     pairs = [p for _, p in items]
     problem = _Problem(rows, len(vocab), pairs, model.config.l2_penalty)
-    return problem, _weights_over(model.weights, vocab), vocab
+    w = np.array([model.weights.get(name, 0.0) for name in vocab], dtype=float)
+    return problem, w, vocab
 
 
 def _logistic(z: float) -> float:
     """Probability of verb attachment for one score, clamped into the open
-    interval (0, 1)."""
+    interval (0, 1). Training's vectorised E-step and gradient use scipy's
+    ``expit`` instead; this one stays plain ``math`` so that scoring never
+    loads numpy or scipy."""
     if z >= 0:
         p = 1.0 / (1.0 + math.exp(-z))
     else:
@@ -221,17 +216,21 @@ def classify_many(model: AttachmentModel, fvs) -> list[tuple[str, float]]:
     """Decision plus probability of verb attachment for each feature set;
     verb attachment wins at p >= 0.5.
 
-    Each score sums the present weights in sorted feature order, so results
-    are bit-stable across processes. Names without a weight are left out of
-    the packing: adding zero never changes a sum that starts at zero.
-    ``fvs`` may be a generator; only the packed rows are kept, not the
-    feature sets.
+    Each score adds the present weights in sorted feature order, starting
+    from +0.0, so results are bit-stable across processes and equal to the
+    packed scores training computes. Names without a weight are skipped:
+    adding zero never changes a sum that starts at +0.0. ``fvs`` may be a
+    generator; it is read one feature set at a time.
     """
     weights = model.weights
-    vocab = {}
-    rows = _intern(([name for name in fv if name in weights] for fv in fvs), vocab)
-    z = _Problem(rows, len(vocab)).scores(_weights_over(weights, vocab))
-    return [((VERB if p >= 0.5 else NOUN), p) for p in map(_logistic, z.tolist())]
+    decisions = []
+    for fv in fvs:
+        z = 0.0
+        for name in sorted(name for name in fv if name in weights):
+            z += weights[name]      # not sum(): Python 3.12 compensates float sums
+        p = _logistic(z)
+        decisions.append(((VERB if p >= 0.5 else NOUN), p))
+    return decisions
 
 
 def classify(model: AttachmentModel, fv) -> tuple[str, float]:

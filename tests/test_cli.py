@@ -342,6 +342,16 @@ print(json.dumps(results))
 """
 
 
+def loaded_modules(argvs):
+    """Runs ``LOADED_MODULES_SCRIPT`` over ``argvs`` in a child process: this
+    test session has imported numpy already."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kbread.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def knom_outputs(compounds, kb_dir, out_dir):
     """Bytes written by knom-mine, knom-learn and knom-predict (typed and
     --baseline) on one knowledge directory."""
@@ -359,7 +369,8 @@ def knom_outputs(compounds, kb_dir, out_dir):
 
 class TestKbFilesPerCommand:
     """The knom commands read only isa.tsv and relations.tsv; the PP commands
-    and kb-check read every knowledge file."""
+    and kb-check read every knowledge file. Only ``train`` loads numpy and
+    scipy."""
 
     def test_knom_outputs_need_only_isa_and_relations(self, paths, tmp_path):
         (tmp_path / "full").mkdir()
@@ -397,7 +408,6 @@ class TestKbFilesPerCommand:
         assert not model_path.exists()
 
     def test_knom_and_kb_check_leave_numpy_and_scipy_unloaded(self, paths, tmp_path):
-        # A child process: this test session has imported numpy already.
         mappings = str(tmp_path / "mappings.tsv")
         common = ["--compounds", paths["compounds"], "--kb-dir", paths["kb"]]
         argvs = [
@@ -407,11 +417,29 @@ class TestKbFilesPerCommand:
              "--out", mappings],
             ["knom-predict", *common, "--mappings", mappings, "--out", str(tmp_path / "p.tsv")],
         ]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(kbread.__file__)))
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argvs)],
-                              env=env, capture_output=True, text=True, check=True)
-        assert json.loads(proc.stdout) == [[argv[0], 0, []] for argv in argvs]
+        assert loaded_modules(argvs) == [[argv[0], 0, []] for argv in argvs]
+
+    def test_only_train_loads_numpy_and_scipy(self, paths, tmp_path):
+        model = train_fixture_model(paths, tmp_path)
+        out = {name: str(tmp_path / name) for name in ("p", "r", "rt", "c", "t", "tp", "tl")}
+        argvs = [
+            ["predict", "--kb-dir", paths["kb"], "--model", model, "--input", paths["test"],
+             "--out", out["p"]],
+            ["eval", "--kb-dir", paths["kb"], "--test", paths["test"], "--model", model,
+             "--collins-train", paths["labeled"], "--out", out["r"], "--tsv-out", out["rt"],
+             "--chart-out", out["c"]],
+            ["ternary-extract", "--kb-dir", paths["kb"], "--families", "all", "--model", model,
+             "--tuples", paths["tuples"], "--out", out["t"]],
+            ["ternary-templates", "--kb-dir", paths["kb"], "--labeled-tuples", paths["roles"],
+             "--out", out["tp"], "--tuples", paths["tuples"], "--model", model,
+             "--labeled-out", out["tl"]],
+        ]
+        assert loaded_modules(argvs) == [[argv[0], 0, []] for argv in argvs]
+        # The same check sees the numeric stack once a command does train.
+        [[_, code, heavy]] = loaded_modules([["train", "--kb-dir", paths["kb"], "--labeled",
+                                              paths["labeled"], "--model-out", model]])
+        assert code == 0
+        assert "numpy" in heavy and "scipy.sparse" in heavy
 
 
 class TestFamilyFlags:

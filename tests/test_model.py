@@ -5,13 +5,14 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbread.features import FAMILIES, NOUN, VERB, FeatureConfig, PPInstance, feature_name
-from kbread.model import (AttachmentModel, TrainConfig, classify, classify_many,
-                          expected_log_likelihood, gradient, load_model,
-                          save_model, train_em, train_supervised)
+from kbread.model import (AttachmentModel, TrainConfig, _intern, _logistic, _Problem,
+                          classify, classify_many, expected_log_likelihood, gradient,
+                          load_model, save_model, train_em, train_supervised)
 from synth import sorted_sum_classify, two_cluster_data
 
 NO_REG = TrainConfig(l2_penalty=0.0)
@@ -153,19 +154,32 @@ class TestPredictProba:
 
 class TestClassifyMany:
     NAMES = tuple(f"f{i}" for i in range(12))
+    # f8..f11 never carry a weight; empty sets and ±1e4 and ±0.0 weights are drawn.
+    WEIGHTS_AND_SETS = given(
+        weights=st.dictionaries(
+            st.sampled_from(NAMES[:8]),
+            st.one_of(st.floats(-1e4, 1e4, allow_nan=False),
+                      st.sampled_from((1e4, -1e4, 0.0, -0.0)))),
+        fvs=st.lists(st.frozensets(st.sampled_from(NAMES)), max_size=12))
 
     @settings(deadline=None, max_examples=200)
-    @given(weights=st.dictionaries(
-               st.sampled_from(NAMES[:8]),
-               st.one_of(st.floats(-1e4, 1e4, allow_nan=False),
-                         st.sampled_from((1e4, -1e4, 0.0, -0.0)))),
-           fvs=st.lists(st.frozensets(st.sampled_from(NAMES)), max_size=12))
+    @WEIGHTS_AND_SETS
     def test_matches_sorted_sum_oracle_exactly(self, weights, fvs):
-        # f8..f11 never carry a weight; empty sets and ±1e4 weights are drawn.
         # The CLI passes a generator, so the property does too.
         model = AttachmentModel(weights)
         assert classify_many(model, iter(fvs)) == [sorted_sum_classify(weights, fv)
                                                    for fv in fvs]
+
+    @settings(deadline=None, max_examples=200)
+    @WEIGHTS_AND_SETS
+    def test_matches_the_packed_training_scorer(self, weights, fvs):
+        # Training scores packed rows, inference one instance at a time; the
+        # packing here keeps the never-weighted names, each adding a zero.
+        vocab = {}
+        rows = _intern(fvs, vocab)
+        w = np.array([weights.get(name, 0.0) for name in vocab], dtype=float)
+        packed = [_logistic(z) for z in _Problem(rows, len(vocab)).scores(w).tolist()]
+        assert [p for _, p in classify_many(AttachmentModel(weights), fvs)] == packed
 
     def test_single_views_agree_with_the_batch(self):
         model = AttachmentModel({"a": 0.7, "b": -1.9, "c": 1e-3})
