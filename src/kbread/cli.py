@@ -9,18 +9,20 @@ reads a model, the model's stored value, then the library's own default.
 A config key the subcommand does not take is an error.
 
 :func:`main` runs every subcommand the same way. It resolves the options,
-checks that every output's directory exists, loads the knowledge files the
-subcommand reads (the knom commands read isa.tsv and relations.tsv, every
-other command all of them) and starts the subcommand, a generator that
-reads and validates every input and yields once before it computes and
-writes; --dry-run stops at that point. On one machine, outputs are
-byte-identical across runs given identical inputs and seed; training's
-floating-point results may differ in the last bits between CPUs.
+checks every output path, loads the knowledge files the subcommand reads
+(the knom commands read isa.tsv and relations.tsv, every other command all
+of them) and starts the subcommand, a generator that reads and validates
+every input and yields once; --dry-run stops there. The subcommand then
+computes and writes in one tsv.output_set, so its outputs and its stdout
+appear together once it succeeds, or not at all. On one machine, outputs
+are byte-identical across runs given identical inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 from dataclasses import fields
@@ -31,7 +33,7 @@ from .features import (FeatureConfig, expand_with_synonyms, extract_features,
 from .kb import KB_FILENAMES, load_kb, load_kb_dir
 from .model import (AttachmentModel, TrainConfig, classify_many, load_model,
                     save_model, train_em)
-from .tsv import FormatError, iter_rows, write_lines
+from .tsv import FormatError, iter_rows, output_path, output_set, write_lines
 
 #: Settings read only by feature extraction.
 _FEATURE_SETTINGS = ("min_svo_count", "families", "max_prep_senses")
@@ -383,14 +385,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         for dest, path in vars(args).items():    # every output option ends in "out"
-            if dest.endswith("out") and path and not os.path.isdir(os.path.dirname(path) or "."):
-                raise FileNotFoundError(f"{path}: no such directory")
+            if dest.endswith("out") and path is not None:
+                output_path(path)
         steps = args.run(args, _load_kb(args))
         next(steps)                      # every input read and validated
         if args.dry_run:
             print("dry run: inputs ok")
         else:
-            next(steps, None)            # compute and write
+            with output_set(), contextlib.redirect_stdout(io.StringIO()) as held:
+                next(steps, None)        # compute and write
+            sys.stdout.write(held.getvalue())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,14 @@
-"""Small helpers shared by every tab-separated file reader and writer in the package."""
+"""Helpers shared by every tab-separated file reader and writer, and the one
+module that opens, creates, replaces or removes a file (see :func:`output_set`)."""
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import os
+
+#: The staged temporary file of each target in the open output set.
+_staged = contextvars.ContextVar("staged", default=None)
 
 
 class FormatError(ValueError):
@@ -63,8 +71,49 @@ def iter_rows(path, columns=None):
         yield lineno, fields
 
 
+def output_path(path) -> str:
+    """``path`` with symlinks resolved, so a link is written through and never
+    replaced. Its directory must exist and it must be absent or a regular file."""
+    target = os.path.realpath(path)
+    if not all(os.path.isdir(os.path.dirname(p) or ".") for p in (path, target)):
+        raise FileNotFoundError(f"{path}: no such directory")
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise OSError(f"{path}: not a regular file")
+    return target
+
+
+@contextlib.contextmanager
+def output_set():
+    """Stage the block's outputs as hidden files beside their targets; move
+    them all into place when it ends, or remove them all on any exception,
+    ``KeyboardInterrupt`` included. A write outside a set is a set of one."""
+    staged = {}
+    token = _staged.set(staged)
+    try:
+        yield
+        for target, temp in list(staged.items()):
+            os.replace(temp, target)
+            del staged[target]
+    finally:
+        _staged.reset(token)
+        for temp in staged.values():
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+
+
 def write_lines(path, lines) -> None:
-    """Write a list of lines as UTF-8 with ``\\n`` line ends; the file ends
-    with a newline unless ``lines`` is empty."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write a list of lines as UTF-8 with ``\\n`` line ends, ending in a newline
+    unless ``lines`` is empty. Two outputs of one set may not be one file."""
+    staged = _staged.get()
+    if staged is None:
+        with output_set():
+            return write_lines(path, lines)
+    target = output_path(path)
+    if target in staged:
+        raise ValueError(f"{path}: the same file as another output")
+    temp = f"{os.path.dirname(target)}/.{os.path.basename(target)}.{os.getpid()}.tmp"
+    # Created as open(path, "w") creates a file: mode 0o666 less the umask.
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    staged[target] = temp
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))

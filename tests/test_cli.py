@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -8,9 +10,11 @@ import pytest
 
 import kbread
 
+from kbread import knom
 from kbread.cli import build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
 from kbread.model import TrainConfig, classify, load_model, train_supervised
+from kbread.tsv import output_set, write_lines
 
 
 def run(*argv):
@@ -744,3 +748,138 @@ class TestOutputDirectories:
                    "--model-out", str(model_path),
                    "--log-out", str(tmp_path / "nodir" / "log.tsv")) == 2
         assert not model_path.exists()
+
+
+#: (subcommand, module, writer): each writer that a subcommand with more
+#: than one output calls, by the module attribute it calls it through.
+WRITERS = [
+    ("train", "cli", "save_model"), ("train", "cli", "_write_train_log"),
+    ("eval", "cli", "write_lines"), ("eval", "evaluation", "write_reports_tsv"),
+    ("eval", "evaluation", "write_prep_chart"),
+    ("ternary-templates", "ternary", "write_templates"),
+    ("ternary-templates", "ternary", "write_ternary"),
+    ("knom-predict", "knom", "write_predictions"),
+    ("knom-predict", "knom", "write_sample_manifest"),
+]
+
+
+def files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestOutputSet:
+    """A subcommand's outputs appear together, after it succeeds, or not at all."""
+
+    @pytest.mark.parametrize("name,module,writer", WRITERS)
+    def test_a_failed_write_changes_no_output(self, paths, trained, tmp_path, capsys,
+                                              monkeypatch, name, module, writer):
+        argv = fixture_command(name, paths, trained, tmp_path)
+        if name == "eval":
+            argv += ["--chart-out", str(tmp_path / "c.tsv")]
+        (tmp_path / "a.tsv").write_bytes(b"old\n")
+        owner = importlib.import_module("kbread." + module)
+        write = getattr(owner, writer)
+
+        def write_then_fail(*args):
+            write(*args)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(owner, writer, write_then_fail)
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", "error: disk full\n")
+        assert files(tmp_path) == {"a.tsv": b"old\n"}
+
+    def test_interrupt_changes_no_output(self, tmp_path):
+        (tmp_path / "kept.tsv").write_bytes(b"old\n")
+        with pytest.raises(KeyboardInterrupt), output_set():
+            write_lines(str(tmp_path / "kept.tsv"), ["new"])
+            write_lines(str(tmp_path / "new.tsv"), ["new"])
+            raise KeyboardInterrupt
+        assert files(tmp_path) == {"kept.tsv": b"old\n"}
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("name,option", OUTPUT_OPTIONS)
+    def test_directory_output_exits_2_before_any_output(self, paths, trained, tmp_path,
+                                                       capsys, name, option, dry_run):
+        argv = fixture_command(name, paths, trained, tmp_path)
+        target = tmp_path / "dir"
+        target.mkdir()
+        if option in argv:
+            argv[argv.index(option) + 1] = str(target)
+        else:
+            argv += [option, str(target)]
+        assert run(*argv, *(["--dry-run"] if dry_run else [])) == 2
+        assert capsys.readouterr() == ("", f"error: {target}: not a regular file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list(target.iterdir()) == []
+
+    def test_fifo_output_exits_2_before_any_output(self, paths, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # An open reader keeps a writer that opens the FIFO from blocking.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run("eval", "--test", paths["test"], "--collins-train", paths["labeled"],
+                       "--out", str(tmp_path / "report.txt"), "--tsv-out", str(fifo)) == 2
+        finally:
+            os.close(reader)
+        assert capsys.readouterr() == ("", f"error: {fifo}: not a regular file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    def test_train_writes_no_model_when_its_default_log_is_a_directory(
+            self, paths, trained, tmp_path, capsys):
+        log = tmp_path / "a.tsv.log"
+        log.mkdir()
+        assert run(*fixture_command("train", paths, trained, tmp_path)) == 2
+        assert capsys.readouterr() == ("", f"error: {log}: not a regular file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.tsv.log"]
+
+    @pytest.mark.parametrize("spelling", ["same", "symlink"])
+    def test_eval_outputs_naming_one_file_exit_2(self, paths, tmp_path, capsys, spelling):
+        report = tmp_path / "H.txt"
+        other = report
+        if spelling == "symlink":
+            other = tmp_path / "link.txt"
+            other.symlink_to(report)
+        assert run("eval", "--test", paths["test"], "--collins-train", paths["labeled"],
+                   "--out", str(report), "--tsv-out", str(other)) == 2
+        assert capsys.readouterr() == ("", f"error: {other}: the same file as another output\n")
+        assert [p.name for p in tmp_path.iterdir()] == ([] if other == report else ["link.txt"])
+
+    def test_templates_named_as_the_default_labeled_output_exit_2(
+            self, paths, trained, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("ternary-templates", "--kb-dir", paths["kb"],
+                   "--labeled-tuples", paths["roles"], "--tuples", paths["tuples"],
+                   "--model", trained[0], "--out", "ternary_labeled.tsv") == 2
+        assert capsys.readouterr() == (
+            "", "error: ternary_labeled.tsv: the same file as another output\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlinked_output_writes_its_target_and_keeps_the_link(self, paths, trained,
+                                                                   tmp_path):
+        direct = outputs("knom-mine", paths, trained, tmp_path / "direct")
+        target = tmp_path / "target.tsv"
+        target.write_bytes(b"old\n")
+        linked = tmp_path / "linked"
+        linked.mkdir()
+        (linked / "a.tsv").symlink_to(target)
+        assert run(*fixture_command("knom-mine", paths, trained, linked)) == 0
+        assert os.readlink(linked / "a.tsv") == str(target)
+        assert target.read_bytes() == direct["a.tsv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["direct", "linked", "target.tsv"]
+        assert [p.name for p in linked.iterdir()] == ["a.tsv"]
+
+    def test_new_output_gets_the_mode_open_gives(self, paths, trained, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            assert run(*fixture_command("knom-mine", paths, trained, tmp_path)) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "a.tsv").stat().st_mode) == 0o640
+
+    def test_library_write_outside_a_command_writes_at_once(self, trained, tmp_path):
+        _, mappings = trained
+        knom.write_mappings(knom.read_mappings(mappings), str(tmp_path / "mappings.tsv"))
+        with open(mappings, "rb") as fh:
+            assert files(tmp_path) == {"mappings.tsv": fh.read()}

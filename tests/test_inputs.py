@@ -142,9 +142,15 @@ def test_bad_utf8_after_the_first_read_block_is_found_at_its_line(tmp_path):
         list(iter_lines(path))
 
 
+#: The ``os`` calls that replace or remove a file.
+FILE_CHANGES = ("replace", "rename", "remove", "unlink")
+
+
 def test_only_tsv_opens_files():
-    """Every file the package reads goes through ``tsv``, so decoding and
-    the ``file:line`` of a rejected line are decided in one place."""
+    """Every file the package reads or writes goes through ``tsv``, so
+    decoding, the ``file:line`` of a rejected line and when an output
+    appears are decided in one place: no other module opens a file, or
+    replaces or removes one."""
     package = os.path.dirname(kbread.__file__)
     opens = []
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
@@ -155,5 +161,7 @@ def test_only_tsv_opens_files():
         opens += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and (getattr(node.func, "id", None) == "open"
-                       or getattr(node.func, "attr", None) == "open")]
+                       or getattr(node.func, "attr", None) == "open"
+                       or (getattr(node.func, "attr", None) in FILE_CHANGES
+                           and getattr(node.func.value, "id", None) == "os"))]
     assert opens == []
