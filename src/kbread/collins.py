@@ -11,6 +11,8 @@ falls back to noun attachment.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .features import NOUN, VERB, PPInstance
 
 _LEVELS = (
@@ -19,6 +21,10 @@ _LEVELS = (
     (("v", "p"), ("n1", "p"), ("p", "n2")),
     (("p",),),
 )
+#: Each pattern's key getter. Keys are tuples, and a one-slot attrgetter
+#: returns a bare word, so ("p",) has its own.
+_KEYS = {pattern: attrgetter(*pattern) for level in _LEVELS for pattern in level}
+_KEYS["p",] = lambda inst: (inst.p,)
 
 
 class BackoffCounts:
@@ -31,8 +37,7 @@ class BackoffCounts:
         slot = 0 if inst.label == VERB else 1
         for level in _LEVELS:
             for pattern in level:
-                key = tuple(getattr(inst, s) for s in pattern)
-                cell = self._tables[pattern].setdefault(key, [0, 0])
+                cell = self._tables[pattern].setdefault(_KEYS[pattern](inst), [0, 0])
                 cell[slot] += 1
 
     def level_counts(self, inst: PPInstance):
@@ -41,7 +46,7 @@ class BackoffCounts:
         for level in _LEVELS:
             cv = cn = 0
             for pattern in level:
-                cell = self._tables[pattern].get(tuple(getattr(inst, s) for s in pattern))
+                cell = self._tables[pattern].get(_KEYS[pattern](inst))
                 if cell:
                     cv += cell[0]
                     cn += cell[1]

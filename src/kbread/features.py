@@ -40,18 +40,6 @@ DEFAULT_FAMILIES = frozenset(f for f in FAMILIES if f not in ("F2", "F6"))
 
 _FUNCTOR = {"F3": "isA", "F4": "isA", "F7": "isA", "F5": "hasRole", "F6": "def"}
 
-_LEXICAL_SLOTS = {
-    "F8": ("v", "n1", "p", "n2"),
-    "F9": ("v", "n1", "p"),
-    "F10": ("v", "p", "n2"),
-    "F11": ("n1", "p", "n2"),
-    "F12": ("v", "p"),
-    "F13": ("n1", "p"),
-    "F14": ("p", "n2"),
-    "F15": ("p",),
-}
-
-
 def check_word(token: str) -> str:
     """A folded word of a PP tuple, unless it is empty or holds a comma,
     which would make feature names collide."""
@@ -143,31 +131,30 @@ def extract_features(inst: PPInstance, kb: KnowledgeBase,
     fam = cfg.enabled_families
     v, n1, p, n2, n0 = inst.v, inst.n1, inst.p, inst.n2, inst.n0
 
-    feats = set()
+    # Each name is spelled here as feature_name spells it; this is the
+    # per-instance hot path, and a property test pins the two equal.
+    feats = []
     if "F1" in fam and kb.svo_exists(n2, v, n1):
-        feats.add(feature_name("F1", (n2, v, n1)))
+        feats.append(f"F1:({n2},{v},{n1})")
     if "F2" in fam:
-        for vi in kb.svo_any_verb(n1, n2):
-            feats.add(feature_name("F2", (n1, vi, n2)))
+        feats += [f"F2:({n1},{vi},{n2})" for vi in kb.svo_any_verb(n1, n2)]
     if "F3" in fam:
-        for t in kb.types_of(n1):
-            feats.add(feature_name("F3", (n1, t)))
+        feats += [f"F3:isA({n1},{t})" for t in kb.types_of(n1)]
     if "F4" in fam:
-        for t in kb.types_of(n2):
-            feats.add(feature_name("F4", (n2, t)))
+        feats += [f"F4:isA({n2},{t})" for t in kb.types_of(n2)]
     if "F5" in fam:
-        for role in kb.roles_for(v, n2):
-            feats.add(feature_name("F5", (n2, role)))
+        feats += [f"F5:hasRole({n2},{role})" for role in kb.roles_for(v, n2)]
     if "F6" in fam:
-        for sense in kb.prep_senses(p)[: cfg.max_prep_senses]:
-            if kb.svo_exists(n1, sense, n2):
-                feats.add(feature_name("F6", (p, sense)))
+        feats += [f"F6:def({p},{sense})"
+                  for sense in kb.prep_senses(p)[: cfg.max_prep_senses]
+                  if kb.svo_exists(n1, sense, n2)]
     if "F7" in fam and n0:
-        for t in kb.types_of(n0):
-            feats.add(feature_name("F7", (n0, t)))
-    for family, slots in _LEXICAL_SLOTS.items():
-        if family in fam:
-            feats.add(feature_name(family, tuple(getattr(inst, s) for s in slots)))
+        feats += [f"F7:isA({n0},{t})" for t in kb.types_of(n0)]
+    lexical = (("F8", f"F8:({v},{n1},{p},{n2})"), ("F9", f"F9:({v},{n1},{p})"),
+               ("F10", f"F10:({v},{p},{n2})"), ("F11", f"F11:({n1},{p},{n2})"),
+               ("F12", f"F12:({v},{p})"), ("F13", f"F13:({n1},{p})"),
+               ("F14", f"F14:({p},{n2})"), ("F15", f"F15:({p})"))
+    feats += [name for family, name in lexical if family in fam]
     return frozenset(feats)
 
 

@@ -6,8 +6,12 @@ Each resource lives in its own tab-separated file and is optional; a missing
 file simply yields an empty store. :func:`load_kb_dir` opens only the
 files its ``resources`` argument names, so a command that never reads a file
 neither pays for it nor fails on it. All strings are case-folded and
-whitespace-normalized at load time, queries fold their arguments the same
-way, and lookups on unknown keys return empty results instead of raising.
+whitespace-normalized at load time. Queries fold their arguments the same way
+on purpose, though every caller here passes folded words: README promises it
+and the tests' scan oracles query with unfolded words. The fold costs about
+3 of the 14-18 µs a default-family feature extraction takes. Lookups on
+unknown keys return empty results instead of raising.
+
 The constructor builds one index per query, so each query is a few dict
 lookups: triples are kept by ``(subject, object)`` and role entries by
 ``(verb synonym group, filler)``. Only the pair index behind
@@ -155,10 +159,11 @@ class KnowledgeBase:
 
 def _rows(path, columns):
     """Yield ``(lineno, fields)`` for each row of a KB file, every field
-    folded with ``norm_token``. A row with the wrong number of columns or an
-    empty field is a :class:`FormatError`."""
+    folded as ``norm_token`` folds it. A row with the wrong number of columns
+    or an empty field is a :class:`FormatError`."""
     for lineno, fields in iter_rows(path, columns):
-        fields = [norm_token(f) for f in fields]
+        # norm_token, inlined: a call per field added about 7% to a KB load.
+        fields = [" ".join(f.casefold().split()) for f in fields]
         if not all(fields):
             raise FormatError(path, lineno, "empty field")
         yield lineno, fields

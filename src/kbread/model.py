@@ -226,7 +226,7 @@ def classify_many(model: AttachmentModel, fvs) -> list[tuple[str, float]]:
     decisions = []
     for fv in fvs:
         z = 0.0
-        for name in sorted(name for name in fv if name in weights):
+        for name in sorted([name for name in fv if name in weights]):
             z += weights[name]      # not sum(): Python 3.12 compensates float sums
         p = _logistic(z)
         decisions.append(((VERB if p >= 0.5 else NOUN), p))

@@ -112,6 +112,9 @@ def write_lines(path, lines) -> None:
     if target in staged:
         raise ValueError(f"{path}: the same file as another output")
     temp = f"{os.path.dirname(target)}/.{os.path.basename(target)}.{os.getpid()}.tmp"
+    # Left by a killed process with our pid; a symlink is removed, not followed.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(temp)
     # Created as open(path, "w") creates a file: mode 0o666 less the umask.
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     staged[target] = temp

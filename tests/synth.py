@@ -4,7 +4,7 @@ import math
 import os
 import random
 
-from kbread.features import NOUN, VERB, PPInstance
+from kbread.features import NOUN, VERB, FeatureConfig, PPInstance, feature_name
 from kbread.kb import KnowledgeBase, VerbRoleEntry, _merge_groups
 from kbread.knom import (ANY, LEX, TYPE, CompoundNoun, MinedSequence, Prediction,
                          TypeSequence, TypeSequenceMapping, _matches, type_compound)
@@ -106,6 +106,54 @@ def backoff_oracle(train, inst):
         if verb + noun:
             return VERB if verb / (verb + noun) >= 0.5 else NOUN
     return NOUN
+
+
+# -- reference feature extraction ---------------------------------------------
+
+_LEXICAL_SLOTS = {
+    "F8": ("v", "n1", "p", "n2"),
+    "F9": ("v", "n1", "p"),
+    "F10": ("v", "p", "n2"),
+    "F11": ("n1", "p", "n2"),
+    "F12": ("v", "p"),
+    "F13": ("n1", "p"),
+    "F14": ("p", "n2"),
+    "F15": ("p",),
+}
+
+
+def reference_features(inst, kb, cfg=None):
+    """``extract_features`` as a plain loop: every name is built by
+    ``feature_name`` and each lexical family reads its slots by name."""
+    cfg = cfg or FeatureConfig()
+    fam = cfg.enabled_families
+    v, n1, p, n2, n0 = inst.v, inst.n1, inst.p, inst.n2, inst.n0
+    feats = set()
+    if "F1" in fam and kb.svo_exists(n2, v, n1):
+        feats.add(feature_name("F1", (n2, v, n1)))
+    if "F2" in fam:
+        for vi in kb.svo_any_verb(n1, n2):
+            feats.add(feature_name("F2", (n1, vi, n2)))
+    if "F3" in fam:
+        for t in kb.types_of(n1):
+            feats.add(feature_name("F3", (n1, t)))
+    if "F4" in fam:
+        for t in kb.types_of(n2):
+            feats.add(feature_name("F4", (n2, t)))
+    if "F5" in fam:
+        for role in kb.roles_for(v, n2):
+            feats.add(feature_name("F5", (n2, role)))
+    if "F6" in fam:
+        for sense in kb.prep_senses(p)[: cfg.max_prep_senses]:
+            if kb.svo_exists(n1, sense, n2):
+                feats.add(feature_name("F6", (p, sense)))
+    if "F7" in fam and n0:
+        for t in kb.types_of(n0):
+            feats.add(feature_name("F7", (n0, t)))
+    for family, slots in _LEXICAL_SLOTS.items():
+        if family in fam:
+            feats.add(feature_name(family, tuple(getattr(inst, s) for s in slots)))
+    return frozenset(feats)
 
 
 # -- random knowledge bases and brute-force KB query oracles ---------------

@@ -797,6 +797,21 @@ class TestOutputSet:
             raise KeyboardInterrupt
         assert files(tmp_path) == {"kept.tsv": b"old\n"}
 
+    @pytest.mark.parametrize("stale", ["file", "symlink"])
+    def test_a_stale_temporary_file_of_this_pid_is_replaced(self, tmp_path, stale):
+        # A run killed between staging and commit leaves its temporary file;
+        # a later process that gets the same pid must still write.
+        temp = tmp_path.resolve() / f".out.tsv.{os.getpid()}.tmp"
+        left = {}
+        if stale == "file":
+            temp.write_bytes(b"partial\n")
+        else:
+            (tmp_path / "other.tsv").write_bytes(b"kept\n")
+            temp.symlink_to(tmp_path / "other.tsv")
+            left = {"other.tsv": b"kept\n"}
+        write_lines(str(tmp_path / "out.tsv"), ["new"])
+        assert files(tmp_path) == {"out.tsv": b"new\n", **left}
+
     @pytest.mark.parametrize("dry_run", [False, True])
     @pytest.mark.parametrize("name,option", OUTPUT_OPTIONS)
     def test_directory_output_exits_2_before_any_output(self, paths, trained, tmp_path,

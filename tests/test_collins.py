@@ -17,6 +17,7 @@ class TestFitCounts:
         counts = fit_counts(data)
         assert counts.pattern_counts(("v", "n1", "p", "n2"))[("give", "aid", "to", "city")] == (3, 0)
         assert counts.pattern_counts(("v", "p"))[("give", "to")] == (3, 0)
+        assert counts.pattern_counts(("p",))[("to",)] == (3, 0)
 
     def test_counts_match_brute_force_recount(self):
         rng = random.Random(1)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -5,9 +7,10 @@ from kbread.features import (FAMILIES, FeatureConfig,
                              PPInstance, expand_with_synonyms,
                              extract_features, feature_name,
                              parse_feature_name, read_corpus)
-from kbread.kb import load_kb
+from kbread.kb import KnowledgeBase, load_kb
 from kbread.ternary import read_role_tuples, read_tuples
 from kbread.tsv import FormatError
+from synth import KB_CATEGORIES, KB_NOUNS, KB_VERBS, random_kb_inputs, reference_features
 
 ALL = FeatureConfig(enabled_families=frozenset(FAMILIES))
 
@@ -146,6 +149,34 @@ class TestKnowledgeFamilies:
     def test_case_folding_of_inputs(self, kb):
         upper = PPInstance(v="CAUGHT", n1="Butterfly", p="With", n2="NET", n0="Alice")
         assert extract_features(upper, kb, ALL) == EXPECTED_1
+
+
+class TestAgainstReference:
+    """extract_features spells each name itself; the names must be exactly
+    those the feature_name-built reference gives, on random KBs drawn from a
+    seed, with random instances, family subsets and sense cut-offs."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(min_value=0), data=st.data())
+    def test_extraction_equals_reference(self, seed, data):
+        rng = random.Random(seed)
+        inputs = random_kb_inputs(rng)
+        inputs["prepdefs"] = {p: rng.sample(KB_VERBS, rng.randint(0, 8))
+                              for p in ("with", "on")}
+        kb = KnowledgeBase(**inputs)
+        cfg = FeatureConfig(data.draw(st.frozensets(st.sampled_from(FAMILIES), min_size=1)),
+                            data.draw(st.integers(min_value=0, max_value=6)))
+        unknown = ("unknown", "Two  Words")
+        verbs = st.sampled_from(KB_VERBS + unknown)
+        nouns = st.sampled_from(KB_NOUNS + KB_CATEGORIES + unknown)
+        for _ in range(10):
+            inst = PPInstance(v=data.draw(verbs), n1=data.draw(nouns),
+                              p=data.draw(st.sampled_from(("with", "on", "of"))),
+                              n2=data.draw(nouns), n0=data.draw(st.none() | nouns))
+            feats = extract_features(inst, kb, cfg)
+            assert feats == reference_features(inst, kb, cfg)
+            for name in feats:
+                assert feature_name(*parse_feature_name(name)) == name
 
 
 class TestFeatureNames:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from kbread.cli import main
 from kbread.kb import KB_FILENAMES, KnowledgeBase, load_kb, load_kb_dir
-from kbread.tsv import FormatError
+from kbread.tsv import FormatError, norm_token
 from synth import (KB_CATEGORIES, KB_NOUNS, KB_VERBS, lookup_svo_exists, random_kb_inputs,
                    scan_roles_for, scan_svo_any_verb)
 
@@ -201,6 +201,25 @@ class TestNormalization:
     def test_internal_spaces_normalized(self, tmp_path):
         kb = make_kb(tmp_path, isa="soichi  noguchi\tperson\n")
         assert kb.types_of("Soichi   Noguchi") == {"person"}
+
+
+class TestLoaderFold:
+    """Every loaded field is exactly ``norm_token`` of the field as written,
+    for case that folds to other letters and for Unicode whitespace."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(fields=st.lists(st.text(alphabet="aZßİﬁ \xa0\x1c\u2003", min_size=1)
+                           .filter(str.strip), min_size=3, max_size=3))
+    def test_fields_load_as_norm_token(self, tmp_path_factory, fields):
+        rel, arg1, arg2 = fields
+        kb = make_kb(tmp_path_factory.mktemp("kb"), relations="\t".join(fields) + "\n")
+        assert kb.relation_pairs(rel) == {(norm_token(arg1), norm_token(arg2))}
+        assert kb.relations_between(arg1, arg2) == {norm_token(rel)}
+
+    @pytest.mark.parametrize("blank", ["\xa0", "\x1c", "   ", "\u2003 \xa0"])
+    def test_all_whitespace_field_is_empty(self, tmp_path, blank):
+        with pytest.raises(FormatError, match=r"relations\.tsv:1: empty field"):
+            make_kb(tmp_path, relations=f"worksfor\t{blank}\tcnn\n")
 
 
 @st.composite
