@@ -25,7 +25,7 @@ import contextlib
 import io
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import collins, evaluation, knom, ternary
 from .features import (FeatureConfig, expand_with_synonyms, extract_features,
@@ -100,19 +100,19 @@ def _given(args, *names, **renamed):
 
 
 def _load_kb(args):
-    given = _given(args, "min_svo_count")
     if not args.kb_dir:
-        return load_kb(**given)
+        return load_kb()
     if not os.path.isdir(args.kb_dir):
+        if os.path.exists(args.kb_dir):
+            raise NotADirectoryError(f"{args.kb_dir}: not a directory")
         raise FileNotFoundError(f"knowledge directory not found: {args.kb_dir}")
-    return load_kb_dir(args.kb_dir, resources=args.kb_files, **given)
+    return load_kb_dir(args.kb_dir, resources=args.kb_files)
 
 
-def _feature_config(args, stored: FeatureConfig | None = None) -> FeatureConfig:
-    """Each field from the settings given, else from ``stored`` (a model's
-    own), else the library default."""
-    given = _given(args, "max_prep_senses", enabled_families="families")
-    return FeatureConfig(**{**(vars(stored) if stored else {}), **given})
+def _feature_config(args, stored=FeatureConfig()) -> FeatureConfig:
+    """``stored`` (a model's own settings) with each setting given replaced."""
+    return replace(stored, **_given(args, "max_prep_senses", "min_svo_count",
+                                    enabled_families="families"))
 
 
 def _reject_unread(args, needed, *settings):
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="read and validate every input, write nothing")
     features = argparse.ArgumentParser(add_help=False, parents=[shared])
     features.add_argument("--min-svo-count", action=_Setting, convert=int,
-                          check=load_kb)
+                          check=FeatureConfig)
     features.add_argument("--families", action=_Setting, convert=parse_families,
                           check=lambda families: FeatureConfig(enabled_families=families),
                           help="comma list of feature families, or all/default")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .kb import KnowledgeBase
+from .kb import DEFAULT_MIN_SVO_COUNT, KnowledgeBase
 from .tsv import FormatError, at_line, iter_rows, norm_token
 
 VERB = "V"
@@ -77,6 +77,7 @@ class PPInstance:
 class FeatureConfig:
     enabled_families: frozenset[str] = DEFAULT_FAMILIES
     max_prep_senses: int = 5
+    min_svo_count: int = DEFAULT_MIN_SVO_COUNT
 
     def __post_init__(self):
         if not self.enabled_families:
@@ -86,6 +87,8 @@ class FeatureConfig:
             raise ValueError(f"unknown feature families: {sorted(unknown)}")
         if self.max_prep_senses < 0:
             raise ValueError("max_prep_senses must be >= 0")
+        if self.min_svo_count < 1:
+            raise ValueError("min_svo_count must be >= 1")
 
 
 def parse_families(text: str) -> frozenset[str]:
@@ -128,16 +131,16 @@ def extract_features(inst: PPInstance, kb: KnowledgeBase,
     has no discourse noun, F7 is skipped silently.
     """
     cfg = cfg or FeatureConfig()
-    fam = cfg.enabled_families
+    fam, min_count = cfg.enabled_families, cfg.min_svo_count
     v, n1, p, n2, n0 = inst.v, inst.n1, inst.p, inst.n2, inst.n0
 
     # Each name is spelled here as feature_name spells it; this is the
     # per-instance hot path, and a property test pins the two equal.
     feats = []
-    if "F1" in fam and kb.svo_exists(n2, v, n1):
+    if "F1" in fam and kb.svo_exists(n2, v, n1, min_count):
         feats.append(f"F1:({n2},{v},{n1})")
     if "F2" in fam:
-        feats += [f"F2:({n1},{vi},{n2})" for vi in kb.svo_any_verb(n1, n2)]
+        feats += [f"F2:({n1},{vi},{n2})" for vi in kb.svo_any_verb(n1, n2, min_count)]
     if "F3" in fam:
         feats += [f"F3:isA({n1},{t})" for t in kb.types_of(n1)]
     if "F4" in fam:
@@ -147,7 +150,7 @@ def extract_features(inst: PPInstance, kb: KnowledgeBase,
     if "F6" in fam:
         feats += [f"F6:def({p},{sense})"
                   for sense in kb.prep_senses(p)[: cfg.max_prep_senses]
-                  if kb.svo_exists(n1, sense, n2)]
+                  if kb.svo_exists(n1, sense, n2, min_count)]
     if "F7" in fam and n0:
         feats += [f"F7:isA({n0},{t})" for t in kb.types_of(n0)]
     lexical = (("F8", f"F8:({v},{n1},{p},{n2})"), ("F9", f"F9:({v},{n1},{p})"),

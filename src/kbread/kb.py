@@ -10,7 +10,8 @@ whitespace-normalized at load time. Queries fold their arguments the same way
 on purpose, though every caller here passes folded words: README promises it
 and the tests' scan oracles query with unfolded words. The fold costs about
 3 of the 14-18 µs a default-family feature extraction takes. Lookups on
-unknown keys return empty results instead of raising.
+unknown keys return empty results instead of raising. The store holds counts;
+the triple queries take ``FeatureConfig.min_svo_count`` as an argument.
 
 The constructor builds one index per query, so each query is a few dict
 lookups: triples are kept by ``(subject, object)`` and role entries by
@@ -52,11 +53,7 @@ class KnowledgeBase:
     """Indexed, read-only view of the loaded knowledge. Build one with
     :func:`load_kb` or :func:`load_kb_dir`."""
 
-    def __init__(self, svo, types, role_entries, prepdefs, synonyms,
-                 relations, min_svo_count=DEFAULT_MIN_SVO_COUNT):
-        if min_svo_count < 1:
-            raise ValueError("min_svo_count must be >= 1")
-        self.min_svo_count = min_svo_count
+    def __init__(self, svo, types, role_entries, prepdefs, synonyms, relations):
         self._svo = {}                             # (s, o) -> {v: count}
         for (s, v, o), c in svo.items():
             self._svo.setdefault((s, o), {})[v] = c
@@ -78,15 +75,17 @@ class KnowledgeBase:
 
     # -- subject-verb-object triples ------------------------------------
 
-    def svo_exists(self, subject: str, verb: str, obj: str) -> bool:
+    def svo_exists(self, subject: str, verb: str, obj: str,
+                   min_svo_count: int = DEFAULT_MIN_SVO_COUNT) -> bool:
         """True when the exact triple was seen at least ``min_svo_count`` times."""
         verbs = self._svo.get((norm_token(subject), norm_token(obj)), {})
-        return verbs.get(norm_token(verb), 0) >= self.min_svo_count
+        return verbs.get(norm_token(verb), 0) >= min_svo_count
 
-    def svo_any_verb(self, subject: str, obj: str) -> set[str]:
-        """All verbs linking the noun pair at or above the count threshold."""
+    def svo_any_verb(self, subject: str, obj: str,
+                     min_svo_count: int = DEFAULT_MIN_SVO_COUNT) -> set[str]:
+        """All verbs linking the noun pair at least ``min_svo_count`` times."""
         verbs = self._svo.get((norm_token(subject), norm_token(obj)), {})
-        return {v for v, c in verbs.items() if c >= self.min_svo_count}
+        return {v for v, c in verbs.items() if c >= min_svo_count}
 
     # -- noun categories -------------------------------------------------
 
@@ -249,7 +248,7 @@ def _load_relations(path):
 
 
 def load_kb(svo=None, isa=None, roles=None, prepdefs=None, synsets=None,
-            relations=None, min_svo_count=DEFAULT_MIN_SVO_COUNT) -> KnowledgeBase:
+            relations=None) -> KnowledgeBase:
     """Load a knowledge base from per-resource file paths.
 
     Every path is optional; ``None`` (or a path to a file that does not
@@ -269,16 +268,14 @@ def load_kb(svo=None, isa=None, roles=None, prepdefs=None, synsets=None,
         prepdefs=opt(_load_prepdefs, prepdefs, {}),
         synonyms=opt(_load_synsets, synsets, {}),
         relations=opt(_load_relations, relations, {}),
-        min_svo_count=min_svo_count,
     )
 
 
-def load_kb_dir(directory, min_svo_count=DEFAULT_MIN_SVO_COUNT,
-                resources=tuple(KB_FILENAMES)) -> KnowledgeBase:
+def load_kb_dir(directory, resources=tuple(KB_FILENAMES)) -> KnowledgeBase:
     """Load a knowledge base from a directory of conventionally named files.
 
     Only the files of ``resources`` (keys of :data:`KB_FILENAMES`, all of
     them by default) are opened and checked; the other stores stay empty.
     """
     paths = {key: os.path.join(directory, KB_FILENAMES[key]) for key in resources}
-    return load_kb(min_svo_count=min_svo_count, **paths)
+    return load_kb(**paths)

@@ -38,6 +38,10 @@ _P_EPS = 1e-12
 
 MODEL_FORMAT = "kbread-model"
 MODEL_VERSION = "1"
+#: The model header key, parser and formatter of each FeatureConfig field.
+_FEATURE_HEADERS = {"enabled_families": ("families", parse_families, format_families),
+                    "max_prep_senses": ("max_prep_senses", int, str),
+                    "min_svo_count": ("min_svo_count", int, str)}
 
 
 @dataclass
@@ -68,7 +72,7 @@ class AttachmentModel:
     config: TrainConfig = field(default_factory=TrainConfig)
     n_labeled: int = 0
     n_unlabeled: int = 0
-    feature_config: FeatureConfig | None = None
+    feature_config: FeatureConfig = FeatureConfig()
     history: list[dict] = field(default_factory=list, repr=False)
 
 
@@ -331,21 +335,20 @@ def save_model(model: AttachmentModel, path) -> None:
         *(f"#{f.name}\t{getattr(model.config, f.name)!r}" for f in fields(TrainConfig)),
         f"#n_labeled\t{model.n_labeled}",
         f"#n_unlabeled\t{model.n_unlabeled}",
+        *(f"#{key}\t{spell(getattr(model.feature_config, name))}"
+          for name, (key, _, spell) in _FEATURE_HEADERS.items()),
     ]
-    if model.feature_config is not None:
-        fc = model.feature_config
-        lines.append(f"#families\t{format_families(fc.enabled_families)}")
-        lines.append(f"#max_prep_senses\t{fc.max_prep_senses}")
     for name in sorted(model.weights):
         lines.append(f"{name}\t{model.weights[name]!r}")
     write_lines(path, lines)
 
 
 def load_model(path) -> AttachmentModel:
-    """Read a model file. Header keys of older files (``learning_rate``,
-    ``category_scheme``) are ignored. A header value that does not parse, or
-    that the settings' own checks reject, is a FormatError at its line, and
-    so is a header key or feature name that an earlier line already set."""
+    """Read a model file. A feature setting whose line an older file lacks
+    is the default; older keys (``learning_rate``, ``category_scheme``) are
+    ignored. A header value that does not parse, or that the settings' own
+    checks reject, is a FormatError at its line, and so is a header key or
+    feature name that an earlier line already set."""
     header = {}
     weights = {}
     for lineno, line in iter_lines(path):
@@ -387,13 +390,9 @@ def load_model(path) -> AttachmentModel:
                              for f in fields(TrainConfig)})
     except KeyError as missing:
         raise FormatError(path, 1, f"missing header field {missing}") from None
-    feature_config = None
-    if "families" in header:
-        given = {"enabled_families": value("families", parse_families,
-                                           FeatureConfig, "enabled_families")}
-        if "max_prep_senses" in header:
-            given["max_prep_senses"] = value("max_prep_senses", int, FeatureConfig)
-        feature_config = FeatureConfig(**given)
+    feature_config = FeatureConfig(**{name: value(key, parse, FeatureConfig, name)
+                                      for name, (key, parse, _) in _FEATURE_HEADERS.items()
+                                      if key in header})
     counts = {key: value(key, int) for key in ("n_labeled", "n_unlabeled") if key in header}
     return AttachmentModel(weights=weights, config=cfg, feature_config=feature_config,
                            **counts)

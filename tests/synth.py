@@ -126,13 +126,13 @@ def reference_features(inst, kb, cfg=None):
     """``extract_features`` as a plain loop: every name is built by
     ``feature_name`` and each lexical family reads its slots by name."""
     cfg = cfg or FeatureConfig()
-    fam = cfg.enabled_families
+    fam, min_count = cfg.enabled_families, cfg.min_svo_count
     v, n1, p, n2, n0 = inst.v, inst.n1, inst.p, inst.n2, inst.n0
     feats = set()
-    if "F1" in fam and kb.svo_exists(n2, v, n1):
+    if "F1" in fam and kb.svo_exists(n2, v, n1, min_count):
         feats.add(feature_name("F1", (n2, v, n1)))
     if "F2" in fam:
-        for vi in kb.svo_any_verb(n1, n2):
+        for vi in kb.svo_any_verb(n1, n2, min_count):
             feats.add(feature_name("F2", (n1, vi, n2)))
     if "F3" in fam:
         for t in kb.types_of(n1):
@@ -145,7 +145,7 @@ def reference_features(inst, kb, cfg=None):
             feats.add(feature_name("F5", (n2, role)))
     if "F6" in fam:
         for sense in kb.prep_senses(p)[: cfg.max_prep_senses]:
-            if kb.svo_exists(n1, sense, n2):
+            if kb.svo_exists(n1, sense, n2, min_count):
                 feats.add(feature_name("F6", (p, sense)))
     if "F7" in fam and n0:
         for t in kb.types_of(n0):
@@ -168,7 +168,7 @@ def random_kb_inputs(rng):
     over few nouns and verbs (so pairs share verbs), 0-3 categories per
     noun, role entries of 1-3 verbs whose filler is a noun or a category,
     synonym groups drawn so that they often overlap and merge (some verbs
-    keep none), and a count threshold of 1-5."""
+    keep none). The store keeps no count threshold; its queries take one."""
     svo = {(rng.choice(KB_NOUNS), rng.choice(KB_VERBS), rng.choice(KB_NOUNS)):
            rng.randint(1, 6) for _ in range(rng.randint(0, 30))}
     types = {n: set(rng.sample(KB_CATEGORIES, rng.randint(0, 3))) for n in KB_NOUNS}
@@ -179,8 +179,7 @@ def random_kb_inputs(rng):
     groups = [set(rng.sample(KB_VERBS[:6], rng.randint(1, 3)))
               for _ in range(rng.randint(0, 4))]
     return {"svo": svo, "types": types, "role_entries": role_entries, "prepdefs": {},
-            "synonyms": _merge_groups(groups), "relations": {},
-            "min_svo_count": rng.randint(1, 5)}
+            "synonyms": _merge_groups(groups), "relations": {}}
 
 
 def scan_roles_for(inputs, verb, n2):
@@ -195,17 +194,17 @@ def scan_roles_for(inputs, verb, n2):
             and (entry.filler == n2 or entry.filler in n2_types)}
 
 
-def lookup_svo_exists(inputs, subject, verb, obj):
+def lookup_svo_exists(inputs, subject, verb, obj, min_count):
     """Reference triple test: the ``(s, v, o)`` count against the threshold."""
     key = (norm_token(subject), norm_token(verb), norm_token(obj))
-    return inputs["svo"].get(key, 0) >= inputs["min_svo_count"]
+    return inputs["svo"].get(key, 0) >= min_count
 
 
-def scan_svo_any_verb(inputs, subject, obj):
+def scan_svo_any_verb(inputs, subject, obj, min_count):
     """Reference pair lookup: every triple is scanned."""
     s, o = norm_token(subject), norm_token(obj)
     return {v for (ts, v, to), c in inputs["svo"].items()
-            if (ts, to) == (s, o) and c >= inputs["min_svo_count"]}
+            if (ts, to) == (s, o) and c >= min_count}
 
 
 # -- random compound-noun worlds and brute-force knom oracles --------------------

@@ -5,16 +5,19 @@ import shutil
 import stat
 import subprocess
 import sys
+from collections import defaultdict
+from dataclasses import fields, replace
 
 import pytest
 
 import kbread
 
 from kbread import knom
-from kbread.cli import build_parser, main
+from kbread.cli import _FEATURE_SETTINGS, _feature_config, build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
 from kbread.model import TrainConfig, classify, load_model, train_supervised
 from kbread.tsv import output_set, write_lines
+from test_model import FEATURE_FIELDS
 
 
 def run(*argv):
@@ -324,6 +327,13 @@ class TestKbCheck:
 
     def test_missing_dir_exits_2(self, tmp_path):
         assert run("kb-check", "--kb-dir", str(tmp_path / "missing")) == 2
+
+    @pytest.mark.parametrize("name", ["kb-check", "knom-mine"])
+    def test_regular_file_exits_2_as_not_a_directory(self, paths, tmp_path, capsys, name):
+        argv = fixture_command(name, paths, ("model.tsv", "mappings.tsv"), tmp_path)
+        assert run(*argv, "--kb-dir", paths["labeled"]) == 2
+        assert capsys.readouterr().err == f"error: {paths['labeled']}: not a directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_dry_run_loads_without_printing_stats(self, paths, capsys):
         assert run("kb-check", "--kb-dir", paths["kb"], "--dry-run") == 0
@@ -688,6 +698,7 @@ class TestOptions:
     @pytest.mark.parametrize("key,value", [
         ("l2_penalty", "nan"), ("convergence_tol", "inf"), ("max_em_iters", "2.5"),
         ("max_prep_senses", "five"), ("families", "F1,F99"), ("n_labeled", "x"),
+        ("min_svo_count", "0"),
     ])
     def test_bad_model_header_exits_2_at_its_line(self, paths, tmp_path, capsys, key, value):
         model_path = train_fixture_model(paths, tmp_path)
@@ -701,6 +712,66 @@ class TestOptions:
                    "--kb-dir", paths["kb"], "--out", out) == 2
         assert f"{model_path}:{lineno}:" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+class TestStoredMinSvoCount:
+    """A model keeps the triple count threshold it was trained with, as it
+    keeps its other feature settings. The KB's triples are seen once or
+    twice, so only a threshold below 3 lets F1 fire."""
+
+    @pytest.fixture
+    def low_counts(self, paths, tmp_path):
+        kb = tmp_path / "kb"
+        shutil.copytree(paths["kb"], kb)
+        (kb / "svo.tsv").write_text("net\tcaught\tbutterfly\t2\nbutterfly\thas\tspots\t1\n"
+                                    "butterfly\tusing\tnet\t1\n", encoding="utf-8")
+        return {**paths, "kb": str(kb)}
+
+    @staticmethod
+    def predict(paths, model, out, *extra):
+        assert run("predict", "--model", model, "--input", paths["labeled"],
+                   "--kb-dir", paths["kb"], "--out", str(out), *extra) == 0
+        return out.read_bytes()
+
+    def test_predict_uses_the_threshold_the_model_was_trained_with(self, low_counts,
+                                                                  tmp_path):
+        model = train_fixture_model(low_counts, tmp_path, "--min-svo-count", "1")
+        stored = self.predict(low_counts, model, tmp_path / "stored.tsv")
+        assert stored == self.predict(low_counts, model, tmp_path / "one.tsv",
+                                      "--min-svo-count", "1")
+        assert stored != self.predict(low_counts, model, tmp_path / "three.tsv",
+                                      "--min-svo-count", "3")
+
+    def test_a_model_without_the_header_uses_3(self, low_counts, tmp_path):
+        model = train_fixture_model(low_counts, tmp_path, "--min-svo-count", "1")
+        with open(model, encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("#min_svo_count\t")]
+        with open(model, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        stored = self.predict(low_counts, model, tmp_path / "stored.tsv")
+        assert stored == self.predict(low_counts, model, tmp_path / "three.tsv",
+                                      "--min-svo-count", "3")
+        assert stored != self.predict(low_counts, model, tmp_path / "one.tsv",
+                                      "--min-svo-count", "1")
+
+
+class TestEveryFeatureSetting:
+    """No feature setting can skip a feature command or the model file: each
+    FeatureConfig field is a setting of all five commands, named as its
+    model header line (``test_model.py`` checks that line)."""
+
+    def test_every_field_is_listed(self):
+        assert set(FEATURE_FIELDS) == {f.name for f in fields(FeatureConfig)}
+        assert {setting for setting, _, _ in FEATURE_FIELDS.values()} == set(_FEATURE_SETTINGS)
+
+    @pytest.mark.parametrize("command", FEATURE_COMMANDS)
+    @pytest.mark.parametrize("name", [f.name for f in fields(FeatureConfig)])
+    def test_each_feature_command_takes_it(self, tmp_path, command, name):
+        setting, text, value = FEATURE_FIELDS[name]
+        argv = fixture_command(command, defaultdict(str), ("model.tsv", "mappings.tsv"),
+                               tmp_path)
+        args = build_parser().parse_args([*argv, "--" + setting.replace("_", "-"), text])
+        assert _feature_config(args) == replace(FeatureConfig(), **{name: value})
 
 
 #: Every output option of every subcommand.

@@ -154,7 +154,8 @@ class TestKnowledgeFamilies:
 class TestAgainstReference:
     """extract_features spells each name itself; the names must be exactly
     those the feature_name-built reference gives, on random KBs drawn from a
-    seed, with random instances, family subsets and sense cut-offs."""
+    seed, with random instances, family subsets, sense cut-offs and triple
+    count thresholds."""
 
     @settings(deadline=None, max_examples=100)
     @given(seed=st.integers(min_value=0), data=st.data())
@@ -165,7 +166,8 @@ class TestAgainstReference:
                               for p in ("with", "on")}
         kb = KnowledgeBase(**inputs)
         cfg = FeatureConfig(data.draw(st.frozensets(st.sampled_from(FAMILIES), min_size=1)),
-                            data.draw(st.integers(min_value=0, max_value=6)))
+                            data.draw(st.integers(min_value=0, max_value=6)),
+                            data.draw(st.integers(min_value=1, max_value=5)))
         unknown = ("unknown", "Two  Words")
         verbs = st.sampled_from(KB_VERBS + unknown)
         nouns = st.sampled_from(KB_NOUNS + KB_CATEGORIES + unknown)

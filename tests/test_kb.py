@@ -10,13 +10,13 @@ from synth import (KB_CATEGORIES, KB_NOUNS, KB_VERBS, lookup_svo_exists, random_
                    scan_roles_for, scan_svo_any_verb)
 
 
-def make_kb(tmp_path, min_svo_count=3, **contents):
+def make_kb(tmp_path, **contents):
     paths = {}
     for name, text in contents.items():
         path = tmp_path / f"{name}.tsv"
         path.write_text(text, encoding="utf-8")
         paths[name] = str(path)
-    return load_kb(min_svo_count=min_svo_count, **paths)
+    return load_kb(**paths)
 
 
 class TestLoading:
@@ -240,23 +240,26 @@ def test_raising_threshold_never_enables_triples(tmp_path_factory, rows, low, bu
     text = "".join(f"{s}\t{v}\t{o}\t{c}\n" for s, v, o, c in rows)
     path = tmp / "svo.tsv"
     path.write_text(text, encoding="utf-8")
-    kb_low = load_kb(svo=str(path), min_svo_count=low)
-    kb_high = load_kb(svo=str(path), min_svo_count=low + bump)
+    kb = load_kb(svo=str(path))
     for s, v, o, _ in rows:
-        if kb_high.svo_exists(s, v, o):
-            assert kb_low.svo_exists(s, v, o)
+        if kb.svo_exists(s, v, o, low + bump):
+            assert kb.svo_exists(s, v, o, low)
+        assert kb.svo_any_verb(s, o, low + bump) <= kb.svo_any_verb(s, o, low)
 
 
 class TestAgainstOracles:
     """Each query answers from its load-time index exactly what a scan of
     the constructor inputs in ``synth`` answers, on random KBs drawn from a
     seed: merged synonym groups, multi-verb role entries, noun and category
-    fillers, and verbs and nouns the KB does not know."""
+    fillers, verbs and nouns the KB does not know, and a triple count
+    threshold of 1-5 given at query time."""
 
     @settings(deadline=None, max_examples=100)
     @given(seed=st.integers(min_value=0))
     def test_queries_equal_scans(self, seed):
-        inputs = random_kb_inputs(random.Random(seed))
+        rng = random.Random(seed)
+        inputs = random_kb_inputs(rng)
+        min_count = rng.randint(1, 5)
         kb = KnowledgeBase(**inputs)
         verbs = KB_VERBS + ("V1", "unknown")
         nouns = KB_NOUNS + KB_CATEGORIES + ("N2", "unknown")
@@ -265,6 +268,8 @@ class TestAgainstOracles:
                 assert kb.roles_for(verb, n2) == scan_roles_for(inputs, verb, n2)
         for s in nouns:
             for o in nouns:
-                assert kb.svo_any_verb(s, o) == scan_svo_any_verb(inputs, s, o)
+                assert (kb.svo_any_verb(s, o, min_count)
+                        == scan_svo_any_verb(inputs, s, o, min_count))
                 for verb in verbs:
-                    assert kb.svo_exists(s, verb, o) == lookup_svo_exists(inputs, s, verb, o)
+                    assert (kb.svo_exists(s, verb, o, min_count)
+                            == lookup_svo_exists(inputs, s, verb, o, min_count))

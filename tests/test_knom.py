@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbread.kb import KnowledgeBase
-from kbread.knom import (CompoundNoun, TypeSequence, TypeSequenceMapping,
+from kbread.knom import (CompoundNoun, Prediction, TypeSequence, TypeSequenceMapping,
                          baseline_mappings, learn_mappings, mine_sequences,
                          predict_instances, read_compounds, read_mappings,
                          sample_predictions, type_compound, write_mappings,
-                         write_predictions)
+                         write_predictions, write_sample_manifest)
 from kbread.tsv import FormatError, norm_token
 from synth import (KNOM_WORDS, PLANTED, all_pairs_predict_instances, planted_corpus,
                    product_mine_sequences, random_knom_world, random_mapping,
                    scan_relations_between)
 from test_kb import make_kb
+from test_ternary import WORDS, read_back
 
 
 def cn(tokens, source="c0"):
@@ -268,12 +269,39 @@ class TestSamplingAndFiles:
             read_compounds(path)
 
     def test_predictions_file_format(self, tmp_path, kb):
-        from kbread.knom import Prediction
         path = tmp_path / "p.tsv"
         write_predictions([Prediction("r", "x", "y", "s1", True),
                            Prediction("r", "x", "z", "s2", False)], path)
         assert path.read_text(encoding="utf-8") == (
             "r\tx\ty\ts1\tknown\nr\tx\tz\ts2\tnew\n")
+
+
+PREDICTIONS = st.lists(st.builds(Prediction, WORDS, WORDS, WORDS, WORDS, st.booleans()),
+                       max_size=5)
+
+
+def prediction_fields(p):
+    return [p.relation, p.arg1, p.arg2, p.source, "known" if p.known else "new"]
+
+
+class TestWritersRoundTrip:
+    """The prediction files have no reader; each row read back through
+    ``tsv.iter_rows`` holds the written prediction's fields."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(predictions=PREDICTIONS)
+    def test_prediction_rows_hold_each_prediction(self, tmp_path_factory, predictions):
+        path = tmp_path_factory.mktemp("knom") / "predicted.tsv"
+        write_predictions(predictions, path)
+        assert read_back(path) == [prediction_fields(p) for p in predictions]
+
+    @settings(deadline=None, max_examples=100)
+    @given(predictions=PREDICTIONS)
+    def test_manifest_rows_hold_each_prediction_and_no_judgment(self, tmp_path_factory,
+                                                                predictions):
+        path = tmp_path_factory.mktemp("knom") / "annotate.tsv"
+        write_sample_manifest(predictions, path)
+        assert read_back(path) == [prediction_fields(p) + ["-"] for p in predictions]
 
 
 class TestInputChecks:

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from kbread.features import FAMILIES, NOUN, VERB, FeatureConfig, PPInstance, fea
 from kbread.model import (AttachmentModel, TrainConfig, _intern, _logistic, _Problem,
                           classify, classify_many, expected_log_likelihood, gradient,
                           load_model, save_model, train_em, train_supervised)
+from kbread.tsv import FormatError
 from synth import sorted_sum_classify, two_cluster_data
 
 NO_REG = TrainConfig(l2_penalty=0.0)
@@ -409,10 +410,31 @@ TRAIN_CONFIGS = st.builds(
     max_em_iters=st.integers(min_value=1),
     max_gradient_steps=st.integers(min_value=1),
     convergence_tol=st.floats(min_value=0, exclude_min=True, allow_infinity=False))
-FEATURE_CONFIGS = st.none() | st.builds(
+FEATURE_CONFIGS = st.builds(
     FeatureConfig,
     enabled_families=st.frozensets(st.sampled_from(FAMILIES), min_size=1),
-    max_prep_senses=st.integers(min_value=0))
+    max_prep_senses=st.integers(min_value=0),
+    min_svo_count=st.integers(min_value=1))
+
+
+#: For each FeatureConfig field: its setting (the model header key, flag and
+#: config key), a text other than the default and the value that text sets.
+FEATURE_FIELDS = {"enabled_families": ("families", "F1,F8", frozenset({"F1", "F8"})),
+                  "max_prep_senses": ("max_prep_senses", "0", 0),
+                  "min_svo_count": ("min_svo_count", "1", 1)}
+
+
+def model_file(tmp_path, *feature_lines):
+    """A saved model's file with its feature header lines replaced by
+    ``feature_lines``."""
+    path = tmp_path / "model.tsv"
+    save_model(AttachmentModel({"F15:(with)": 0.5}), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = [line for line in lines if line.startswith("#")
+              and line.split("\t")[0][1:] not in {key for key, _, _ in FEATURE_FIELDS.values()}]
+    rows = [line for line in lines if not line.startswith("#")]
+    path.write_text("\n".join(header + list(feature_lines) + rows) + "\n", encoding="utf-8")
+    return path
 
 
 class TestModelFile:
@@ -470,6 +492,28 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.weights == model.weights
         assert loaded.feature_config == model.feature_config
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(FeatureConfig)])
+    def test_each_feature_setting_is_its_own_header_line(self, tmp_path, name):
+        key, text, value = FEATURE_FIELDS[name]
+        cfg = replace(FeatureConfig(), **{name: value})
+        save_model(AttachmentModel({}, feature_config=cfg), tmp_path / "saved.tsv")
+        assert f"#{key}\t{text}\n" in (tmp_path / "saved.tsv").read_text(encoding="utf-8")
+        assert load_model(model_file(tmp_path, f"#{key}\t{text}")).feature_config == cfg
+
+    def test_a_model_without_feature_headers_has_the_default_settings(self, tmp_path):
+        assert load_model(model_file(tmp_path)).feature_config == FeatureConfig()
+
+    @pytest.mark.parametrize("key,text", [
+        ("families", "F1,F99"), ("families", ""), ("max_prep_senses", "five"),
+        ("max_prep_senses", "-1"), ("min_svo_count", "0"), ("min_svo_count", "1.5"),
+    ])
+    def test_bad_feature_header_alone_is_an_error_at_its_line(self, tmp_path, key, text):
+        path = model_file(tmp_path, f"#{key}\t{text}")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert exc.value.lineno == lines.index(f"#{key}\t{text}") + 1
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "bogus.tsv"

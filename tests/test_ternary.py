@@ -1,12 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbread.features import PPInstance
 from kbread.model import AttachmentModel
-from kbread.ternary import (RelationVerbMap, annotate_relations,
-                            apply_role_templates, extract_ternary,
+from kbread.ternary import (RelationVerbMap, RoleTemplate, TernaryInstance,
+                            annotate_relations, apply_role_templates, extract_ternary,
                             learn_role_templates, map_relations_to_verbs,
-                            read_role_tuples, read_tuples, write_ternary)
-from kbread.tsv import FormatError
+                            read_role_tuples, read_tuples, write_templates, write_ternary)
+from kbread.tsv import FormatError, iter_rows, norm_token
 from test_kb import make_kb
 
 
@@ -193,7 +194,6 @@ class TestFiles:
             read_role_tuples(path)
 
     def test_write_ternary_format(self, tmp_path):
-        from kbread.ternary import TernaryInstance
         path = tmp_path / "out.tsv"
         write_ternary([TernaryInstance("a", "b", "c", "d", "e", relation="rel"),
                        TernaryInstance("f", "g", "h", "i", "j", role_label="np_v_np_pp.topic")],
@@ -201,3 +201,37 @@ class TestFiles:
         assert path.read_text(encoding="utf-8") == (
             "a\tb\tc\td\te\trel\t-\n"
             "f\tg\th\ti\tj\t-\tnp_v_np_pp.topic\n")
+
+
+#: Words as the readers hand them over: folded, not empty, without a comma.
+#: None starts with "#" or a byte-order mark: as a row's first field, such a
+#: word would read back as a comment line or without its mark (see CHANGES.md).
+WORDS = (st.text(min_size=1, max_size=8).map(norm_token)
+         .filter(lambda w: w and "," not in w and not w.startswith(("#", "\ufeff"))))
+
+
+def read_back(path):
+    return [fields for _, fields in iter_rows(path)]
+
+
+class TestWritersRoundTrip:
+    """The output files have no reader; each row read back through
+    ``tsv.iter_rows`` holds the written object's fields, ``-`` for None."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(instances=st.lists(st.builds(TernaryInstance, WORDS, WORDS, WORDS, WORDS, WORDS,
+                                        st.none() | WORDS, st.none() | WORDS), max_size=5))
+    def test_ternary_rows_hold_each_instance(self, tmp_path_factory, instances):
+        path = tmp_path_factory.mktemp("ternary") / "ternary.tsv"
+        write_ternary(instances, path)
+        assert read_back(path) == [[t.n0, t.v, t.n1, t.p, t.n2, t.relation or "-",
+                                    t.role_label or "-"] for t in instances]
+
+    @settings(deadline=None, max_examples=100)
+    @given(templates=st.lists(st.builds(RoleTemplate, WORDS, WORDS, WORDS, WORDS, WORDS,
+                                        st.integers(min_value=1)), max_size=5))
+    def test_template_rows_hold_each_template(self, tmp_path_factory, templates):
+        path = tmp_path_factory.mktemp("templates") / "templates.tsv"
+        write_templates(templates, path)
+        assert read_back(path) == [[t.label, t.verb, t.arg1_type, t.preposition,
+                                    t.arg2_type, str(t.support)] for t in templates]
