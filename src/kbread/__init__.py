@@ -5,7 +5,7 @@ compound-noun relation mining."""
 from .features import (DEFAULT_FAMILIES, FAMILIES, NOUN, VERB, FeatureConfig,
                        PPInstance, expand_with_synonyms, extract_features,
                        parse_feature_name, read_corpus)
-from .kb import KnowledgeBase, VerbRoleEntry, load_kb, load_kb_dir
+from .kb import KnowledgeBase, load_kb, load_kb_dir
 from .model import (AttachmentModel, TrainConfig, classify, classify_many,
                     expected_log_likelihood, gradient, load_model,
                     save_model, train_em, train_supervised)
@@ -14,7 +14,7 @@ from .tsv import FormatError
 __all__ = [
     "AttachmentModel", "DEFAULT_FAMILIES", "FAMILIES", "FeatureConfig",
     "FormatError", "KnowledgeBase", "NOUN", "PPInstance", "TrainConfig",
-    "VERB", "VerbRoleEntry", "classify", "classify_many",
+    "VERB", "classify", "classify_many",
     "expand_with_synonyms", "expected_log_likelihood", "extract_features",
     "gradient", "load_kb", "load_kb_dir", "load_model", "parse_feature_name",
     "read_corpus", "save_model", "train_em", "train_supervised",

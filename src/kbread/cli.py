@@ -33,7 +33,7 @@ from .features import (FeatureConfig, expand_with_synonyms, extract_features,
 from .kb import KB_FILENAMES, load_kb, load_kb_dir
 from .model import (AttachmentModel, TrainConfig, classify_many, load_model,
                     save_model, train_em)
-from .tsv import FormatError, iter_rows, output_path, output_set, write_lines
+from .tsv import FormatError, format_row, iter_rows, output_path, output_set, write_lines
 
 #: Settings read only by feature extraction.
 _FEATURE_SETTINGS = ("min_svo_count", "families", "max_prep_senses")
@@ -126,9 +126,9 @@ def _write_train_log(model: AttachmentModel, path) -> None:
     lines = ["#phase\tdetail"]
     for record in model.history:
         details = [f"{key}={value!r}" for key, value in record.items() if key != "phase"]
-        lines.append("\t".join([record["phase"], *details]))
-    lines.append(f"final\tlabeled={model.n_labeled}\tunlabeled={model.n_unlabeled}"
-                 f"\tfeatures={len(model.weights)}")
+        lines.append(format_row([record["phase"], *details]))
+    lines.append(format_row(["final", f"labeled={model.n_labeled}",
+                             f"unlabeled={model.n_unlabeled}", f"features={len(model.weights)}"]))
     write_lines(path, lines)
 
 
@@ -162,7 +162,7 @@ def cmd_predict(args, kb):
     yield
     decisions = classify_many(model, (extract_features(inst, kb, feature_cfg)
                                       for inst in instances))
-    lines = ["\t".join([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2, label, f"{p:.6f}"])
+    lines = [format_row([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2, label, f"{p:.6f}"])
              for inst, (label, p) in zip(instances, decisions)]
     write_lines(args.out, lines)
     print(f"wrote {len(lines)} predictions to {args.out}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .features import NOUN, VERB
-from .tsv import write_lines
+from .tsv import format_row, write_lines
 
 
 @dataclass
@@ -116,13 +116,14 @@ def write_reports_tsv(reports, path) -> None:
     gold verb/noun counts (per-preposition rows only)."""
     lines = ["#method\tscope\tn\tcorrect\taccuracy\tgold_verb\tgold_noun"]
     for r in reports:
-        lines.append(f"{r.method}\toverall\t{r.n}\t{r.correct}\t{_fmt(r.accuracy)}\t-\t-")
-        lines.append(f"{r.method}\texcl_of\t{r.n_excl_of}\t{r.correct_excl_of}"
-                     f"\t{_fmt(r.accuracy_excl_of)}\t-\t-")
+        lines.append(format_row([r.method, "overall", str(r.n), str(r.correct),
+                                 _fmt(r.accuracy), "-", "-"]))
+        lines.append(format_row([r.method, "excl_of", str(r.n_excl_of), str(r.correct_excl_of),
+                                 _fmt(r.accuracy_excl_of), "-", "-"]))
         for prep in sorted(r.per_prep):
             s = r.per_prep[prep]
-            lines.append(f"{r.method}\tprep:{prep}\t{s.n}\t{s.correct}\t{_fmt(s.accuracy)}"
-                         f"\t{s.gold_verb}\t{s.gold_noun}")
+            lines.append(format_row([r.method, f"prep:{prep}", str(s.n), str(s.correct),
+                                     _fmt(s.accuracy), str(s.gold_verb), str(s.gold_noun)]))
     write_lines(path, lines)
 
 
@@ -131,5 +132,5 @@ def write_prep_chart(reports, path) -> None:
     lines = ["#method\tpreposition\taccuracy"]
     for r in reports:
         for prep in sorted(r.per_prep):
-            lines.append(f"{r.method}\t{prep}\t{_fmt(r.per_prep[prep].accuracy)}")
+            lines.append(format_row([r.method, prep, _fmt(r.per_prep[prep].accuracy)]))
     write_lines(path, lines)

@@ -13,19 +13,16 @@ and the tests' scan oracles query with unfolded words. The fold costs about
 unknown keys return empty results instead of raising. The store holds counts;
 the triple queries take ``FeatureConfig.min_svo_count`` as an argument.
 
-The constructor builds one index per query, so each query is a few dict
-lookups: triples are kept by ``(subject, object)`` and role entries by
-``(verb synonym group, filler)``. Only the pair index behind
-``relations_between`` is built lazily, on first use, because most commands
-never ask for it; threads that race to build it build equal ones. A loaded
-store is never mutated afterwards, so it is safe to share across threads.
+The constructor sums each file's folded rows, as its loader yields them,
+into one index per query, so each query is a few dict lookups: triples by
+``(subject, object)``, role entries by ``(verb synonym group, filler)`` and
+relation names by ``(arg1, arg2)``. A loaded store is never mutated
+afterwards, so it is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import cached_property
 
 from .tsv import FormatError, iter_rows, norm_token
 
@@ -42,36 +39,40 @@ KB_FILENAMES = {
 }
 
 
-@dataclass(frozen=True)
-class VerbRoleEntry:
-    verb_group: frozenset[str]
-    filler: str
-    role: str
-
-
 class KnowledgeBase:
     """Indexed, read-only view of the loaded knowledge. Build one with
-    :func:`load_kb` or :func:`load_kb_dir`."""
+    :func:`load_kb` or :func:`load_kb_dir`, or from folded rows: each keyword
+    of :data:`KB_FILENAMES` takes the rows its file's loader yields."""
 
-    def __init__(self, svo, types, role_entries, prepdefs, synonyms, relations):
+    def __init__(self, svo=(), isa=(), roles=(), prepdefs=(), synsets=(), relations=()):
+        # Rows are read in file order, so of two bad files the first is reported.
         self._svo = {}                             # (s, o) -> {v: count}
-        for (s, v, o), c in svo.items():
-            self._svo.setdefault((s, o), {})[v] = c
-        self._types = {n: frozenset(ts) for n, ts in types.items()}
-        self._synonyms = dict(synonyms)            # verb -> frozenset(group)
+        for s, v, o, count in svo:
+            verbs = self._svo.setdefault((s, o), {})
+            verbs[v] = verbs.get(v, 0) + count
+        self._types = {}                           # noun -> frozenset(categories)
+        for noun, category in isa:
+            self._types.setdefault(noun, set()).add(category)
+        for noun, categories in self._types.items():    # in place, to keep peak memory down
+            self._types[noun] = frozenset(categories)
+        roles = list(roles)                        # indexed by the merged groups below
+        self._prepdefs = {}                        # preposition -> {sense: None}, rank order
+        for prep, sense in prepdefs:
+            self._prepdefs.setdefault(prep, {})[sense] = None
+        self._synonyms = _merge_groups(synsets)    # verb -> frozenset(group)
         # (the verb's group, or the verb itself when it has none, filler)
         # -> roles. Groups are disjoint and hold their own verbs, as
         # _merge_groups builds them, so two verbs share a key exactly when
         # one is the other or a synonym of it.
-        role_entries = tuple(role_entries)
-        self._n_role_entries = len(role_entries)
+        self._n_role_entries = len(roles)
         self._roles = {}
-        for entry in role_entries:
-            for verb in entry.verb_group:
-                key = (self._synonyms.get(verb, verb), entry.filler)
-                self._roles.setdefault(key, set()).add(entry.role)
-        self._prepdefs = {p: tuple(vs) for p, vs in prepdefs.items()}
-        self._relations = {r: frozenset(pairs) for r, pairs in relations.items()}
+        for verbs, filler, role in roles:
+            for verb in verbs:
+                key = (self._synonyms.get(verb, verb), filler)
+                self._roles.setdefault(key, set()).add(role)
+        self._relations = {}                       # (arg1, arg2) -> {relation}
+        for relation, arg1, arg2 in relations:
+            self._relations.setdefault((arg1, arg2), set()).add(relation)
 
     # -- subject-verb-object triples ------------------------------------
 
@@ -123,21 +124,9 @@ class KnowledgeBase:
 
     # -- relation instances ---------------------------------------------------
 
-    def relation_pairs(self, relation: str) -> frozenset[tuple[str, str]]:
-        return self._relations.get(norm_token(relation), frozenset())
-
-    @cached_property
-    def _relations_by_pair(self) -> dict[tuple[str, str], set[str]]:
-        index = {}
-        for r, pairs in self._relations.items():
-            for pair in pairs:
-                index.setdefault(pair, set()).add(r)
-        return index
-
     def relations_between(self, arg1: str, arg2: str) -> set[str]:
         """Names of every relation holding between the ordered pair."""
-        pair = (norm_token(arg1), norm_token(arg2))
-        return set(self._relations_by_pair.get(pair, ()))
+        return set(self._relations.get((norm_token(arg1), norm_token(arg2)), ()))
 
     # -- miscellany --------------------------------------------------------
 
@@ -147,9 +136,9 @@ class KnowledgeBase:
             "typed_nouns": len(self._types),
             "role_entries": self._n_role_entries,
             "prepositions": len(self._prepdefs),
-            "synonym_groups": len(set(map(frozenset, self._synonyms.values()))),
-            "relations": len(self._relations),
-            "relation_instances": sum(len(p) for p in self._relations.values()),
+            "synonym_groups": len(set(self._synonyms.values())),
+            "relations": len(set().union(*self._relations.values())),
+            "relation_instances": sum(len(rs) for rs in self._relations.values()),
         }
 
 
@@ -169,7 +158,6 @@ def _rows(path, columns):
 
 
 def _load_svo(path):
-    svo = {}
     for lineno, (s, v, o, count) in _rows(path, ("subject", "verb", "object", "count")):
         try:
             count = int(count)
@@ -177,43 +165,32 @@ def _load_svo(path):
             raise FormatError(path, lineno, f"count is not an integer: {count!r}") from None
         if count < 1:
             raise FormatError(path, lineno, "count must be >= 1")
-        svo[s, v, o] = svo.get((s, v, o), 0) + count
-    return svo
+        yield s, v, o, count
 
 
 def _load_isa(path):
-    types = {}
-    for _, (noun, cat) in _rows(path, ("noun", "category")):
-        types.setdefault(noun, set()).add(cat)
-    return types
+    return (fields for _, fields in _rows(path, ("noun", "category")))
 
 
 def _split_verbs(field, path, lineno):
-    verbs = [v.strip() for v in field.split(",")]
-    verbs = [v for v in verbs if v]
+    verbs = [v.strip() for v in field.split(",") if v.strip()]
     if not verbs:
         raise FormatError(path, lineno, "empty verb list")
     return verbs
 
 
 def _load_roles(path):
-    return [VerbRoleEntry(frozenset(_split_verbs(verbs, path, lineno)), filler, role)
-            for lineno, (verbs, filler, role)
-            in _rows(path, ("verb[,verb...]", "filler", "role"))]
+    for lineno, (verbs, filler, role) in _rows(path, ("verb[,verb...]", "filler", "role")):
+        yield _split_verbs(verbs, path, lineno), filler, role
 
 
 def _load_prepdefs(path):
-    prepdefs = {}
-    for _, (prep, sense) in _rows(path, ("preposition", "sense verb")):
-        senses = prepdefs.setdefault(prep, [])
-        if sense not in senses:
-            senses.append(sense)
-    return prepdefs
+    return (fields for _, fields in _rows(path, ("preposition", "sense verb")))
 
 
 def _load_synsets(path):
-    return _merge_groups([set(_split_verbs(verbs, path, lineno))
-                          for lineno, (verbs,) in _rows(path, ("verb[,verb...]",))])
+    for lineno, (verbs,) in _rows(path, ("verb[,verb...]",)):
+        yield _split_verbs(verbs, path, lineno)
 
 
 def _merge_groups(groups):
@@ -241,10 +218,7 @@ def _merge_groups(groups):
 
 
 def _load_relations(path):
-    relations = {}
-    for _, (rel, arg1, arg2) in _rows(path, ("relation", "arg1", "arg2")):
-        relations.setdefault(rel, set()).add((arg1, arg2))
-    return relations
+    return (fields for _, fields in _rows(path, ("relation", "arg1", "arg2")))
 
 
 def load_kb(svo=None, isa=None, roles=None, prepdefs=None, synsets=None,
@@ -256,19 +230,13 @@ def load_kb(svo=None, isa=None, roles=None, prepdefs=None, synsets=None,
     summed, duplicate category assertions are kept (nouns may have several
     categories), and synonym groups sharing a member are merged.
     """
-    def opt(loader, path, empty):
-        if path is None or not os.path.exists(path):
-            return empty
-        return loader(path)
+    def rows(loader, path):
+        return () if path is None or not os.path.exists(path) else loader(path)
 
-    return KnowledgeBase(
-        svo=opt(_load_svo, svo, {}),
-        types=opt(_load_isa, isa, {}),
-        role_entries=opt(_load_roles, roles, []),
-        prepdefs=opt(_load_prepdefs, prepdefs, {}),
-        synonyms=opt(_load_synsets, synsets, {}),
-        relations=opt(_load_relations, relations, {}),
-    )
+    return KnowledgeBase(svo=rows(_load_svo, svo), isa=rows(_load_isa, isa),
+                         roles=rows(_load_roles, roles), prepdefs=rows(_load_prepdefs, prepdefs),
+                         synsets=rows(_load_synsets, synsets),
+                         relations=rows(_load_relations, relations))
 
 
 def load_kb_dir(directory, resources=tuple(KB_FILENAMES)) -> KnowledgeBase:

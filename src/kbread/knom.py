@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .kb import KnowledgeBase
-from .tsv import FormatError, at_line, iter_rows, norm_token, write_lines
+from .tsv import FormatError, at_line, format_row, iter_rows, norm_token, write_lines
 
 #: Sequence element kinds: a category name, a literal word, or a wildcard.
 TYPE, LEX, ANY = "type", "lex", "any"
@@ -251,7 +251,7 @@ def predict_instances(mappings, corpus, kb: KnowledgeBase) -> list[Prediction]:
                 found[key] = cn.source
     preds = []
     for (rel, arg1, arg2), source in sorted(found.items()):
-        known = (arg1, arg2) in kb.relation_pairs(rel)
+        known = rel in kb.relations_between(arg1, arg2)
         preds.append(Prediction(rel, arg1, arg2, source, known))
     return preds
 
@@ -314,7 +314,7 @@ def write_sequences(mined, path) -> None:
     lines = []
     for m in mined:
         ids = ",".join(cn.source for cn in m.supporters)
-        lines.append(f"{_format_sequence(m.sequence)}\t{len(m.supporters)}\t{ids}")
+        lines.append(format_row([_format_sequence(m.sequence), str(len(m.supporters)), ids]))
     write_lines(path, lines)
 
 
@@ -322,8 +322,8 @@ def write_mappings(mappings, path) -> None:
     """Mappings as TSV: relation, arg1 pos, arg2 pos, sequence, support."""
     lines = []
     for mp in mappings:
-        lines.append(f"{mp.relation}\t{mp.arg1_pos}\t{mp.arg2_pos}"
-                     f"\t{_format_sequence(mp.sequence)}\t{mp.support}")
+        lines.append(format_row([mp.relation, str(mp.arg1_pos), str(mp.arg2_pos),
+                                 _format_sequence(mp.sequence), str(mp.support)]))
     write_lines(path, lines)
 
 
@@ -348,7 +348,7 @@ def read_mappings(path) -> list[TypeSequenceMapping]:
 
 def write_predictions(predictions, path) -> None:
     """Predictions as TSV: relation, arg1, arg2, source id, known|new."""
-    lines = [f"{p.relation}\t{p.arg1}\t{p.arg2}\t{p.source}\t{'known' if p.known else 'new'}"
+    lines = [format_row([p.relation, p.arg1, p.arg2, p.source, "known" if p.known else "new"])
              for p in predictions]
     write_lines(path, lines)
 
@@ -356,6 +356,6 @@ def write_predictions(predictions, path) -> None:
 def write_sample_manifest(predictions, path) -> None:
     """Annotation manifest: prediction rows plus an empty judgment column."""
     lines = ["#relation\targ1\targ2\tsource\tstatus\tjudgment"]
-    lines += [f"{p.relation}\t{p.arg1}\t{p.arg2}\t{p.source}\t{'known' if p.known else 'new'}\t-"
-              for p in predictions]
+    lines += [format_row([p.relation, p.arg1, p.arg2, p.source,
+                          "known" if p.known else "new", "-"]) for p in predictions]
     write_lines(path, lines)

@@ -30,7 +30,7 @@ from itertools import chain
 # but ``train`` should pay for loading numpy and scipy.
 
 from .features import VERB, NOUN, FeatureConfig, format_families, parse_families
-from .tsv import FormatError, iter_lines, write_lines
+from .tsv import FormatError, format_row, iter_lines, write_lines
 
 _CG_MAX_ITERS = 50
 _CG_RTOL = 0.1
@@ -339,7 +339,7 @@ def save_model(model: AttachmentModel, path) -> None:
           for name, (key, _, spell) in _FEATURE_HEADERS.items()),
     ]
     for name in sorted(model.weights):
-        lines.append(f"{name}\t{model.weights[name]!r}")
+        lines.append(format_row([name, repr(model.weights[name])]))
     write_lines(path, lines)
 
 

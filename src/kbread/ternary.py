@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .features import VERB, FeatureConfig, PPInstance, check_word, extract_features
 from .kb import KnowledgeBase
 from .model import AttachmentModel, classify_many
-from .tsv import FormatError, at_line, iter_rows, norm_token, write_lines
+from .tsv import FormatError, at_line, format_row, iter_rows, norm_token, write_lines
 
 #: Role labels assignable to the preposition-introduced third argument.
 ROLE_LABELS = (
@@ -201,13 +201,13 @@ def write_ternary(instances, path) -> None:
     role label or "-"."""
     lines = []
     for t in instances:
-        lines.append("\t".join([t.n0, t.v, t.n1, t.p, t.n2,
-                                t.relation or "-", t.role_label or "-"]))
+        lines.append(format_row([t.n0, t.v, t.n1, t.p, t.n2,
+                                 t.relation or "-", t.role_label or "-"]))
     write_lines(path, lines)
 
 
 def write_templates(templates, path) -> None:
-    lines = [f"{t.label}\t{t.verb}\t{t.arg1_type}\t{t.preposition}\t{t.arg2_type}\t{t.support}"
-             for t in templates]
+    lines = [format_row([t.label, t.verb, t.arg1_type, t.preposition, t.arg2_type,
+                         str(t.support)]) for t in templates]
     write_lines(path, lines)
 

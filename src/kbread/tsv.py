@@ -71,6 +71,20 @@ def iter_rows(path, columns=None):
         yield lineno, fields
 
 
+def format_row(fields) -> str:
+    """One data line of a TSV file: the fields joined by tabs. Every writer
+    builds its data rows here, so that no row is split or lost on reading: a
+    field that holds a tab, CR or LF is a ``ValueError``, and so is a line
+    whose first non-blank character is ``#``, which :func:`iter_rows` skips
+    as a comment, or U+FEFF, which reading drops as a byte-order mark."""
+    line = "\t".join(fields)
+    if (line.count("\t") >= len(fields) or "\n" in line or "\r" in line
+            or line.lstrip().startswith(("#", "\ufeff"))):
+        raise ValueError(f"a field holds a tab or line end, or the row starts "
+                         f"with '#' or U+FEFF: {line!r}")
+    return line
+
+
 def output_path(path) -> str:
     """``path`` with symlinks resolved, so a link is written through and never
     replaced. Its directory must exist and it must be absent or a regular file."""

@@ -5,7 +5,7 @@ import os
 import random
 
 from kbread.features import NOUN, VERB, FeatureConfig, PPInstance, feature_name
-from kbread.kb import KnowledgeBase, VerbRoleEntry, _merge_groups
+from kbread.kb import KnowledgeBase
 from kbread.knom import (ANY, LEX, TYPE, CompoundNoun, MinedSequence, Prediction,
                          TypeSequence, TypeSequenceMapping, _matches, type_compound)
 from kbread.tsv import norm_token
@@ -164,47 +164,62 @@ KB_CATEGORIES = tuple(f"c{i}" for i in range(4))
 
 
 def random_kb_inputs(rng):
-    """Constructor inputs for a ``KnowledgeBase``: triples with counts 1-6
-    over few nouns and verbs (so pairs share verbs), 0-3 categories per
-    noun, role entries of 1-3 verbs whose filler is a noun or a category,
-    synonym groups drawn so that they often overlap and merge (some verbs
-    keep none). The store keeps no count threshold; its queries take one."""
-    svo = {(rng.choice(KB_NOUNS), rng.choice(KB_VERBS), rng.choice(KB_NOUNS)):
-           rng.randint(1, 6) for _ in range(rng.randint(0, 30))}
-    types = {n: set(rng.sample(KB_CATEGORIES, rng.randint(0, 3))) for n in KB_NOUNS}
-    role_entries = [VerbRoleEntry(frozenset(rng.sample(KB_VERBS, rng.randint(1, 3))),
-                                  rng.choice(KB_NOUNS + KB_CATEGORIES),
-                                  rng.choice(("instrument", "topic", "source")))
-                    for _ in range(rng.randint(0, 12))]
-    groups = [set(rng.sample(KB_VERBS[:6], rng.randint(1, 3)))
-              for _ in range(rng.randint(0, 4))]
-    return {"svo": svo, "types": types, "role_entries": role_entries, "prepdefs": {},
-            "synonyms": _merge_groups(groups), "relations": {}}
+    """Constructor rows for a ``KnowledgeBase``: triples with counts 1-6
+    over few nouns and verbs (so pairs share verbs, and a triple may repeat),
+    0-3 categories per noun, role entries of 1-3 verbs whose filler is a noun
+    or a category, synonym groups drawn so that they often overlap and merge
+    (some verbs keep none). The store keeps no count threshold; its queries
+    take one."""
+    svo = [(rng.choice(KB_NOUNS), rng.choice(KB_VERBS), rng.choice(KB_NOUNS), rng.randint(1, 6))
+           for _ in range(rng.randint(0, 30))]
+    isa = [(n, c) for n in KB_NOUNS for c in rng.sample(KB_CATEGORIES, rng.randint(0, 3))]
+    roles = [(rng.sample(KB_VERBS, rng.randint(1, 3)), rng.choice(KB_NOUNS + KB_CATEGORIES),
+              rng.choice(("instrument", "topic", "source")))
+             for _ in range(rng.randint(0, 12))]
+    synsets = [rng.sample(KB_VERBS[:6], rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+    return {"svo": svo, "isa": isa, "roles": roles, "synsets": synsets}
+
+
+def _synonym_closure(synsets, verb):
+    """The verb and every verb a chain of overlapping groups links it to."""
+    found = {verb}
+    while True:
+        grown = found.union(*(g for g in synsets if found & set(g)))
+        if grown == found:
+            return found
+        found = grown
 
 
 def scan_roles_for(inputs, verb, n2):
-    """Reference role lookup: every entry is scanned for one whose verb
-    group meets the verb or its synonym group and whose filler is the noun
-    or one of its categories."""
+    """Reference role lookup: every row is scanned for one whose verbs meet
+    the verb's synonym closure and whose filler is the noun or one of its
+    categories."""
     verb, n2 = norm_token(verb), norm_token(n2)
-    candidates = {verb} | inputs["synonyms"].get(verb, frozenset())
-    n2_types = inputs["types"].get(n2, set())
-    return {entry.role for entry in inputs["role_entries"]
-            if entry.verb_group & candidates
-            and (entry.filler == n2 or entry.filler in n2_types)}
+    candidates = _synonym_closure(inputs["synsets"], verb)
+    n2_types = {c for n, c in inputs["isa"] if n == n2}
+    return {role for verbs, filler, role in inputs["roles"]
+            if candidates & set(verbs) and (filler == n2 or filler in n2_types)}
+
+
+def _svo_counts(inputs, subject, obj):
+    """Reference count of each verb linking the pair: the counts of repeated
+    rows are summed."""
+    s, o = norm_token(subject), norm_token(obj)
+    counts = {}
+    for ts, v, to, c in inputs["svo"]:
+        if (ts, to) == (s, o):
+            counts[v] = counts.get(v, 0) + c
+    return counts
 
 
 def lookup_svo_exists(inputs, subject, verb, obj, min_count):
-    """Reference triple test: the ``(s, v, o)`` count against the threshold."""
-    key = (norm_token(subject), norm_token(verb), norm_token(obj))
-    return inputs["svo"].get(key, 0) >= min_count
+    """Reference triple test: the summed ``(s, v, o)`` count against the threshold."""
+    return _svo_counts(inputs, subject, obj).get(norm_token(verb), 0) >= min_count
 
 
 def scan_svo_any_verb(inputs, subject, obj, min_count):
-    """Reference pair lookup: every triple is scanned."""
-    s, o = norm_token(subject), norm_token(obj)
-    return {v for (ts, v, to), c in inputs["svo"].items()
-            if (ts, to) == (s, o) and c >= min_count}
+    """Reference pair lookup: every triple row is scanned."""
+    return {v for v, c in _svo_counts(inputs, subject, obj).items() if c >= min_count}
 
 
 # -- random compound-noun worlds and brute-force knom oracles --------------------
@@ -220,17 +235,19 @@ def random_knom_world(rng):
     stays literal) plus random relation instances, and up to 24 compounds
     of 2-5 tokens whose source ids repeat across different tokens. Few
     categories and short compounds are the likelier draws, so the product
-    the oracles build stays small and some sequences reach support 4 or 5."""
-    types = {w: rng.sample(_KNOM_CATS, rng.choice((0, 1, 1, 2, 2, 3, 6)))
-             for w in KNOM_WORDS}
-    relations = {r: {(rng.choice(KNOM_WORDS), rng.choice(KNOM_WORDS))
-                     for _ in range(rng.randint(1, 12))}
-                 for r in _KNOM_RELATIONS if rng.random() < 0.8}
-    kb = KnowledgeBase({}, types, [], {}, {}, relations)
+    the oracles build stays small and some sequences reach support 4 or 5.
+    Returns the knowledge base, the compounds and the relation rows, which
+    the oracles scan."""
+    isa = [(w, c) for w in KNOM_WORDS
+           for c in rng.sample(_KNOM_CATS, rng.choice((0, 1, 1, 2, 2, 3, 6)))]
+    relations = [(r, rng.choice(KNOM_WORDS), rng.choice(KNOM_WORDS))
+                 for r in _KNOM_RELATIONS if rng.random() < 0.8
+                 for _ in range(rng.randint(1, 12))]
+    kb = KnowledgeBase(isa=isa, relations=relations)
     corpus = [CompoundNoun(tuple(rng.choices(KNOM_WORDS, k=rng.choice((2, 2, 2, 3, 3, 4, 5)))),
                            rng.choice(_KNOM_SOURCES))
               for _ in range(rng.randint(0, 24))]
-    return kb, corpus
+    return kb, corpus, relations
 
 
 def random_mapping(rng):
@@ -248,11 +265,10 @@ def random_mapping(rng):
                                TypeSequence(tuple(elements)), 1)
 
 
-def scan_relations_between(kb, arg1, arg2):
-    """Reference pair lookup: the instance set of every relation a
-    :func:`random_knom_world` can hold is scanned."""
+def scan_relations_between(relations, arg1, arg2):
+    """Reference pair lookup: every relation row is scanned."""
     pair = (norm_token(arg1), norm_token(arg2))
-    return {r for r in _KNOM_RELATIONS if pair in kb.relation_pairs(r)}
+    return {r for r, a1, a2 in relations if (a1, a2) == pair}
 
 
 def product_mine_sequences(corpus, kb, min_support):
@@ -273,9 +289,10 @@ def product_mine_sequences(corpus, kb, min_support):
     return mined
 
 
-def all_pairs_predict_instances(mappings, corpus, kb):
+def all_pairs_predict_instances(mappings, corpus, kb, relations):
     """Reference prediction: every mapping is tried against every compound;
-    duplicate triples keep the smallest source id."""
+    duplicate triples keep the smallest source id, and a triple among the
+    relation rows is known."""
     found = {}
     for cn in corpus:
         for mp in mappings:
@@ -286,7 +303,7 @@ def all_pairs_predict_instances(mappings, corpus, kb):
             key = (mp.relation, arg1, arg2)
             if key not in found or cn.source < found[key]:
                 found[key] = cn.source
-    return [Prediction(rel, arg1, arg2, source, (arg1, arg2) in kb.relation_pairs(rel))
+    return [Prediction(rel, arg1, arg2, source, (rel, arg1, arg2) in relations)
             for (rel, arg1, arg2), source in sorted(found.items())]
 
 

@@ -321,9 +321,9 @@ class TestKnomCommands:
 class TestKbCheck:
     def test_stats_printed(self, paths, capsys):
         assert run("kb-check", "--kb-dir", paths["kb"]) == 0
-        out = capsys.readouterr().out
-        assert "svo_triples\t3" in out
-        assert "relation_instances\t10" in out
+        assert capsys.readouterr().out == ("svo_triples\t3\ntyped_nouns\t30\nrole_entries\t2\n"
+                                           "prepositions\t3\nsynonym_groups\t2\nrelations\t6\n"
+                                           "relation_instances\t10\n")
 
     def test_missing_dir_exits_2(self, tmp_path):
         assert run("kb-check", "--kb-dir", str(tmp_path / "missing")) == 2

@@ -162,8 +162,8 @@ class TestAgainstReference:
     def test_extraction_equals_reference(self, seed, data):
         rng = random.Random(seed)
         inputs = random_kb_inputs(rng)
-        inputs["prepdefs"] = {p: rng.sample(KB_VERBS, rng.randint(0, 8))
-                              for p in ("with", "on")}
+        inputs["prepdefs"] = [(p, v) for p in ("with", "on")
+                              for v in rng.sample(KB_VERBS, rng.randint(0, 8))]
         kb = KnowledgeBase(**inputs)
         cfg = FeatureConfig(data.draw(st.frozensets(st.sampled_from(FAMILIES), min_size=1)),
                             data.draw(st.integers(min_value=0, max_value=6)),

@@ -4,6 +4,7 @@ with exit code 2 and nothing written."""
 
 import ast
 import glob
+import itertools
 import os
 import shutil
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import kbread
 from kbread.kb import KB_FILENAMES
-from kbread.tsv import FormatError, iter_lines
+from kbread.tsv import FormatError, format_row, iter_lines
 
 from test_cli import fixture_command, paths, run, trained  # noqa: F401 - fixtures
 
@@ -113,6 +114,22 @@ def test_malformed_input_exits_2_at_its_line(paths, trained, tmp_path, capsys,
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("first,second", itertools.combinations(KB_FILENAMES.values(), 2))
+def test_first_bad_knowledge_file_in_load_order_is_reported(paths, tmp_path, capsys,
+                                                            first, second):
+    """Of two bad knowledge files, the one that comes first in
+    ``KB_FILENAMES`` is reported: roles.tsv before synsets.tsv, although
+    role rows are indexed only once the synonym groups are merged."""
+    kb_dir = tmp_path / "kb"
+    shutil.copytree(paths["kb"], kb_dir)
+    for name in (first, second):
+        lines = (kb_dir / name).read_bytes().splitlines()
+        (kb_dir / name).write_bytes(b"\n".join(lines[:1] + [BAD_LINES[name][WIDTH]] + lines[1:]))
+    capsys.readouterr()
+    assert run("kb-check", "--kb-dir", str(kb_dir)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {kb_dir / first}:2:")
+
+
 @pytest.mark.parametrize("name,option,source", [
     ("kb-check", "isa.tsv", "isa.tsv"),          # a "#" header line first
     ("train", "--labeled", "labeled"),           # a format=quad line first
@@ -140,6 +157,13 @@ def test_bad_utf8_after_the_first_read_block_is_found_at_its_line(tmp_path):
     path.write_bytes(b"row\tok\n" * 5000 + b"\r\nbad\t\xc3\n")
     with pytest.raises(FormatError, match=r"big\.tsv:5002: not valid UTF-8"):
         list(iter_lines(path))
+
+
+@pytest.mark.parametrize("fields", [["a\tb", "c"], ["a", "b\n"], ["a", "\rb"], ["#a", "b"],
+                                    [" #a"], ["", "#b"], ["\ufeffa", "b"]])
+def test_a_row_that_reading_would_split_or_lose_is_rejected(fields):
+    with pytest.raises(ValueError):
+        format_row(fields)
 
 
 #: The ``os`` calls that replace or remove a file.

@@ -14,7 +14,7 @@ from synth import (KNOM_WORDS, PLANTED, all_pairs_predict_instances, planted_cor
                    product_mine_sequences, random_knom_world, random_mapping,
                    scan_relations_between)
 from test_kb import make_kb
-from test_ternary import WORDS, read_back
+from test_ternary import WORDS, assert_rows_read_back
 
 
 def cn(tokens, source="c0"):
@@ -235,11 +235,11 @@ class TestSamplingAndFiles:
         words = [norm_token(w) for w in words]
         corpus = [cn(rng.choices(words, k=rng.randint(2, 3)), f"s{i}")
                   for i in range(rng.randint(1, 8))]
-        types = {w: {rng.choice(("person", "tv show", "a:b"))}
-                 for w in words if rng.random() < 0.5}
-        pairs = {(rng.choice(words), rng.choice(words)) for _ in range(6)}
-        pairs.add(corpus[0].tokens[:2])
-        kb = KnowledgeBase({}, types, [], {}, {}, {"r": pairs})
+        isa = [(w, rng.choice(("person", "tv show", "a:b")))
+               for w in words if rng.random() < 0.5]
+        relations = [("r", rng.choice(words), rng.choice(words)) for _ in range(6)]
+        relations.append(("r", *corpus[0].tokens[:2]))
+        kb = KnowledgeBase(isa=isa, relations=relations)
         mappings = learn_mappings(mine_sequences(corpus, kb, 1), kb, 1)
         assert mappings
         path = tmp_path_factory.mktemp("knom") / "mappings.tsv"
@@ -286,22 +286,23 @@ def prediction_fields(p):
 
 class TestWritersRoundTrip:
     """The prediction files have no reader; each row read back through
-    ``tsv.iter_rows`` holds the written prediction's fields."""
+    ``tsv.iter_rows`` holds the written prediction's fields, and a row that
+    reading would lose is rejected."""
 
     @settings(deadline=None, max_examples=100)
     @given(predictions=PREDICTIONS)
     def test_prediction_rows_hold_each_prediction(self, tmp_path_factory, predictions):
         path = tmp_path_factory.mktemp("knom") / "predicted.tsv"
-        write_predictions(predictions, path)
-        assert read_back(path) == [prediction_fields(p) for p in predictions]
+        assert_rows_read_back(write_predictions, predictions, path,
+                              [prediction_fields(p) for p in predictions])
 
     @settings(deadline=None, max_examples=100)
     @given(predictions=PREDICTIONS)
     def test_manifest_rows_hold_each_prediction_and_no_judgment(self, tmp_path_factory,
                                                                 predictions):
         path = tmp_path_factory.mktemp("knom") / "annotate.tsv"
-        write_sample_manifest(predictions, path)
-        assert read_back(path) == [prediction_fields(p) + ["-"] for p in predictions]
+        assert_rows_read_back(write_sample_manifest, predictions, path,
+                              [prediction_fields(p) + ["-"] for p in predictions])
 
 
 class TestInputChecks:
@@ -325,15 +326,16 @@ class TestAgainstOracles:
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(min_value=0))
     def test_pair_index_equals_scan(self, seed):
-        kb, _ = random_knom_world(random.Random(seed))
+        kb, _, relations = random_knom_world(random.Random(seed))
         for arg1 in KNOM_WORDS + ("W1", "unknown"):
             for arg2 in KNOM_WORDS:
-                assert kb.relations_between(arg1, arg2) == scan_relations_between(kb, arg1, arg2)
+                assert (kb.relations_between(arg1, arg2)
+                        == scan_relations_between(relations, arg1, arg2))
 
     @settings(deadline=None, max_examples=100)
     @given(seed=st.integers(min_value=0), min_support=st.integers(min_value=1, max_value=5))
     def test_pruned_mining_equals_product(self, seed, min_support):
-        kb, corpus = random_knom_world(random.Random(seed))
+        kb, corpus, _ = random_knom_world(random.Random(seed))
         assert (mine_sequences(corpus, kb, min_support)
                 == product_mine_sequences(corpus, kb, min_support))
 
@@ -341,10 +343,10 @@ class TestAgainstOracles:
     @given(seed=st.integers(min_value=0), min_support=st.integers(min_value=1, max_value=5))
     def test_indexed_prediction_equals_all_pairs(self, seed, min_support):
         rng = random.Random(seed)
-        kb, corpus = random_knom_world(rng)
+        kb, corpus, relations = random_knom_world(rng)
         drawn = [random_mapping(rng) for _ in range(rng.randint(0, 12))]
         mined = mine_sequences(corpus, kb, min_support)
         learned = learn_mappings(rng.sample(mined, min(len(mined), 10)), kb, 1)
         mappings = drawn + learned + baseline_mappings(drawn + learned)
         assert (predict_instances(mappings, corpus, kb)
-                == all_pairs_predict_instances(mappings, corpus, kb))
+                == all_pairs_predict_instances(mappings, corpus, kb, relations))

@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 import os
 
+from kbread.kb import KnowledgeBase
+
 TRACING_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "perfbench", "tracing.py")
 
@@ -35,3 +37,10 @@ def test_every_traced_name_resolves():
         else:
             assert callable(target), f"{module}.{attr}"
     assert missing == []
+
+
+def test_every_knowledge_base_name_the_tracer_reads_resolves():
+    # _summary("kb.load") reads these stats() keys, and the metric
+    # features.unknown_word_frac calls types_of on the loaded store.
+    assert {"svo_triples", "relation_instances"} <= KnowledgeBase().stats().keys()
+    assert callable(KnowledgeBase.types_of)
