@@ -10,12 +10,13 @@ A config key the subcommand does not take is an error.
 
 :func:`main` runs every subcommand the same way. It resolves the options,
 checks every output path, loads the knowledge files the subcommand reads
-(the knom commands read isa.tsv and relations.tsv, every other command all
-of them) and starts the subcommand, a generator that reads and validates
-every input and yields once; --dry-run stops there. The subcommand then
-computes and writes in one tsv.output_set, so its outputs and its stdout
-appear together once it succeeds, or not at all. On one machine, outputs
-are byte-identical across runs given identical inputs and seed.
+(the knom commands isa.tsv and relations.tsv, ternary-extract and kb-check
+all six, the others all but relations.tsv) and starts the subcommand, a
+generator that reads and validates every input and yields once; --dry-run
+stops there. The subcommand then computes and writes in one tsv.output_set,
+so its outputs and its stdout appear together once it succeeds, or not at
+all. On one machine, outputs are byte-identical across runs given
+identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -307,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run, kb_files=kb_files)
         return p
 
-    p = command("train", cmd_train, seeded, "train an attachment model")
+    pp_files = ("svo", "isa", "roles", "prepdefs", "synsets")    # all but relations
+    p = command("train", cmd_train, seeded, "train an attachment model", pp_files)
     p.add_argument("--labeled", required=True)
     p.add_argument("--unlabeled")
     p.add_argument("--model-out", required=True)
@@ -318,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + f.name.replace("_", "-"), action=_Setting, convert=f.type,
                        check=TrainConfig)
 
-    p = command("predict", cmd_predict, seeded, "classify a corpus")
+    p = command("predict", cmd_predict, seeded, "classify a corpus", pp_files)
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
 
-    p = command("eval", cmd_eval, seeded, "score methods on labeled data")
+    p = command("eval", cmd_eval, seeded, "score methods on labeled data", pp_files)
     p.add_argument("--test", required=True)
     p.add_argument("--model")
     p.add_argument("--collins-train")
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    check=lambda min_support: ternary.map_relations_to_verbs(None, [], min_support))
 
     p = command("ternary-templates", cmd_ternary_templates, features,
-                "learn (and optionally apply) role templates")
+                "learn (and optionally apply) role templates", pp_files)
     p.add_argument("--labeled-tuples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tuples")

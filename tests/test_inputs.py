@@ -20,25 +20,38 @@ from test_cli import fixture_command, paths, run, trained  # noqa: F401 - fixtur
 BOM = b"\xef\xbb\xbf"
 
 #: One bad line of each kind, by the file it is put into: a row of the
-#: wrong width, a byte that is not UTF-8 and, for a labeled corpus, a row
-#: without a label.
-WIDTH, UTF8, UNLABELED = "width", "utf8", "unlabeled"
+#: wrong width, a byte that is not UTF-8, a byte-order mark starting a row
+#: that is valid without it and, for a labeled corpus, a row without a label.
+WIDTH, UTF8, MARK, UNLABELED = "width", "utf8", "mark", "unlabeled"
 BAD_LINES = {
     "corpus": {WIDTH: b"caught\tbird\twith", UTF8: b"caught\tbird\xff\twith\tnet",
-               UNLABELED: b"caught\tbird\twith\tnet"},
-    "tuples": {WIDTH: b"sam\tate\tcake\twith", UTF8: b"sam\tate\tcake\xff\twith\tfork"},
+               UNLABELED: b"caught\tbird\twith\tnet",
+               MARK: BOM + b"sam\tcaught\tbird\twith\tnet\tV"},
+    "tuples": {WIDTH: b"sam\tate\tcake\twith", UTF8: b"sam\tate\tcake\xff\twith\tfork",
+               MARK: BOM + b"sam\tate\tcake\twith\tfork"},
     "roles": {WIDTH: b"sue\tbuy\tearrings\tfor\tmary",
-              UTF8: b"sue\tbuy\tearrings\tfor\tm\xffry\tnp_v_np_pp.beneficiary"},
-    "compounds": {WIDTH: b"c9\tjapanese", UTF8: b"c9\tjapanese\tastron\xffut"},
-    "mappings": {WIDTH: b"citizenof\t2\t1", UTF8: b"citizenof\t2\t1\ttype:x\xff\t3"},
-    "model": {WIDTH: b"F15:(with)\t0.5\t1", UTF8: b"F15:(w\xffth)\t0.5"},
-    "config": {WIDTH: b"min_support=3\t4", UTF8: b"min_support=\xff3"},
-    "svo.tsv": {WIDTH: b"net\tcaught\tbutterfly", UTF8: b"net\tcaught\tbutt\xffrfly\t5"},
-    "isa.tsv": {WIDTH: b"sun\tstar\tbright", UTF8: b"s\xffn\tstar"},
-    "roles.tsv": {WIDTH: b"caught\tnet", UTF8: b"caught\tn\xffet\tinstrument"},
-    "prepdefs.tsv": {WIDTH: b"with", UTF8: b"with\th\xffs"},
-    "synsets.tsv": {WIDTH: b"run\tjog", UTF8: b"run,j\xffg"},
-    "relations.tsv": {WIDTH: b"worksfor\tshubert", UTF8: b"worksfor\tshubert\tm\xffry"},
+              UTF8: b"sue\tbuy\tearrings\tfor\tm\xffry\tnp_v_np_pp.beneficiary",
+              MARK: BOM + b"sue\tbuy\tearrings\tfor\tmary\tnp_v_np_pp.beneficiary"},
+    "compounds": {WIDTH: b"c9\tjapanese", UTF8: b"c9\tjapanese\tastron\xffut",
+                  MARK: BOM + b"c9\tjapanese\tastronaut"},
+    "mappings": {WIDTH: b"citizenof\t2\t1", UTF8: b"citizenof\t2\t1\ttype:x\xff\t3",
+                 MARK: BOM + b"citizenof\t1\t2\ttype:x type:y\t3"},
+    "model": {WIDTH: b"F15:(with)\t0.5\t1", UTF8: b"F15:(w\xffth)\t0.5",
+              MARK: BOM + b"F15:(with)\t0.5"},
+    "config": {WIDTH: b"min_support=3\t4", UTF8: b"min_support=\xff3",
+               MARK: BOM + b"# more settings"},
+    "svo.tsv": {WIDTH: b"net\tcaught\tbutterfly", UTF8: b"net\tcaught\tbutt\xffrfly\t5",
+                MARK: BOM + b"net\tcaught\tbutterfly\t5"},
+    "isa.tsv": {WIDTH: b"sun\tstar\tbright", UTF8: b"s\xffn\tstar",
+                MARK: BOM + b"sun\tstar"},
+    "roles.tsv": {WIDTH: b"caught\tnet", UTF8: b"caught\tn\xffet\tinstrument",
+                  MARK: BOM + b"caught\tnet\tinstrument"},
+    "prepdefs.tsv": {WIDTH: b"with", UTF8: b"with\th\xffs",
+                     MARK: BOM + b"with\thas"},
+    "synsets.tsv": {WIDTH: b"run\tjog", UTF8: b"run,j\xffg",
+                    MARK: BOM + b"run,jog"},
+    "relations.tsv": {WIDTH: b"worksfor\tshubert", UTF8: b"worksfor\tshubert\tm\xffry",
+                      MARK: BOM + b"worksfor\tshubert\tmary"},
 }
 
 #: (subcommand, option, kind of file, the fixture file it replaces); a
@@ -56,6 +69,7 @@ READS = [
     ("predict", "--model", "model", "model"),
     ("knom-mine", "--config", "config", "config"),
     *[("kb-check", name, name, name) for name in KB_FILENAMES.values()],
+    ("ternary-extract", "relations.tsv", "relations.tsv", "relations.tsv"),
 ]
 LABELED = {("train", "--labeled"), ("eval", "--test"), ("eval", "--collins-train")}
 CASES = [pytest.param(name, option, kind, source, bad,
@@ -110,6 +124,7 @@ def test_malformed_input_exits_2_at_its_line(paths, trained, tmp_path, capsys,
     err = capsys.readouterr().err
     shown = kb_copy(out_dir) / option if option.endswith(".tsv") else broken
     assert err.startswith(f"error: {shown}:2:"), err
+    assert bad != MARK or "byte-order mark" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert list(out_dir.iterdir()) == []
 
@@ -150,6 +165,25 @@ def test_byte_order_mark_is_dropped(paths, trained, tmp_path, capsys, name, opti
     marked = tmp_path / ("bom_" + os.path.basename(original))
     marked.write_bytes(BOM + Path(original).read_bytes())
     assert outputs("marked", str(marked)) == outputs("plain", original)
+
+
+@pytest.mark.parametrize("text,lineno", [("a\n\ufeffb\n", 2), ("a\n\n \xa0\ufeffb\n", 3),
+                                         ("\ufeff\ufeffa\n", 1), ("a\n\ufeff\n", 2),
+                                         ("a\n\ufeff# note\n", 2)])
+def test_a_line_starting_with_a_byte_order_mark_is_rejected(tmp_path, text, lineno):
+    """Only a file's first mark is dropped: a later one that starts a line,
+    after blanks or not, is rejected at that line, as format_row rejects
+    such a row on writing."""
+    path = tmp_path / "marked.tsv"
+    path.write_text(text, encoding="utf-8-sig")
+    with pytest.raises(FormatError, match=rf"marked\.tsv:{lineno}: .*byte-order mark"):
+        list(iter_lines(path))
+
+
+def test_a_byte_order_mark_inside_a_line_is_kept(tmp_path):
+    path = tmp_path / "marked.tsv"
+    path.write_text("a\t\ufeffb\nc\ufeff\n", encoding="utf-8-sig")
+    assert list(iter_lines(path)) == [(1, "a\t\ufeffb"), (2, "c\ufeff")]
 
 
 def test_bad_utf8_after_the_first_read_block_is_found_at_its_line(tmp_path):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbread.cli import main
-from kbread.kb import KB_FILENAMES, KnowledgeBase, load_kb, load_kb_dir
+from kbread.kb import KB_FILENAMES, KnowledgeBase, _rows, load_kb, load_kb_dir
 from kbread.tsv import FormatError, norm_token
 from synth import (KB_CATEGORIES, KB_NOUNS, KB_VERBS, lookup_svo_exists, random_kb_inputs,
-                   scan_roles_for, scan_svo_any_verb)
+                   reference_kb_rows, scan_roles_for, scan_svo_any_verb)
 
 
 def make_kb(tmp_path, **contents):
@@ -203,6 +203,25 @@ class TestNormalization:
         assert kb.types_of("Soichi   Noguchi") == {"person"}
 
 
+#: Field characters: case that folds to other letters, Unicode whitespace
+#: (NBSP, the separator \x1c and an em space), a comment mark and U+FEFF.
+FIELD_CHARS = "aZßİﬁ #\xa0\x1c\u2003\ufeff"
+
+
+@pytest.fixture(scope="class")
+def rows_dir(tmp_path_factory):
+    """One directory for every example of a property, which rewrites its file."""
+    return tmp_path_factory.mktemp("rows")
+
+
+def read_outcome(rows):
+    """The rows a reader yields, or the message of the error it raises."""
+    try:
+        return list(rows)
+    except FormatError as exc:
+        return str(exc)
+
+
 class TestLoaderFold:
     """Every loaded field is exactly ``norm_token`` of the field as written,
     for case that folds to other letters and for Unicode whitespace."""
@@ -219,6 +238,19 @@ class TestLoaderFold:
     def test_all_whitespace_field_is_empty(self, tmp_path, blank):
         with pytest.raises(FormatError, match=r"relations\.tsv:1: empty field"):
             make_kb(tmp_path, relations=f"worksfor\t{blank}\tcnn\n")
+
+    @settings(deadline=None, max_examples=300)
+    @given(lines=st.lists(st.lists(st.text(alphabet=FIELD_CHARS, max_size=4),
+                                   min_size=1, max_size=4).map("\t".join), max_size=4),
+           width=st.integers(min_value=1, max_value=4))
+    def test_rows_equal_the_field_by_field_fold(self, rows_dir, lines, width):
+        """``_rows`` folds each line once; it yields what folding each
+        stripped field on its own yields, or fails at the same line with the
+        same message: the same comment rule and the same width check."""
+        path = rows_dir / "rows.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        columns = tuple(f"c{i}" for i in range(width))
+        assert read_outcome(_rows(path, columns)) == read_outcome(reference_kb_rows(path, columns))
 
 
 @st.composite

@@ -14,7 +14,7 @@ from synth import (KNOM_WORDS, PLANTED, all_pairs_predict_instances, planted_cor
                    product_mine_sequences, random_knom_world, random_mapping,
                    scan_relations_between)
 from test_kb import make_kb
-from test_ternary import WORDS, assert_rows_read_back
+from test_ternary import ROUND_TRIP, WORDS, assert_rows_read_back
 
 
 def cn(tokens, source="c0"):
@@ -289,14 +289,14 @@ class TestWritersRoundTrip:
     ``tsv.iter_rows`` holds the written prediction's fields, and a row that
     reading would lose is rejected."""
 
-    @settings(deadline=None, max_examples=100)
+    @ROUND_TRIP
     @given(predictions=PREDICTIONS)
     def test_prediction_rows_hold_each_prediction(self, tmp_path_factory, predictions):
         path = tmp_path_factory.mktemp("knom") / "predicted.tsv"
         assert_rows_read_back(write_predictions, predictions, path,
                               [prediction_fields(p) for p in predictions])
 
-    @settings(deadline=None, max_examples=100)
+    @ROUND_TRIP
     @given(predictions=PREDICTIONS)
     def test_manifest_rows_hold_each_prediction_and_no_judgment(self, tmp_path_factory,
                                                                 predictions):
