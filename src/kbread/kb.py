@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 
-from .tsv import FormatError, iter_lines, norm_token
+from .tsv import FormatError, iter_data_lines, norm_token
 
 DEFAULT_MIN_SVO_COUNT = 3
 
@@ -147,24 +147,21 @@ class KnowledgeBase:
 
 
 def _rows(path, columns):
-    """Yield ``(lineno, fields)`` for each row of a KB file, with the comment
-    rule and width check of ``tsv.iter_rows``, every field folded as
-    ``norm_token`` folds it and an empty field a :class:`FormatError`. One
-    fold per line, not per field, gives the same fields (folding maps one
-    character at a time and never makes or drops a tab; ``split`` drops what
-    ``strip`` does) and, with the shortcut below, loads a KB a third faster."""
-    for lineno, line in iter_lines(path):
-        if line.lstrip().startswith("#"):
-            continue
+    """Yield ``(lineno, fields)`` for each line of ``tsv.iter_data_lines``,
+    every field folded as ``norm_token`` folds it and an empty field a
+    :class:`FormatError`. It does not call ``tsv.iter_rows``, whose strip and
+    split would leave a fold per field: one fold per line gives the same
+    fields (folding maps one character at a time and never makes or drops a
+    tab or other whitespace; ``split`` drops what ``strip`` does)."""
+    for lineno, line in iter_data_lines(path, columns):
         line = line.casefold()
         fields = line.split("\t")
-        if len(fields) != len(columns):
-            raise FormatError(path, lineno, f"expected {len(columns)} columns "
-                              f"({', '.join(columns)}), got {len(fields)}")
-        if fields != line.split():    # equal when no field is empty or holds a blank
+        # Only whitespace besides the tabs needs collapsing. Every whitespace
+        # character but the space is unprintable, so no such line skips it.
+        if " " in line or not line.replace("\t", "").isprintable():
             fields = [" ".join(f.split()) for f in fields]
-            if not all(fields):
-                raise FormatError(path, lineno, "empty field")
+        if not all(fields):
+            raise FormatError(path, lineno, "empty field")
         yield lineno, fields
 
 

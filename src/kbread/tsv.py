@@ -59,19 +59,27 @@ def iter_lines(path):
         raise
 
 
-def iter_rows(path, columns=None):
-    """Yield ``(lineno, fields)`` for each data line of a TSV file: lines
-    starting with ``#`` are skipped as well as blank ones, and fields are
-    stripped of surrounding whitespace. Given the names of its ``columns``,
-    a row of another width is a :class:`FormatError`."""
+def iter_data_lines(path, columns=None):
+    """Yield ``(lineno, line)`` for each data line of a TSV file: lines
+    whose first non-blank character is ``#`` are skipped as well as blank
+    ones. Given the names of its ``columns``, a line with another number of
+    tab-separated fields is a :class:`FormatError`."""
     for lineno, line in iter_lines(path):
-        if line.lstrip().startswith("#"):
+        # The "in" test first: it is a quarter of lstrip's cost.
+        if "#" in line and line.lstrip().startswith("#"):
             continue
-        fields = [f.strip() for f in line.split("\t")]
-        if columns is not None and len(fields) != len(columns):
+        width = line.count("\t") + 1
+        if columns is not None and width != len(columns):
             raise FormatError(path, lineno, f"expected {len(columns)} columns "
-                              f"({', '.join(columns)}), got {len(fields)}")
-        yield lineno, fields
+                              f"({', '.join(columns)}), got {width}")
+        yield lineno, line
+
+
+def iter_rows(path, columns=None):
+    """Yield ``(lineno, fields)`` for each line of :func:`iter_data_lines`,
+    its fields stripped of surrounding whitespace."""
+    for lineno, line in iter_data_lines(path, columns):
+        yield lineno, [f.strip() for f in line.split("\t")]
 
 
 def format_row(fields) -> str:
