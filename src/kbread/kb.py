@@ -148,16 +148,13 @@ class KnowledgeBase:
 
 def _rows(path, columns):
     """Yield ``(lineno, fields)`` for each line of ``tsv.iter_data_lines``,
-    every field folded as ``norm_token`` folds it and an empty field a
-    :class:`FormatError`. It does not call ``tsv.iter_rows``, whose strip and
-    split would leave a fold per field: one fold per line gives the same
-    fields (folding maps one character at a time and never makes or drops a
-    tab or other whitespace; ``split`` drops what ``strip`` does)."""
+    each field folded as ``norm_token`` folds it; an empty field is a
+    :class:`FormatError`. Unlike ``tsv.iter_rows`` it folds a line once, not
+    each field: folding never makes or drops whitespace, so the fields agree."""
     for lineno, line in iter_data_lines(path, columns):
         line = line.casefold()
         fields = line.split("\t")
-        # Only whitespace besides the tabs needs collapsing. Every whitespace
-        # character but the space is unprintable, so no such line skips it.
+        # Whitespace other than the space is never printable, so no line to collapse skips it.
         if " " in line or not line.replace("\t", "").isprintable():
             fields = [" ".join(f.split()) for f in fields]
         if not all(fields):

@@ -53,7 +53,7 @@ class TestLoading:
             load_kb(svo=str(path))
 
     def test_comments_and_blanks_ignored(self, tmp_path):
-        kb = make_kb(tmp_path, isa="# comment\n\nsun\tstar\n")
+        kb = make_kb(tmp_path, isa="# comment\n\n \t# indented\tcomment\nsun\tstar\n")
         assert kb.types_of("sun") == {"star"}
 
     def test_two_loads_answer_identically(self, kb_dir):
