@@ -6,17 +6,18 @@ Every subcommand accepts --kb-dir, --config and --dry-run. A
 tunable option resolves as its flag, then its key in the --config file
 (flat key=value lines), then, for the feature settings of a command that
 reads a model, the model's stored value, then the library's own default.
-A config key the subcommand does not take is an error.
+A config key the subcommand does not take is an error. The training and
+feature settings are the rows of ``model.MODEL_SETTINGS``.
 
 :func:`main` runs every subcommand the same way. It resolves the options,
 checks every output path, loads the knowledge files the subcommand reads
-(the knom commands isa.tsv and relations.tsv, ternary-extract and kb-check
-all six, the others all but relations.tsv) and starts the subcommand, a
-generator that reads and validates every input and yields once; --dry-run
-stops there. The subcommand then computes and writes in one tsv.output_set,
-so its outputs and its stdout appear together once it succeeds, or not at
-all. On one machine, outputs are byte-identical across runs given
-identical inputs and seed.
+(knom-mine isa.tsv, the other knom commands isa.tsv and relations.tsv,
+ternary-extract and kb-check all six, the others all but relations.tsv)
+and starts the subcommand, a generator that reads and validates every
+input and yields once; --dry-run stops there. The subcommand then
+computes and writes in one tsv.output_set, so its outputs and its stdout
+appear together once it succeeds, or not at all. On one machine, outputs
+are byte-identical across runs given identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -24,28 +25,26 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import collins, evaluation, knom, ternary
-from .features import (FeatureConfig, expand_with_synonyms, extract_features,
-                       parse_families, read_corpus)
+from .features import FeatureConfig, expand_with_synonyms, extract_features, read_corpus
 from .kb import KB_FILENAMES, load_kb, load_kb_dir
-from .model import (AttachmentModel, TrainConfig, classify_many, load_model,
-                    save_model, train_em)
+from .model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, classify_many,
+                    load_model, save_model, train_em)
 from .tsv import FormatError, format_row, iter_rows, output_path, output_set, write_lines
 
 #: Settings read only by feature extraction.
-_FEATURE_SETTINGS = ("min_svo_count", "families", "max_prep_senses")
+_FEATURE_SETTINGS = tuple(key for cls, _, key, _, _ in MODEL_SETTINGS if cls is FeatureConfig)
 
 
 class _Setting(argparse.Action):
     """A tunable option. A --config file may set it too, as ``dest=value``;
     left unset it stays None, so the library's own default applies.
-    ``check(dest=value)`` applies the library's own range checks."""
+    ``check(value)`` applies the library's own range checks."""
 
-    def __init__(self, option_strings, dest, convert, check=None, **kwargs):
+    def __init__(self, option_strings, dest, convert, check, **kwargs):
         super().__init__(option_strings, dest, **kwargs)
         self.convert = convert
         self.check = check
@@ -56,8 +55,7 @@ class _Setting(argparse.Action):
     def parse(self, text):
         try:
             value = self.convert(text)
-            if self.check is not None:
-                self.check(**{self.dest: value})
+            self.check(value)
         except ValueError as exc:
             raise ValueError(f"{self.dest} {text!r}: {exc}") from None
         return value
@@ -103,17 +101,14 @@ def _given(args, *names, **renamed):
 def _load_kb(args):
     if not args.kb_dir:
         return load_kb()
-    if not os.path.isdir(args.kb_dir):
-        if os.path.exists(args.kb_dir):
-            raise NotADirectoryError(f"{args.kb_dir}: not a directory")
-        raise FileNotFoundError(f"knowledge directory not found: {args.kb_dir}")
     return load_kb_dir(args.kb_dir, resources=args.kb_files)
 
 
-def _feature_config(args, stored=FeatureConfig()) -> FeatureConfig:
-    """``stored`` (a model's own settings) with each setting given replaced."""
-    return replace(stored, **_given(args, "max_prep_senses", "min_svo_count",
-                                    enabled_families="families"))
+def _config(args, stored):
+    """``stored`` (a model's own settings, or the defaults) with each of its
+    settings that is given replaced."""
+    return replace(stored, **_given(args, **{name: key for cls, name, key, _, _ in MODEL_SETTINGS
+                                             if cls is type(stored)}))
 
 
 def _reject_unread(args, needed, *settings):
@@ -137,8 +132,8 @@ def _write_train_log(model: AttachmentModel, path) -> None:
 
 
 def cmd_train(args, kb):
-    feature_cfg = _feature_config(args)
-    train_cfg = TrainConfig(**_given(args, *(f.name for f in fields(TrainConfig))))
+    feature_cfg = _config(args, FeatureConfig())
+    train_cfg = _config(args, TrainConfig())
     labeled_insts = read_corpus(args.labeled, labeled=True)
     if args.expand_synonyms:
         labeled_insts = expand_with_synonyms(labeled_insts, kb)
@@ -158,7 +153,7 @@ def cmd_train(args, kb):
 
 def cmd_predict(args, kb):
     model = load_model(args.model)
-    feature_cfg = _feature_config(args, model.feature_config)
+    feature_cfg = _config(args, model.feature_config)
     instances = read_corpus(args.input)
     yield
     decisions = classify_many(model, (extract_features(inst, kb, feature_cfg)
@@ -174,7 +169,7 @@ def cmd_eval(args, kb):
     predictors = {}
     if args.model:
         model = load_model(args.model)
-        feature_cfg = _feature_config(args, model.feature_config)
+        feature_cfg = _config(args, model.feature_config)
         predictors["ppad"] = lambda insts: [label for label, _ in classify_many(
             model, (extract_features(inst, kb, feature_cfg) for inst in insts))]
     else:
@@ -199,7 +194,7 @@ def cmd_eval(args, kb):
 
 def cmd_ternary_extract(args, kb):
     model = load_model(args.model)
-    feature_cfg = _feature_config(args, model.feature_config)
+    feature_cfg = _config(args, model.feature_config)
     tuples = ternary.read_tuples(args.tuples)
     yield
     instances = ternary.extract_ternary(tuples, model, kb, feature_cfg)
@@ -216,7 +211,7 @@ def cmd_ternary_templates(args, kb):
         if not (args.tuples and args.model):
             raise ValueError("applying templates needs both --tuples and --model")
         model = load_model(args.model)
-        feature_cfg = _feature_config(args, model.feature_config)
+        feature_cfg = _config(args, model.feature_config)
         apply_inputs = ternary.read_tuples(args.tuples)
     else:
         _reject_unread(args, "--tuples and --model", "labeled_out", *_FEATURE_SETTINGS)
@@ -284,14 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat key=value file setting this subcommand's tunable options")
     shared.add_argument("--dry-run", action="store_true",
                         help="read and validate every input, write nothing")
+    setting_help = {"families": "comma list of feature families, or all/default"}
+
+    def add_settings(p, owner):
+        """A flag for each setting of ``owner``, checked by ``owner``."""
+        for cls, name, key, parse, _ in MODEL_SETTINGS:
+            if cls is owner:
+                p.add_argument("--" + key.replace("_", "-"), action=_Setting, convert=parse,
+                               check=lambda value, name=name: owner(**{name: value}),
+                               help=setting_help.get(key))
+
     features = argparse.ArgumentParser(add_help=False, parents=[shared])
-    features.add_argument("--min-svo-count", action=_Setting, convert=int,
-                          check=FeatureConfig)
-    features.add_argument("--families", action=_Setting, convert=parse_families,
-                          check=lambda families: FeatureConfig(enabled_families=families),
-                          help="comma list of feature families, or all/default")
-    features.add_argument("--max-prep-senses", action=_Setting, convert=int,
-                          check=FeatureConfig)
+    add_settings(features, FeatureConfig)
     # train, predict and eval draw no random numbers; they take --seed so that
     # a script can pass one seed to every step of a pipeline.
     seeded = argparse.ArgumentParser(add_help=False, parents=[features])
@@ -316,9 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-out")
     p.add_argument("--expand-synonyms", action="store_true",
                    help="copy labeled instances once per verb synonym")
-    for f in fields(TrainConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), action=_Setting, convert=f.type,
-                       check=TrainConfig)
+    add_settings(p, TrainConfig)
 
     p = command("predict", cmd_predict, seeded, "classify a corpus", pp_files)
     p.add_argument("--model", required=True)
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                    check=lambda min_support: ternary.learn_role_templates([], None, min_support))
 
     knom_files = ("isa", "relations")
-    p = command("knom-mine", cmd_knom_mine, shared, "mine type sequences", knom_files)
+    p = command("knom-mine", cmd_knom_mine, shared, "mine type sequences", ("isa",))
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-support", action=_Setting, convert=int,

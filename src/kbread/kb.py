@@ -249,6 +249,11 @@ def load_kb_dir(directory, resources=tuple(KB_FILENAMES)) -> KnowledgeBase:
 
     Only the files of ``resources`` (keys of :data:`KB_FILENAMES`, all of
     them by default) are opened and checked; the other stores stay empty.
+    A ``directory`` that is missing or is not a directory is an error.
     """
+    if not os.path.isdir(directory):
+        if os.path.exists(directory):
+            raise NotADirectoryError(f"{directory}: not a directory")
+        raise FileNotFoundError(f"knowledge directory not found: {directory}")
     paths = {key: os.path.join(directory, KB_FILENAMES[key]) for key in resources}
     return load_kb(**paths)

@@ -16,7 +16,8 @@ supervised training exactly.
 
 Training data items are ``(feature_set, target)`` pairs where the target is
 a hard label (``"V"``/``"N"``) or, for the posterior-weighted operations, a
-``(p_verb, p_noun)`` pair.
+``(p_verb, p_noun)`` pair. :data:`MODEL_SETTINGS` lists the training and
+feature settings that a model file stores.
 """
 
 import math
@@ -25,8 +26,8 @@ from itertools import chain
 
 # numpy and scipy are imported inside the functions that build or evaluate
 # the packed objective, not here. Only training, expected_log_likelihood and
-# gradient use it; ``kbread.cli`` imports this module for TrainConfig, whose
-# fields make the ``train`` flags when the parser is built, and no command
+# gradient use it; ``kbread.cli`` imports this module for MODEL_SETTINGS,
+# which makes the setting flags when the parser is built, and no command
 # but ``train`` should pay for loading numpy and scipy.
 
 from .features import VERB, NOUN, FeatureConfig, format_families, parse_families
@@ -38,16 +39,12 @@ _P_EPS = 1e-12
 
 MODEL_FORMAT = "kbread-model"
 MODEL_VERSION = "1"
-#: The model header key, parser and formatter of each FeatureConfig field.
-_FEATURE_HEADERS = {"enabled_families": ("families", parse_families, format_families),
-                    "max_prep_senses": ("max_prep_senses", int, str),
-                    "min_svo_count": ("min_svo_count", int, str)}
 
 
 @dataclass
 class TrainConfig:
-    """Training settings. The ``train`` flags and the model header are made
-    from these fields, and each field's type parses its text."""
+    """Training settings. Each field is a row of :data:`MODEL_SETTINGS`, and
+    its type parses its text."""
 
     l2_penalty: float = 1e-4
     max_em_iters: int = 20
@@ -61,6 +58,21 @@ class TrainConfig:
             raise ValueError("iteration caps must be >= 1")
         if not 0 < self.convergence_tol < math.inf:
             raise ValueError("convergence_tol must be finite and positive")
+
+
+#: Every setting a model file stores, in header order, as ``(class, field,
+#: key, parse, spell)``: ``key`` names its header line, its flag and its
+#: --config key, ``parse`` reads its text and ``spell`` writes it back.
+MODEL_SETTINGS = (
+    *((TrainConfig, f.name, f.name, f.type, repr) for f in fields(TrainConfig)),
+    (FeatureConfig, "enabled_families", "families", parse_families, format_families),
+    (FeatureConfig, "max_prep_senses", "max_prep_senses", int, str),
+    (FeatureConfig, "min_svo_count", "min_svo_count", int, str),
+)
+#: Every key a model header may hold. Files written before ``learning_rate``
+#: and ``category_scheme`` were deleted hold them, and they are ignored.
+_HEADER_KEYS = {MODEL_FORMAT, "n_labeled", "n_unlabeled", "learning_rate", "category_scheme",
+                *(key for _, _, key, _, _ in MODEL_SETTINGS)}
 
 
 @dataclass
@@ -332,11 +344,12 @@ def save_model(model: AttachmentModel, path) -> None:
     exactly (weights are stored with round-trip float precision)."""
     lines = [
         f"#{MODEL_FORMAT}\t{MODEL_VERSION}",
-        *(f"#{f.name}\t{getattr(model.config, f.name)!r}" for f in fields(TrainConfig)),
+        *(f"#{key}\t{spell(getattr(model.config, name))}"
+          for cls, name, key, _, spell in MODEL_SETTINGS if cls is TrainConfig),
         f"#n_labeled\t{model.n_labeled}",
         f"#n_unlabeled\t{model.n_unlabeled}",
         *(f"#{key}\t{spell(getattr(model.feature_config, name))}"
-          for name, (key, _, spell) in _FEATURE_HEADERS.items()),
+          for cls, name, key, _, spell in MODEL_SETTINGS if cls is FeatureConfig),
     ]
     for name in sorted(model.weights):
         lines.append(format_row([name, repr(model.weights[name])]))
@@ -344,11 +357,11 @@ def save_model(model: AttachmentModel, path) -> None:
 
 
 def load_model(path) -> AttachmentModel:
-    """Read a model file. A feature setting whose line an older file lacks
-    is the default; older keys (``learning_rate``, ``category_scheme``) are
-    ignored. A header value that does not parse, or that the settings' own
-    checks reject, is a FormatError at its line, and so is a header key or
-    feature name that an earlier line already set."""
+    """Read a model file. A setting whose line the file lacks is the
+    default, and older keys (``learning_rate``, ``category_scheme``) are
+    ignored. An unknown header key is a FormatError at its line, and so is
+    a header value that does not parse or that the settings' own checks
+    reject, and a header key or feature name that an earlier line set."""
     header = {}
     weights = {}
     for lineno, line in iter_lines(path):
@@ -380,19 +393,20 @@ def load_model(path) -> AttachmentModel:
         try:
             parsed = convert(text)
             if settings is not None:
-                settings(**{field or key: parsed})
+                settings(**{field: parsed})
         except ValueError as exc:
             raise FormatError(path, lineno, f"#{key} {text!r}: {exc}") from None
         return parsed
 
-    try:
-        cfg = TrainConfig(**{f.name: value(f.name, f.type, TrainConfig)
-                             for f in fields(TrainConfig)})
-    except KeyError as missing:
-        raise FormatError(path, 1, f"missing header field {missing}") from None
-    feature_config = FeatureConfig(**{name: value(key, parse, FeatureConfig, name)
-                                      for name, (key, parse, _) in _FEATURE_HEADERS.items()
-                                      if key in header})
+    def config(owner):
+        """``owner`` with the value of each setting line; a missing line is the default."""
+        return owner(**{name: value(key, parse, owner, name) for cls, name, key, parse, _
+                        in MODEL_SETTINGS if cls is owner and key in header})
+
+    cfg, feature_config = config(TrainConfig), config(FeatureConfig)
     counts = {key: value(key, int) for key in ("n_labeled", "n_unlabeled") if key in header}
+    for key, (_, lineno) in header.items():
+        if key not in _HEADER_KEYS:
+            raise FormatError(path, lineno, f"unknown header key {'#' + key!r}")
     return AttachmentModel(weights=weights, config=cfg, feature_config=feature_config,
                            **counts)

@@ -13,7 +13,7 @@ import pytest
 import kbread
 
 from kbread import knom
-from kbread.cli import _FEATURE_SETTINGS, _feature_config, build_parser, main
+from kbread.cli import _FEATURE_SETTINGS, _config, build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
 from kbread.model import TrainConfig, classify, load_model, train_supervised
 from kbread.tsv import output_set, write_lines
@@ -394,12 +394,13 @@ def broken_relations_kb(paths, tmp_path):
 
 
 class TestKbFilesPerCommand:
-    """The knom commands read only isa.tsv and relations.tsv;
-    ternary-extract and kb-check read every knowledge file, and the other PP
-    commands every file but relations.tsv. Only ``train`` loads numpy and
-    scipy."""
+    """knom-mine reads only isa.tsv, and knom-learn and knom-predict only
+    isa.tsv and relations.tsv; ternary-extract and kb-check read every
+    knowledge file, and the other PP commands every file but relations.tsv.
+    Only ``train`` loads numpy and scipy."""
 
-    @pytest.mark.parametrize("name", ["train", "predict", "eval", "ternary-templates"])
+    @pytest.mark.parametrize("name", ["train", "predict", "eval", "ternary-templates",
+                                      "knom-mine"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
     def test_commands_that_skip_relations_ignore_a_malformed_file(
             self, paths, trained, tmp_path, capsys, name, dry_run):
@@ -814,7 +815,7 @@ class TestEveryFeatureSetting:
         argv = fixture_command(command, defaultdict(str), ("model.tsv", "mappings.tsv"),
                                tmp_path)
         args = build_parser().parse_args([*argv, "--" + setting.replace("_", "-"), text])
-        assert _feature_config(args) == replace(FeatureConfig(), **{name: value})
+        assert _config(args, FeatureConfig()) == replace(FeatureConfig(), **{name: value})
 
 
 #: Every output option of every subcommand.

@@ -304,3 +304,21 @@ class TestAgainstOracles:
                 for verb in verbs:
                     assert (kb.svo_exists(s, verb, o, min_count)
                             == lookup_svo_exists(inputs, s, verb, o, min_count))
+
+
+class TestLoadKbDir:
+    def test_a_missing_directory_is_an_error(self, tmp_path):
+        missing = str(tmp_path / "kbb")
+        with pytest.raises(FileNotFoundError) as exc:
+            load_kb_dir(missing)
+        assert str(exc.value) == f"knowledge directory not found: {missing}"
+
+    def test_a_regular_file_is_not_a_directory(self, tmp_path):
+        isa = tmp_path / "isa.tsv"
+        isa.write_text("cat\tanimal\n", encoding="utf-8")
+        with pytest.raises(NotADirectoryError) as exc:
+            load_kb_dir(str(isa))
+        assert str(exc.value) == f"{isa}: not a directory"
+
+    def test_a_directory_without_knowledge_files_is_an_empty_store(self, tmp_path):
+        assert set(load_kb_dir(tmp_path).stats().values()) == {0}

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbread.features import FAMILIES, NOUN, VERB, FeatureConfig, PPInstance, feature_name
-from kbread.model import (AttachmentModel, TrainConfig, _intern, _logistic, _Problem,
-                          classify, classify_many, expected_log_likelihood, gradient,
-                          load_model, save_model, train_em, train_supervised)
+from kbread.model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, _intern, _logistic,
+                          _Problem, classify, classify_many, expected_log_likelihood,
+                          gradient, load_model, save_model, train_em, train_supervised)
 from kbread.tsv import FormatError
 from synth import sorted_sum_classify, two_cluster_data
 
@@ -422,19 +422,42 @@ FEATURE_CONFIGS = st.builds(
 FEATURE_FIELDS = {"enabled_families": ("families", "F1,F8", frozenset({"F1", "F8"})),
                   "max_prep_senses": ("max_prep_senses", "0", 0),
                   "min_svo_count": ("min_svo_count", "1", 1)}
+#: The same for each TrainConfig field; the text is as the model file spells it.
+TRAIN_FIELDS = {"l2_penalty": ("l2_penalty", "0.5", 0.5),
+                "max_em_iters": ("max_em_iters", "3", 3),
+                "max_gradient_steps": ("max_gradient_steps", "7", 7),
+                "convergence_tol": ("convergence_tol", "0.01", 0.01)}
+SETTING_FIELDS = {TrainConfig: TRAIN_FIELDS, FeatureConfig: FEATURE_FIELDS}
+#: The AttachmentModel attribute that holds each settings class.
+CONFIG_ATTR = {TrainConfig: "config", FeatureConfig: "feature_config"}
+#: Each row of MODEL_SETTINGS, as (class, field, key), with the key as its id.
+SETTINGS = [pytest.param(cls, name, key, id=key) for cls, name, key, _, _ in MODEL_SETTINGS]
 
 
-def model_file(tmp_path, *feature_lines):
-    """A saved model's file with its feature header lines replaced by
-    ``feature_lines``."""
+def model_file(tmp_path, *setting_lines, model=None):
+    """A saved model's file (by default one with the default settings) with
+    its setting lines replaced by ``setting_lines``."""
     path = tmp_path / "model.tsv"
-    save_model(AttachmentModel({"F15:(with)": 0.5}), path)
+    save_model(model or AttachmentModel({"F15:(with)": 0.5}), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     header = [line for line in lines if line.startswith("#")
-              and line.split("\t")[0][1:] not in {key for key, _, _ in FEATURE_FIELDS.values()}]
+              and line.split("\t")[0][1:] not in {key for _, _, key, _, _ in MODEL_SETTINGS}]
     rows = [line for line in lines if not line.startswith("#")]
-    path.write_text("\n".join(header + list(feature_lines) + rows) + "\n", encoding="utf-8")
+    path.write_text("\n".join(header + list(setting_lines) + rows) + "\n", encoding="utf-8")
     return path
+
+
+def other_settings_model():
+    """A model whose every setting has the value of ``SETTING_FIELDS``, not its default."""
+    def other(cls):
+        return cls(**{name: value for name, (_, _, value) in SETTING_FIELDS[cls].items()})
+
+    return AttachmentModel({"F15:(with)": 0.5}, n_labeled=4, n_unlabeled=2,
+                           **{attr: other(cls) for cls, attr in CONFIG_ATTR.items()})
+
+
+def settings_of_model(model):
+    return {cls: getattr(model, attr) for cls, attr in CONFIG_ATTR.items()}
 
 
 class TestModelFile:
@@ -493,22 +516,65 @@ class TestModelFile:
         assert loaded.weights == model.weights
         assert loaded.feature_config == model.feature_config
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(FeatureConfig)])
-    def test_each_feature_setting_is_its_own_header_line(self, tmp_path, name):
-        key, text, value = FEATURE_FIELDS[name]
-        cfg = replace(FeatureConfig(), **{name: value})
-        save_model(AttachmentModel({}, feature_config=cfg), tmp_path / "saved.tsv")
-        assert f"#{key}\t{text}\n" in (tmp_path / "saved.tsv").read_text(encoding="utf-8")
-        assert load_model(model_file(tmp_path, f"#{key}\t{text}")).feature_config == cfg
+    def test_every_field_is_a_setting_with_its_own_key(self):
+        assert ({(cls, name) for cls, name, _, _, _ in MODEL_SETTINGS}
+                == {(cls, f.name) for cls in (TrainConfig, FeatureConfig) for f in fields(cls)})
+        assert len({key for _, _, key, _, _ in MODEL_SETTINGS}) == len(MODEL_SETTINGS)
+        for cls, fields_ in SETTING_FIELDS.items():
+            assert set(fields_) == {f.name for f in fields(cls)}
+            assert all(getattr(cls(), name) != value for name, (_, _, value) in fields_.items())
 
-    def test_a_model_without_feature_headers_has_the_default_settings(self, tmp_path):
-        assert load_model(model_file(tmp_path)).feature_config == FeatureConfig()
+    @pytest.mark.parametrize("cls,name,key", SETTINGS)
+    def test_each_setting_is_its_own_header_line(self, tmp_path, cls, name, key):
+        _, text, value = SETTING_FIELDS[cls][name]
+        cfg = replace(cls(), **{name: value})
+        save_model(AttachmentModel({}, **{CONFIG_ATTR[cls]: cfg}), tmp_path / "saved.tsv")
+        assert f"#{key}\t{text}\n" in (tmp_path / "saved.tsv").read_text(encoding="utf-8")
+        loaded = load_model(model_file(tmp_path, f"#{key}\t{text}"))
+        expected = {TrainConfig: TrainConfig(), FeatureConfig: FeatureConfig(), cls: cfg}
+        assert settings_of_model(loaded) == expected
+
+    def test_a_model_without_setting_lines_has_the_default_settings(self, tmp_path):
+        saved = other_settings_model()
+        loaded = load_model(model_file(tmp_path, model=saved))
+        assert (loaded.config, loaded.feature_config) == (TrainConfig(), FeatureConfig())
+        assert (loaded.weights, loaded.n_labeled, loaded.n_unlabeled) == (saved.weights, 4, 2)
+
+    @pytest.mark.parametrize("cls,name,key", SETTINGS)
+    def test_a_model_without_one_setting_line_has_its_default(self, tmp_path, cls, name, key):
+        saved = other_settings_model()
+        path = tmp_path / "model.tsv"
+        save_model(saved, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(f"#{key}\t")]
+        assert len(kept) == len(lines) - 1
+        path.write_text("".join(kept), encoding="utf-8")
+        expected = settings_of_model(saved)
+        expected[cls] = replace(expected[cls], **{name: getattr(cls(), name)})
+        assert settings_of_model(load_model(path)) == expected
+
+    @pytest.mark.parametrize("line", ["#familes\tF1", "#l2\t0.5", "#\t0", "#Families\tF1"])
+    def test_an_unknown_header_key_is_an_error_at_its_line(self, tmp_path, line):
+        path = model_file(tmp_path, "#families\tF1", line, "#min_svo_count\t2")
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        lineno = path.read_text(encoding="utf-8").splitlines().index(line) + 1
+        key = line.split("\t")[0]
+        assert str(exc.value) == f"{path}:{lineno}: unknown header key {key!r}"
+
+    def test_a_file_of_another_format_is_not_reported_by_its_keys(self, tmp_path):
+        path = tmp_path / "other.tsv"
+        path.write_text("#kbread-model\t2\n#new_setting\t1\nF15:(with)\t0.5\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="1: not a kbread-model v1 file"):
+            load_model(path)
 
     @pytest.mark.parametrize("key,text", [
         ("families", "F1,F99"), ("families", ""), ("max_prep_senses", "five"),
         ("max_prep_senses", "-1"), ("min_svo_count", "0"), ("min_svo_count", "1.5"),
+        ("l2_penalty", "-1"), ("l2_penalty", "inf"), ("max_em_iters", "0"),
+        ("max_gradient_steps", "2.5"), ("convergence_tol", "0"), ("convergence_tol", "nan"),
     ])
-    def test_bad_feature_header_alone_is_an_error_at_its_line(self, tmp_path, key, text):
+    def test_bad_setting_line_alone_is_an_error_at_its_line(self, tmp_path, key, text):
         path = model_file(tmp_path, f"#{key}\t{text}")
         lines = path.read_text(encoding="utf-8").splitlines()
         with pytest.raises(FormatError) as exc:
