@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import sys
 from dataclasses import replace
 
-from . import collins, evaluation, knom, ternary
-from .features import FeatureConfig, expand_with_synonyms, extract_features, read_corpus
+from .features import FeatureConfig, expand_with_synonyms, extractor, read_corpus
 from .kb import KB_FILENAMES, load_kb, load_kb_dir
 from .model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, classify_many,
                     load_model, save_model, train_em)
@@ -89,6 +89,11 @@ class _Config(argparse.Action):
                 setattr(namespace, key, value)
 
 
+def _library(name):
+    """``kbread.<name>``, for an option check; each command imports its own modules inside."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 def _given(args, *names, **renamed):
     """Keyword arguments for the settings given by flag or config. An unset
     one is left out, so the library's own default applies. ``renamed``
@@ -137,11 +142,11 @@ def cmd_train(args, kb):
     labeled_insts = read_corpus(args.labeled, labeled=True)
     if args.expand_synonyms:
         labeled_insts = expand_with_synonyms(labeled_insts, kb)
-    labeled = [(extract_features(i, kb, feature_cfg), i.label) for i in labeled_insts]
+    extract = extractor(kb, feature_cfg)
+    labeled = [(extract(i), i.label) for i in labeled_insts]
     unlabeled = []
     if args.unlabeled:
-        unlabeled = [extract_features(i, kb, feature_cfg)
-                     for i in read_corpus(args.unlabeled)]
+        unlabeled = [extract(i) for i in read_corpus(args.unlabeled)]
     yield
     model = train_em(labeled, unlabeled, train_cfg)
     model.feature_config = feature_cfg
@@ -156,8 +161,7 @@ def cmd_predict(args, kb):
     feature_cfg = _config(args, model.feature_config)
     instances = read_corpus(args.input)
     yield
-    decisions = classify_many(model, (extract_features(inst, kb, feature_cfg)
-                                      for inst in instances))
+    decisions = classify_many(model, map(extractor(kb, feature_cfg), instances))
     lines = [format_row([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2, label, f"{p:.6f}"])
              for inst, (label, p) in zip(instances, decisions)]
     write_lines(args.out, lines)
@@ -165,13 +169,14 @@ def cmd_predict(args, kb):
 
 
 def cmd_eval(args, kb):
+    from . import collins, evaluation
     gold = read_corpus(args.test, labeled=True)
     predictors = {}
     if args.model:
         model = load_model(args.model)
-        feature_cfg = _config(args, model.feature_config)
+        extract = extractor(kb, _config(args, model.feature_config))
         predictors["ppad"] = lambda insts: [label for label, _ in classify_many(
-            model, (extract_features(inst, kb, feature_cfg) for inst in insts))]
+            model, map(extract, insts))]
     else:
         _reject_unread(args, "--model", *_FEATURE_SETTINGS)
     if args.collins_train:
@@ -193,6 +198,7 @@ def cmd_eval(args, kb):
 
 
 def cmd_ternary_extract(args, kb):
+    from . import ternary
     model = load_model(args.model)
     feature_cfg = _config(args, model.feature_config)
     tuples = ternary.read_tuples(args.tuples)
@@ -205,6 +211,7 @@ def cmd_ternary_extract(args, kb):
 
 
 def cmd_ternary_templates(args, kb):
+    from . import ternary
     labeled = ternary.read_role_tuples(args.labeled_tuples)
     apply_inputs = None
     if args.tuples or args.model:
@@ -227,6 +234,7 @@ def cmd_ternary_templates(args, kb):
 
 
 def cmd_knom_mine(args, kb):
+    from . import knom
     corpus = knom.read_compounds(args.compounds)
     yield
     mined = knom.mine_sequences(corpus, kb, **_given(args, "min_support"))
@@ -235,6 +243,7 @@ def cmd_knom_mine(args, kb):
 
 
 def cmd_knom_learn(args, kb):
+    from . import knom
     corpus = knom.read_compounds(args.compounds)
     yield
     mined = knom.mine_sequences(corpus, kb, **_given(args, min_support="seq_min_support"))
@@ -244,6 +253,7 @@ def cmd_knom_learn(args, kb):
 
 
 def cmd_knom_predict(args, kb):
+    from . import knom
     corpus = knom.read_compounds(args.compounds)
     mappings = knom.read_mappings(args.mappings)
     if not args.sample_out:
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-support", action=_Setting, convert=int,
-                   check=lambda min_support: ternary.map_relations_to_verbs(None, [], min_support))
+                   check=lambda n: _library("ternary").map_relations_to_verbs(None, [], n))
 
     p = command("ternary-templates", cmd_ternary_templates, features,
                 "learn (and optionally apply) role templates", pp_files)
@@ -346,23 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--labeled-out", help="default ternary_labeled.tsv")
     p.add_argument("--min-support", action=_Setting, convert=int,
-                   check=lambda min_support: ternary.learn_role_templates([], None, min_support))
+                   check=lambda n: _library("ternary").learn_role_templates([], None, n))
 
     knom_files = ("isa", "relations")
     p = command("knom-mine", cmd_knom_mine, shared, "mine type sequences", ("isa",))
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-support", action=_Setting, convert=int,
-                   check=lambda min_support: knom.mine_sequences([], None, min_support))
+                   check=lambda n: _library("knom").mine_sequences([], None, n))
 
     p = command("knom-learn", cmd_knom_learn, shared, "learn sequence-to-relation mappings",
                 knom_files)
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seq-min-support", action=_Setting, convert=int,
-                   check=lambda seq_min_support: knom.mine_sequences([], None, seq_min_support))
+                   check=lambda n: _library("knom").mine_sequences([], None, n))
     p.add_argument("--min-support", action=_Setting, convert=int,
-                   check=lambda min_support: knom.learn_mappings([], None, min_support))
+                   check=lambda n: _library("knom").learn_mappings([], None, n))
 
     p = command("knom-predict", cmd_knom_predict, shared,
                 "predict relation instances from compounds", knom_files)
@@ -373,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wildcard type elements before matching")
     p.add_argument("--sample-out")
     p.add_argument("--sample-size", action=_Setting, convert=int,
-                   check=lambda sample_size: knom.sample_predictions([], sample_size))
+                   check=lambda n: _library("knom").sample_predictions([], n))
     p.add_argument("--seed", type=int, default=0, help="seed of the sample draw")
 
     command("kb-check", cmd_kb_check, shared, "load and summarize a knowledge base")

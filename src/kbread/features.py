@@ -2,8 +2,9 @@
 
 An instance is the classic 4-word ambiguity pattern (verb, first noun,
 preposition, second noun), optionally preceded by a discourse noun and
-optionally carrying a gold attachment label. Extraction turns one instance
-plus a knowledge base into a set of interned feature-name strings; every
+optionally carrying a gold attachment label. :func:`extractor` turns
+instances plus a knowledge base into lists of feature names without
+repeats, and :func:`extract_features` one instance into a set; every
 feature has value 1 when present. Fifteen feature families exist:
 
 * F1   the reversed triple (n2, v, n1) is a known corpus triple
@@ -24,6 +25,7 @@ rejects words that contain a comma.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .kb import DEFAULT_MIN_SVO_COUNT, KnowledgeBase
 from .tsv import FormatError, at_line, iter_rows, norm_token
@@ -122,43 +124,56 @@ def parse_feature_name(name: str):
     return family, tuple(inner.split(","))
 
 
+def extractor(kb: KnowledgeBase, cfg: FeatureConfig | None = None):
+    """A function from a :class:`PPInstance` to its enabled features, as a
+    list of names without repeats. It reads ``cfg`` once, builds each noun's
+    F3, F4 and F7 names once and keeps them while it lives, and looks up the
+    verbs linking (n1, n2) once for F2 and F6 (senses and verbs are both
+    folded at load, so a sense among them is one ``svo_exists`` accepts).
+    Unknown words give no knowledge features; F7 needs a discourse noun."""
+    cfg = cfg or FeatureConfig()
+    fam, min_count, max_senses = cfg.enabled_families, cfg.min_svo_count, cfg.max_prep_senses
+    f1, f2, f3, f4, f5, f6, f7 = (f in fam for f in FAMILIES[:7])
+    lexical = [i for i, f in enumerate(FAMILIES[7:]) if f in fam]
+
+    @cache                          # (family, noun) -> names, for this extractor only
+    def categories(family, noun):
+        return [f"{family}:isA({noun},{t})" for t in kb.types_of(noun)]
+
+    def extract(inst: PPInstance) -> list[str]:
+        v, n1, p, n2, n0 = inst.v, inst.n1, inst.p, inst.n2, inst.n0
+        # Each name is spelled here as feature_name spells it; this is the
+        # per-instance hot path, and a property test pins the two equal.
+        feats = []
+        if f1 and kb.svo_exists(n2, v, n1, min_count):
+            feats.append(f"F1:({n2},{v},{n1})")
+        linking = kb.svo_any_verb(n1, n2, min_count) if f2 or f6 else ()
+        if f2:
+            feats += [f"F2:({n1},{vi},{n2})" for vi in linking]
+        if f6 and linking:
+            feats += [f"F6:def({p},{sense})" for sense in kb.prep_senses(p)[:max_senses]
+                      if sense in linking]
+        if f3:
+            feats += categories("F3", n1)
+        if f4:
+            feats += categories("F4", n2)
+        if f5:
+            feats += [f"F5:hasRole({n2},{role})" for role in kb.roles_for(v, n2)]
+        if f7 and n0:
+            feats += categories("F7", n0)
+        names = (f"F8:({v},{n1},{p},{n2})", f"F9:({v},{n1},{p})", f"F10:({v},{p},{n2})",
+                 f"F11:({n1},{p},{n2})", f"F12:({v},{p})", f"F13:({n1},{p})",
+                 f"F14:({p},{n2})", f"F15:({p})")
+        feats += [names[i] for i in lexical]
+        return feats
+
+    return extract
+
+
 def extract_features(inst: PPInstance, kb: KnowledgeBase,
                      cfg: FeatureConfig | None = None) -> frozenset[str]:
-    """Extract the enabled feature families for one instance.
-
-    Unknown words simply contribute no knowledge features; the lexical
-    families F8-F15 depend only on the four tuple words. When the instance
-    has no discourse noun, F7 is skipped silently.
-    """
-    cfg = cfg or FeatureConfig()
-    fam, min_count = cfg.enabled_families, cfg.min_svo_count
-    v, n1, p, n2, n0 = inst.v, inst.n1, inst.p, inst.n2, inst.n0
-
-    # Each name is spelled here as feature_name spells it; this is the
-    # per-instance hot path, and a property test pins the two equal.
-    feats = []
-    if "F1" in fam and kb.svo_exists(n2, v, n1, min_count):
-        feats.append(f"F1:({n2},{v},{n1})")
-    if "F2" in fam:
-        feats += [f"F2:({n1},{vi},{n2})" for vi in kb.svo_any_verb(n1, n2, min_count)]
-    if "F3" in fam:
-        feats += [f"F3:isA({n1},{t})" for t in kb.types_of(n1)]
-    if "F4" in fam:
-        feats += [f"F4:isA({n2},{t})" for t in kb.types_of(n2)]
-    if "F5" in fam:
-        feats += [f"F5:hasRole({n2},{role})" for role in kb.roles_for(v, n2)]
-    if "F6" in fam:
-        feats += [f"F6:def({p},{sense})"
-                  for sense in kb.prep_senses(p)[: cfg.max_prep_senses]
-                  if kb.svo_exists(n1, sense, n2, min_count)]
-    if "F7" in fam and n0:
-        feats += [f"F7:isA({n0},{t})" for t in kb.types_of(n0)]
-    lexical = (("F8", f"F8:({v},{n1},{p},{n2})"), ("F9", f"F9:({v},{n1},{p})"),
-               ("F10", f"F10:({v},{p},{n2})"), ("F11", f"F11:({n1},{p},{n2})"),
-               ("F12", f"F12:({v},{p})"), ("F13", f"F13:({n1},{p})"),
-               ("F14", f"F14:({p},{n2})"), ("F15", f"F15:({p})"))
-    feats += [name for family, name in lexical if family in fam]
-    return frozenset(feats)
+    """The enabled features of one instance, as a set; see :func:`extractor`."""
+    return frozenset(extractor(kb, cfg)(inst))
 
 
 def expand_with_synonyms(data, kb: KnowledgeBase) -> list[PPInstance]:

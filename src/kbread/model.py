@@ -16,8 +16,8 @@ supervised training exactly.
 
 Training data items are ``(feature_set, target)`` pairs where the target is
 a hard label (``"V"``/``"N"``) or, for the posterior-weighted operations, a
-``(p_verb, p_noun)`` pair. :data:`MODEL_SETTINGS` lists the training and
-feature settings that a model file stores.
+``(p_verb, p_noun)`` pair; a feature set is a set or list of names without
+repeats. :data:`MODEL_SETTINGS` lists the settings a model file stores.
 """
 
 import math
@@ -111,7 +111,7 @@ def _intern(fvs, vocab):
     """Map feature sets to id tuples, growing the vocabulary in place.
 
     Names are interned in sorted order per instance so the layout (and
-    hence float summation order) does not depend on set iteration order.
+    hence float summation order) does not depend on set or list order.
     """
     rows = []
     for fv in fvs:
@@ -235,8 +235,8 @@ def classify_many(model: AttachmentModel, fvs) -> list[tuple[str, float]]:
     Each score adds the present weights in sorted feature order, starting
     from +0.0, so results are bit-stable across processes and equal to the
     packed scores training computes. Names without a weight are skipped:
-    adding zero never changes a sum that starts at +0.0. ``fvs`` may be a
-    generator; it is read one feature set at a time.
+    adding zero never changes a sum that starts at +0.0. ``fvs`` holds sets
+    or lists of names without repeats; it may be a generator, read one at a time.
     """
     weights = model.weights
     decisions = []
@@ -287,14 +287,15 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
     """Fit weights to labeled plus unlabeled data.
 
     ``labeled`` holds ``(feature_set, label)`` pairs, ``unlabeled`` bare
-    feature sets. Weights start from zero and maximize the labeled objective
-    by truncated Newton until an iteration gains less than ``convergence_tol``,
-    ``‖g‖`` falls below it or ``max_gradient_steps`` iterations have run.
-    With unlabeled data, EM follows: each iteration fixes posteriors (hard
-    for labeled instances, model probabilities for unlabeled ones), then
-    maximizes the posterior-weighted objective the same way, and the loop
-    stops when the labeled-data objective change drops below
-    ``convergence_tol`` or after ``max_em_iters`` iterations.
+    feature sets, each a set or list of names without repeats. Weights start
+    from zero and maximize the labeled objective by truncated Newton until
+    an iteration gains less than ``convergence_tol``, ``‖g‖`` falls below it
+    or ``max_gradient_steps`` iterations have run. With unlabeled data, EM
+    follows: each iteration fixes posteriors (hard for labeled instances,
+    model probabilities for unlabeled ones), then maximizes the
+    posterior-weighted objective the same way, and the loop stops when the
+    labeled-data objective change drops below ``convergence_tol`` or after
+    ``max_em_iters`` iterations.
     """
     labeled = list(labeled)
     unlabeled = list(unlabeled)
@@ -360,8 +361,8 @@ def load_model(path) -> AttachmentModel:
     """Read a model file. A setting whose line the file lacks is the
     default, and older keys (``learning_rate``, ``category_scheme``) are
     ignored. An unknown header key is a FormatError at its line, and so is
-    a header value that does not parse or that the settings' own checks
-    reject, and a header key or feature name that an earlier line set."""
+    a header value that does not parse, a negative count, a setting its own
+    checks reject, and a header key or feature name an earlier line set."""
     header = {}
     weights = {}
     for lineno, line in iter_lines(path):
@@ -403,8 +404,13 @@ def load_model(path) -> AttachmentModel:
         return owner(**{name: value(key, parse, owner, name) for cls, name, key, parse, _
                         in MODEL_SETTINGS if cls is owner and key in header})
 
+    def count(text):
+        if (n := int(text)) < 0:
+            raise ValueError("an instance count must be >= 0")
+        return n
+
     cfg, feature_config = config(TrainConfig), config(FeatureConfig)
-    counts = {key: value(key, int) for key in ("n_labeled", "n_unlabeled") if key in header}
+    counts = {key: value(key, count) for key in ("n_labeled", "n_unlabeled") if key in header}
     for key, (_, lineno) in header.items():
         if key not in _HEADER_KEYS:
             raise FormatError(path, lineno, f"unknown header key {'#' + key!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .features import VERB, FeatureConfig, PPInstance, check_word, extract_features
+from .features import VERB, FeatureConfig, PPInstance, check_word, extractor
 from .kb import KnowledgeBase
 from .model import AttachmentModel, classify_many
 from .tsv import FormatError, at_line, format_row, iter_rows, norm_token, write_lines
@@ -74,7 +74,7 @@ def _verb_attached(tuples, model: AttachmentModel, kb: KnowledgeBase,
     tuples = list(tuples)
     for inst in tuples:
         _require_n0(inst)
-    decisions = classify_many(model, (extract_features(inst, kb, cfg) for inst in tuples))
+    decisions = classify_many(model, map(extractor(kb, cfg), tuples))
     return [inst for inst, (label, _) in zip(tuples, decisions) if label == VERB]
 
 

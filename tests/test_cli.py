@@ -341,27 +341,30 @@ class TestKbCheck:
 
 
 #: Runs each argv of the JSON list in ``sys.argv[1]`` through ``cli.main`` and
-#: prints, per run, the command, its exit code and the numpy/scipy modules
-#: loaded so far.
+#: prints, per run, the command, its exit code and the modules loaded so far
+#: that are named in the JSON list in ``sys.argv[2]`` or lie in a package it
+#: names.
 LOADED_MODULES_SCRIPT = """
 import contextlib, io, json, sys
 from kbread.cli import main
+watched = json.loads(sys.argv[2])
 results = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    heavy = sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
-    results.append([argv[0], code, heavy])
+    loaded = sorted(m for m in sys.modules if m in watched or m.partition(".")[0] in watched)
+    results.append([argv[0], code, loaded])
 print(json.dumps(results))
 """
 
 
-def loaded_modules(argvs):
+def loaded_modules(argvs, watched=("numpy", "scipy")):
     """Runs ``LOADED_MODULES_SCRIPT`` over ``argvs`` in a child process: this
-    test session has imported numpy already."""
+    test session has imported numpy and every kbread module already."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kbread.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argvs),
+                           json.dumps(watched)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -397,7 +400,8 @@ class TestKbFilesPerCommand:
     """knom-mine reads only isa.tsv, and knom-learn and knom-predict only
     isa.tsv and relations.tsv; ternary-extract and kb-check read every
     knowledge file, and the other PP commands every file but relations.tsv.
-    Only ``train`` loads numpy and scipy."""
+    Only ``train`` loads numpy and scipy, and only the commands that use
+    knom, ternary, collins or evaluation import them."""
 
     @pytest.mark.parametrize("name", ["train", "predict", "eval", "ternary-templates",
                                       "knom-mine"])
@@ -498,6 +502,19 @@ class TestKbFilesPerCommand:
                                               paths["labeled"], "--model-out", model]])
         assert code == 0
         assert "numpy" in heavy and "scipy.sparse" in heavy
+
+    def test_each_command_imports_only_its_own_modules(self, paths, trained, tmp_path):
+        model, mappings = trained
+        own = ["kbread.collins", "kbread.evaluation", "kbread.knom", "kbread.ternary"]
+        argvs = [
+            ["kb-check", "--kb-dir", paths["kb"]],
+            ["predict", "--kb-dir", paths["kb"], "--model", model, "--input", paths["test"],
+             "--out", str(tmp_path / "p.tsv")],
+            ["knom-predict", "--kb-dir", paths["kb"], "--compounds", paths["compounds"],
+             "--mappings", mappings, "--out", str(tmp_path / "k.tsv")],
+        ]
+        assert loaded_modules(argvs, own) == [["kb-check", 0, []], ["predict", 0, []],
+                                              ["knom-predict", 0, ["kbread.knom"]]]
 
 
 class TestFamilyFlags:
@@ -742,7 +759,7 @@ class TestOptions:
     @pytest.mark.parametrize("key,value", [
         ("l2_penalty", "nan"), ("convergence_tol", "inf"), ("max_em_iters", "2.5"),
         ("max_prep_senses", "five"), ("families", "F1,F99"), ("n_labeled", "x"),
-        ("min_svo_count", "0"),
+        ("min_svo_count", "0"), ("n_labeled", "-7"), ("n_unlabeled", "-1"),
     ])
     def test_bad_model_header_exits_2_at_its_line(self, paths, tmp_path, capsys, key, value):
         model_path = train_fixture_model(paths, tmp_path)

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kbread.features import (FAMILIES, FeatureConfig,
                              PPInstance, expand_with_synonyms,
-                             extract_features, feature_name,
+                             extract_features, extractor, feature_name,
                              parse_feature_name, read_corpus)
 from kbread.kb import KnowledgeBase, load_kb
 from kbread.ternary import read_role_tuples, read_tuples
@@ -151,6 +151,25 @@ class TestKnowledgeFamilies:
         assert extract_features(upper, kb, ALL) == EXPECTED_1
 
 
+def random_world(seed, data):
+    """A random KB drawn from ``seed`` (with senses for "with" and "on"), a
+    drawn config, and a strategy of instances whose nouns come from a pool
+    of eleven words, so a run of instances reuses nouns in every slot."""
+    rng = random.Random(seed)
+    inputs = random_kb_inputs(rng)
+    inputs["prepdefs"] = [(p, v) for p in ("with", "on")
+                          for v in rng.sample(KB_VERBS, rng.randint(0, 8))]
+    cfg = FeatureConfig(data.draw(st.frozensets(st.sampled_from(FAMILIES), min_size=1)),
+                        data.draw(st.integers(min_value=0, max_value=6)),
+                        data.draw(st.integers(min_value=1, max_value=5)))
+    unknown = ("unknown", "Two  Words")
+    nouns = st.sampled_from(KB_NOUNS + KB_CATEGORIES + unknown)
+    instances = st.builds(PPInstance, v=st.sampled_from(KB_VERBS + unknown), n1=nouns,
+                          p=st.sampled_from(("with", "on", "of")), n2=nouns,
+                          n0=st.none() | nouns)
+    return KnowledgeBase(**inputs), cfg, instances
+
+
 class TestAgainstReference:
     """extract_features spells each name itself; the names must be exactly
     those the feature_name-built reference gives, on random KBs drawn from a
@@ -160,25 +179,47 @@ class TestAgainstReference:
     @settings(deadline=None, max_examples=100)
     @given(seed=st.integers(min_value=0), data=st.data())
     def test_extraction_equals_reference(self, seed, data):
-        rng = random.Random(seed)
-        inputs = random_kb_inputs(rng)
-        inputs["prepdefs"] = [(p, v) for p in ("with", "on")
-                              for v in rng.sample(KB_VERBS, rng.randint(0, 8))]
-        kb = KnowledgeBase(**inputs)
-        cfg = FeatureConfig(data.draw(st.frozensets(st.sampled_from(FAMILIES), min_size=1)),
-                            data.draw(st.integers(min_value=0, max_value=6)),
-                            data.draw(st.integers(min_value=1, max_value=5)))
-        unknown = ("unknown", "Two  Words")
-        verbs = st.sampled_from(KB_VERBS + unknown)
-        nouns = st.sampled_from(KB_NOUNS + KB_CATEGORIES + unknown)
+        kb, cfg, instances = random_world(seed, data)
         for _ in range(10):
-            inst = PPInstance(v=data.draw(verbs), n1=data.draw(nouns),
-                              p=data.draw(st.sampled_from(("with", "on", "of"))),
-                              n2=data.draw(nouns), n0=data.draw(st.none() | nouns))
+            inst = data.draw(instances)
             feats = extract_features(inst, kb, cfg)
             assert feats == reference_features(inst, kb, cfg)
             for name in feats:
                 assert feature_name(*parse_feature_name(name)) == name
+
+
+class TestExtractor:
+    """One extractor serves many instances and keeps each noun's category
+    names for as long as it lives; what it returns must not depend on which
+    instances it saw before."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(min_value=0), data=st.data())
+    def test_one_extractor_over_many_instances_equals_reference(self, seed, data):
+        kb, cfg, instances = random_world(seed, data)
+        extract = extractor(kb, cfg)
+        for inst in data.draw(st.lists(instances, min_size=30, max_size=40)):
+            feats = extract(inst)
+            assert len(set(feats)) == len(feats)
+            assert set(feats) == reference_features(inst, kb, cfg)
+
+    def test_each_extractor_reads_its_own_kb(self):
+        inst = PPInstance(v="caught", n1="net", p="with", n2="net", n0="net")
+        device = extractor(KnowledgeBase(isa=[("net", "device")]), ALL)
+        tool = extractor(KnowledgeBase(isa=[("net", "tool")]), ALL)
+        knowledge = [[name for name in extract(inst) if name.startswith(("F3", "F4", "F7"))]
+                     for extract in (device, tool, device)]
+        assert knowledge == [["F3:isA(net,device)", "F4:isA(net,device)", "F7:isA(net,device)"],
+                             ["F3:isA(net,tool)", "F4:isA(net,tool)", "F7:isA(net,tool)"],
+                             ["F3:isA(net,device)", "F4:isA(net,device)", "F7:isA(net,device)"]]
+
+    @pytest.mark.parametrize("families", [["F6"], ["F2", "F6"]])
+    def test_f6_keeps_a_sense_seen_min_svo_count_times(self, families):
+        kb = KnowledgeBase(svo=[("a", "using", "b", 3), ("a", "has", "b", 2)],
+                           prepdefs=[("with", "has"), ("with", "using")])
+        cfg = FeatureConfig(enabled_families=frozenset(families), min_svo_count=3)
+        feats = extractor(kb, cfg)(PPInstance(v="v", n1="a", p="with", n2="b"))
+        assert [name for name in feats if name.startswith("F6")] == ["F6:def(with,using)"]
 
 
 class TestFeatureNames:

@@ -581,6 +581,18 @@ class TestModelFile:
             load_model(path)
         assert exc.value.lineno == lines.index(f"#{key}\t{text}") + 1
 
+    @pytest.mark.parametrize("key", ["n_labeled", "n_unlabeled"])
+    def test_a_negative_instance_count_is_an_error_at_its_line(self, tmp_path, key):
+        path = tmp_path / "model.tsv"
+        save_model(AttachmentModel({"F15:(with)": 0.5}, n_labeled=4, n_unlabeled=2), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"#{key}\t"))
+        lines[lineno - 1] = f"#{key}\t-7"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}:{lineno}: #{key} '-7': an instance count must be >= 0"
+
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "bogus.tsv"
         path.write_text("hello\tworld\n", encoding="utf-8")
