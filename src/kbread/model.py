@@ -10,9 +10,9 @@ Semi-supervised training wraps the same optimizer in an
 expectation-maximization loop: the current model supplies posteriors for
 unlabeled instances, labeled instances keep hard 1/0 posteriors, and each
 maximization step maximizes the posterior-weighted (expected complete-data)
-objective. Convergence is tracked on the labeled-data objective, which the
-loop never decreases; with no unlabeled data the loop degenerates to
-supervised training exactly.
+objective. The loop stops at its fixed point, when a maximization step
+moves no weight; with no unlabeled data it degenerates to supervised
+training exactly.
 
 Training data items are ``(feature_set, target)`` pairs where the target is
 a hard label (``"V"``/``"N"``) or, for the posterior-weighted operations, a
@@ -49,7 +49,7 @@ class TrainConfig:
     l2_penalty: float = 1e-4
     max_em_iters: int = 20
     max_gradient_steps: int = 200   # caps the Newton iterations of each optimization
-    convergence_tol: float = 1e-6
+    convergence_tol: float = 1e-6   # each optimization stops once ‖g‖ is below it
 
     def __post_init__(self):
         if not 0 <= self.l2_penalty < math.inf:
@@ -166,9 +166,8 @@ def _newton(problem, w, cfg):
     solves ``(X.T D X + l2 I) d = g`` by conjugate gradient from zero, for at
     most ``_CG_MAX_ITERS`` products or until the residual is below
     ``_CG_RTOL * ‖g‖``, then halves the step ``d`` while it would lower the
-    objective. Stops when an iteration gains less than ``convergence_tol``,
-    when ``‖g‖`` falls below it or after ``max_gradient_steps`` iterations.
-    Returns ``(w, value, iterations, ‖g‖)``."""
+    objective. Stops when ``‖g‖`` falls below ``convergence_tol`` or after
+    ``max_gradient_steps`` iterations. Returns ``(w, value, iterations, ‖g‖)``."""
     import numpy as np
     scale = max(1.0, problem.l2)    # the system over ``scale`` keeps ``l2 * v`` finite
     X, XT, l2 = problem.X, problem.X.T, problem.l2 / scale
@@ -192,10 +191,8 @@ def _newton(problem, w, cfg):
         while (value_new := problem.value(w + t * d)) < value:
             t *= 0.5
         steps += 1
-        w, value, gain = w + t * d, value_new, value_new - value
+        w, value = w + t * d, value_new
         g, curvature = problem.derivatives(w)
-        if gain < cfg.convergence_tol:
-            break
     return w, value, steps, math.sqrt((g * g).sum())
 
 
@@ -289,13 +286,13 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
     ``labeled`` holds ``(feature_set, label)`` pairs, ``unlabeled`` bare
     feature sets, each a set or list of names without repeats. Weights start
     from zero and maximize the labeled objective by truncated Newton until
-    an iteration gains less than ``convergence_tol``, ``‖g‖`` falls below it
-    or ``max_gradient_steps`` iterations have run. With unlabeled data, EM
-    follows: each iteration fixes posteriors (hard for labeled instances,
-    model probabilities for unlabeled ones), then maximizes the
-    posterior-weighted objective the same way, and the loop stops when the
-    labeled-data objective change drops below ``convergence_tol`` or after
-    ``max_em_iters`` iterations.
+    ``‖g‖`` falls below ``convergence_tol`` or ``max_gradient_steps``
+    iterations have run. With unlabeled data, EM follows: each iteration
+    fixes posteriors (hard for labeled instances, model probabilities for
+    unlabeled ones), then maximizes the posterior-weighted objective the
+    same way. The loop stops at its fixed point, an iteration that takes no
+    Newton step and so leaves the weights and the next posteriors as they
+    are, or after ``max_em_iters`` iterations.
     """
     labeled = list(labeled)
     unlabeled = list(unlabeled)
@@ -326,10 +323,10 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
             problem.p0[unlab] = 1.0 - p1
             q_start = problem.value(w)
             w, q_end, steps, grad_norm = _newton(problem, w, cfg)
-            ll_prev, ll = ll, lab_problem.value(w)
             history.append({"phase": "em", "iter": t, "q_start": q_start, "q_end": q_end,
-                            "ll": ll, "m_steps": steps, "grad_norm": grad_norm})
-            if abs(ll - ll_prev) < cfg.convergence_tol:
+                            "ll": lab_problem.value(w), "m_steps": steps,
+                            "grad_norm": grad_norm})
+            if steps == 0:
                 break
 
     weights = {name: float(w[i]) for name, i in vocab.items()}

@@ -77,16 +77,13 @@ class TestNewton:
     """The truncated-Newton optimizer behind every training call."""
 
     @pytest.mark.parametrize("data, cfg", list(optimizer_cases()))
-    def test_converges_on_gradient_or_gain(self, data, cfg):
+    def test_converges_on_gradient(self, data, cfg):
         model = train_supervised(data, cfg)
         record = model.history[0]
-        g0 = norm(gradient(AttachmentModel({}, config=cfg), data))
         assert record["steps"] < cfg.max_gradient_steps
+        assert record["grad_norm"] < cfg.convergence_tol
         assert record["grad_norm"] == pytest.approx(norm(gradient(model, data)),
                                                     rel=1e-9, abs=1e-12)
-        if record["grad_norm"] > 1e-4 * g0:
-            last_gain = record["ll"] - supervised_ll_after(data, cfg, record["steps"] - 1)
-            assert last_gain < cfg.convergence_tol
 
     @pytest.mark.parametrize("data, cfg", list(optimizer_cases()))
     def test_no_iteration_lowers_the_objective(self, data, cfg):
@@ -351,9 +348,9 @@ class TestTrainEM:
     @given(seed=st.integers(0, 2 ** 32), l2=st.sampled_from((1e-4, 1e-2, 0.1, 1.0)))
     def test_supervised_optimum_is_a_fixed_point(self, seed, l2):
         # At the model's own posteriors the unlabeled gradient vanishes, so
-        # Q's gradient at the supervised optimum w is the labeled one, g.
-        # Q is l2-strongly concave, so a step that does not lower Q moves w
-        # by at most 2‖g‖/l2 and Q gains at most ‖g‖²/(2 l2).
+        # Q's gradient at the supervised optimum is the labeled one, which
+        # the supervised fit left below tolerance: the M-step takes no
+        # Newton step and every weight stays as it is.
         rng = random.Random(seed)
         _, labeled = random_problem(rng)
         _, unlabeled = random_problem(rng)
@@ -361,13 +358,15 @@ class TestTrainEM:
         cfg = TrainConfig(l2_penalty=l2, max_em_iters=1)
         sup = train_supervised(labeled, cfg)
         em = train_em(labeled, unlabeled, cfg)
-        posteriors = [(fv, (p, 1.0 - p)) for fv in unlabeled
-                      for p in [classify(sup, fv)[1]]]
-        g = norm(gradient(sup, labeled + posteriors))
-        moved = norm({k: em.weights[k] - sup.weights.get(k, 0.0) for k in em.weights})
+        assert sup.history[0]["grad_norm"] < cfg.convergence_tol
         record = em.history[1]
-        assert moved <= 2 * g / l2 + 1e-9
-        assert record["q_end"] - record["q_start"] <= g * g / (2 * l2) + 1e-9
+        assert record["m_steps"] == 0
+        assert record["q_end"] == record["q_start"]
+        # Bit for bit (``hex`` tells -0.0 from 0.0); a feature only the
+        # unlabeled data holds keeps its starting weight, 0.0.
+        assert set(sup.weights) <= set(em.weights)
+        assert ({name: weight.hex() for name, weight in em.weights.items()}
+                == {name: sup.weights.get(name, 0.0).hex() for name in em.weights})
 
     def test_unlabeled_data_never_hurts_held_out_accuracy(self):
         # The posterior-weighted objective is concave, so its semi-supervised
