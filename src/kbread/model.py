@@ -77,8 +77,8 @@ _HEADER_KEYS = {MODEL_FORMAT, "n_labeled", "n_unlabeled", "learning_rate", "cate
 
 @dataclass
 class AttachmentModel:
-    """Feature weights plus training metadata. Unseen features have
-    implicit weight zero."""
+    """Feature weights plus training metadata. A feature without a weight
+    scores 0.0, so training keeps no zero weight."""
 
     weights: dict[str, float]
     config: TrainConfig = field(default_factory=TrainConfig)
@@ -166,8 +166,9 @@ def _newton(problem, w, cfg):
     solves ``(X.T D X + l2 I) d = g`` by conjugate gradient from zero, for at
     most ``_CG_MAX_ITERS`` products or until the residual is below
     ``_CG_RTOL * ‖g‖``, then halves the step ``d`` while it would lower the
-    objective. Stops when ``‖g‖`` falls below ``convergence_tol`` or after
-    ``max_gradient_steps`` iterations. Returns ``(w, value, iterations, ‖g‖)``."""
+    objective. Stops when ``‖g‖`` falls below ``convergence_tol``, after
+    ``max_gradient_steps`` iterations, or at an uncounted iteration whose
+    step cannot move ``w``. Returns ``(w, value, iterations, ‖g‖)``."""
     import numpy as np
     scale = max(1.0, problem.l2)    # the system over ``scale`` keeps ``l2 * v`` finite
     X, XT, l2 = problem.X, problem.X.T, problem.l2 / scale
@@ -188,10 +189,12 @@ def _newton(problem, w, cfg):
                 break
             p = r + (rr / rr_old) * p
         t = 1.0                     # halving ends once ``t * d`` cannot move ``w``
-        while (value_new := problem.value(w + t * d)) < value:
+        while (value_new := problem.value(w_new := w + t * d)) < value:
             t *= 0.5
+        if (w_new == w).all():      # it would repeat unchanged up to the cap
+            break
         steps += 1
-        w, value = w + t * d, value_new
+        w, value = w_new, value_new
         g, curvature = problem.derivatives(w)
     return w, value, steps, math.sqrt((g * g).sum())
 
@@ -285,14 +288,13 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
 
     ``labeled`` holds ``(feature_set, label)`` pairs, ``unlabeled`` bare
     feature sets, each a set or list of names without repeats. Weights start
-    from zero and maximize the labeled objective by truncated Newton until
-    ``‖g‖`` falls below ``convergence_tol`` or ``max_gradient_steps``
-    iterations have run. With unlabeled data, EM follows: each iteration
-    fixes posteriors (hard for labeled instances, model probabilities for
-    unlabeled ones), then maximizes the posterior-weighted objective the
-    same way. The loop stops at its fixed point, an iteration that takes no
-    Newton step and so leaves the weights and the next posteriors as they
-    are, or after ``max_em_iters`` iterations.
+    from zero and maximize the labeled objective by :func:`_newton`. With
+    unlabeled data, EM follows: each iteration fixes posteriors (hard for
+    labeled instances, model probabilities for unlabeled ones), maximizes
+    the posterior-weighted objective the same way and logs the labeled one
+    as ``ll``. It stops at its fixed point, an M-step that moves no weight,
+    or after ``max_em_iters`` iterations. The model keeps only the nonzero
+    weights: a name without one scores 0.0, as a zero weight would.
     """
     labeled = list(labeled)
     unlabeled = list(unlabeled)
@@ -306,16 +308,16 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
     lab_pairs = [_posterior_pair(t) for _, t in labeled]
     vocab = {}
     lab_rows = _intern([fv for fv, _ in labeled], vocab)
-    w, ll, steps, grad_norm = _newton(_Problem(lab_rows, len(vocab), lab_pairs,
-                                               cfg.l2_penalty), np.zeros(len(vocab)), cfg)
+    lab_problem = _Problem(lab_rows, len(vocab), lab_pairs, cfg.l2_penalty)
+    w, ll, steps, grad_norm = _newton(lab_problem, np.zeros(len(vocab)), cfg)
     history = [{"phase": "supervised", "steps": steps, "ll": ll, "grad_norm": grad_norm}]
 
     if unlabeled:
+        n = len(vocab)              # the labeled features, which ``lab_problem`` covers
         unlab_rows = _intern(unlabeled, vocab)
-        w = np.pad(w, (0, len(vocab) - len(w)))
+        w = np.pad(w, (0, len(vocab) - n))
         problem = _Problem(lab_rows + unlab_rows, len(vocab),
                            lab_pairs + [(0.5, 0.5)] * len(unlab_rows), cfg.l2_penalty)
-        lab_problem = _Problem(lab_rows, len(vocab), lab_pairs, cfg.l2_penalty)
         unlab = slice(len(lab_rows), None)
         for t in range(1, cfg.max_em_iters + 1):
             p1 = expit(problem.scores(w)[unlab])
@@ -323,13 +325,13 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
             problem.p0[unlab] = 1.0 - p1
             q_start = problem.value(w)
             w, q_end, steps, grad_norm = _newton(problem, w, cfg)
+            ll = float(lab_problem.value(w[:n]) - 0.5 * cfg.l2_penalty * (w[n:] ** 2).sum())
             history.append({"phase": "em", "iter": t, "q_start": q_start, "q_end": q_end,
-                            "ll": lab_problem.value(w), "m_steps": steps,
-                            "grad_norm": grad_norm})
+                            "ll": ll, "m_steps": steps, "grad_norm": grad_norm})
             if steps == 0:
                 break
 
-    weights = {name: float(w[i]) for name, i in vocab.items()}
+    weights = {name: float(w[i]) for name, i in vocab.items() if w[i] != 0.0}
     return AttachmentModel(weights, cfg, n_labeled=len(labeled), n_unlabeled=len(unlabeled),
                            history=history)
 

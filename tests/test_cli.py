@@ -15,7 +15,7 @@ import kbread
 from kbread import knom
 from kbread.cli import _FEATURE_SETTINGS, _config, build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
-from kbread.model import TrainConfig, classify, load_model, train_supervised
+from kbread.model import TrainConfig, classify, load_model, save_model, train_supervised
 from kbread.tsv import output_set, write_lines
 from test_model import FEATURE_FIELDS
 
@@ -68,6 +68,33 @@ class TestTrain:
         lib_model = train_supervised(data, TrainConfig())
         for fv, _ in data:
             assert classify(cli_model, fv) == classify(lib_model, fv)
+
+    def test_unlabeled_model_keeps_only_the_weights_that_score(self, paths, tmp_path, kb,
+                                                                capsys):
+        model_path = train_fixture_model(paths, tmp_path)
+        reported = capsys.readouterr().out
+        rows = [line.split("\t") for line in
+                open(model_path, encoding="utf-8").read().splitlines() if line[0] != "#"]
+        assert rows and all(float(weight) != 0.0 for _, weight in rows)
+        log = open(model_path + ".log", encoding="utf-8").read().splitlines()
+        assert log[-1].endswith(f"\tfeatures={len(rows)}")
+        assert reported.endswith(f"; {len(rows)} features\n")
+        # A name without a row scores as a 0.0 row would: predict again with
+        # the features only the unlabeled data holds written back at 0.0.
+        labeled, unlabeled = ({name for i in read_corpus(paths[corpus])
+                               for name in extract_features(i, kb, FeatureConfig())}
+                              for corpus in ("labeled", "unlabeled"))
+        padded = load_model(model_path)
+        assert unlabeled - labeled and not (unlabeled - labeled) & padded.weights.keys()
+        padded.weights.update(dict.fromkeys(unlabeled - labeled, 0.0))
+        save_model(padded, tmp_path / "padded.tsv")
+        predictions = []
+        for model in (model_path, tmp_path / "padded.tsv"):
+            out = tmp_path / "predictions.tsv"
+            assert run("predict", "--model", str(model), "--input", paths["unlabeled"],
+                       "--kb-dir", paths["kb"], "--out", str(out)) == 0
+            predictions.append(out.read_bytes())
+        assert predictions[0] == predictions[1]
 
     def test_missing_labeled_file_exits_2(self, paths, tmp_path):
         code = run("train", "--labeled", str(tmp_path / "nope.tsv"),
@@ -754,7 +781,14 @@ class TestOptions:
                    "--l2-penalty", "1e308") == 0
         model = load_model(model_path)
         assert model.config.l2_penalty == 1e308
-        assert all(abs(w) < 1e-300 for w in model.weights.values())
+        # No Newton step can move a weight, so none is taken or counted,
+        # EM stops at its first M-step and every weight stays 0.0, with no row.
+        assert model.weights == {}
+        log = open(model_path + ".log", encoding="utf-8").read().splitlines()
+        records = [(r[0], dict(f.split("=", 1) for f in r[1:]))
+                   for r in (line.split("\t") for line in log[1:])]
+        assert [phase for phase, _ in records] == ["supervised", "em", "final"]
+        assert records[0][1]["steps"] == "0" and records[1][1]["m_steps"] == "0"
 
     @pytest.mark.parametrize("key,value", [
         ("l2_penalty", "nan"), ("convergence_tol", "inf"), ("max_em_iters", "2.5"),

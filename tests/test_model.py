@@ -153,12 +153,11 @@ class TestPredictProba:
 class TestClassifyMany:
     NAMES = tuple(f"f{i}" for i in range(12))
     # f8..f11 never carry a weight; empty sets and ±1e4 and ±0.0 weights are drawn.
-    WEIGHTS_AND_SETS = given(
-        weights=st.dictionaries(
-            st.sampled_from(NAMES[:8]),
-            st.one_of(st.floats(-1e4, 1e4, allow_nan=False),
-                      st.sampled_from((1e4, -1e4, 0.0, -0.0)))),
-        fvs=st.lists(st.frozensets(st.sampled_from(NAMES)), max_size=12))
+    WEIGHTS = st.dictionaries(st.sampled_from(NAMES[:8]),
+                              st.one_of(st.floats(-1e4, 1e4, allow_nan=False),
+                                        st.sampled_from((1e4, -1e4, 0.0, -0.0))))
+    SETS = st.lists(st.frozensets(st.sampled_from(NAMES)), max_size=12)
+    WEIGHTS_AND_SETS = given(weights=WEIGHTS, fvs=SETS)
 
     @settings(deadline=None, max_examples=200)
     @WEIGHTS_AND_SETS
@@ -178,6 +177,14 @@ class TestClassifyMany:
         w = np.array([weights.get(name, 0.0) for name in vocab], dtype=float)
         packed = [_logistic(z) for z in _Problem(rows, len(vocab)).scores(w).tolist()]
         assert [p for _, p in classify_many(AttachmentModel(weights), fvs)] == packed
+
+    @settings(deadline=None, max_examples=200)
+    @given(weights=WEIGHTS, zeros=st.dictionaries(st.sampled_from(NAMES),
+                                                  st.sampled_from((0.0, -0.0))), fvs=SETS)
+    def test_zero_weights_score_as_missing_names(self, weights, zeros, fvs):
+        # Training keeps no zero weight: a name without one must score the same.
+        padded = AttachmentModel({**zeros, **weights})
+        assert classify_many(padded, fvs) == classify_many(AttachmentModel(weights), fvs)
 
     def test_single_views_agree_with_the_batch(self):
         model = AttachmentModel({"a": 0.7, "b": -1.9, "c": 1e-3})
@@ -332,11 +339,17 @@ class TestTrainEM:
         for record in iters:
             assert record["q_end"] >= record["q_start"] - 1e-12
 
-    def test_labeled_objective_never_decreases_across_iterations(self):
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_labeled_objective_never_decreases_across_iterations(self, cap):
+        # A converged supervised fit is a fixed point, so cap the Newton
+        # iterations to leave EM something to do.
         labeled, unlabeled, _ = two_cluster_data(seed=2)
-        model = train_em(labeled, unlabeled, TrainConfig())
+        model = train_em(labeled, unlabeled, TrainConfig(max_gradient_steps=cap))
         lls = [r["ll"] for r in model.history if r["phase"] == "em"]
+        assert len(lls) > 1
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
+        # ``ll`` is the labeled objective over every weight, the unlabeled-only ones too.
+        assert lls[-1] == pytest.approx(expected_log_likelihood(model, labeled), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_converges_at_the_first_iteration_on_two_clusters(self, seed):
@@ -362,11 +375,11 @@ class TestTrainEM:
         record = em.history[1]
         assert record["m_steps"] == 0
         assert record["q_end"] == record["q_start"]
+        assert record["ll"] == sup.history[0]["ll"]
         # Bit for bit (``hex`` tells -0.0 from 0.0); a feature only the
-        # unlabeled data holds keeps its starting weight, 0.0.
-        assert set(sup.weights) <= set(em.weights)
+        # unlabeled data holds keeps its starting weight, 0.0, and so no row.
         assert ({name: weight.hex() for name, weight in em.weights.items()}
-                == {name: sup.weights.get(name, 0.0).hex() for name in em.weights})
+                == {name: weight.hex() for name, weight in sup.weights.items()})
 
     def test_unlabeled_data_never_hurts_held_out_accuracy(self):
         # The posterior-weighted objective is concave, so its semi-supervised
