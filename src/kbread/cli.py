@@ -9,21 +9,23 @@ reads a model, the model's stored value, then the library's own default.
 A config key the subcommand does not take is an error. The training and
 feature settings are the rows of ``model.MODEL_SETTINGS``.
 
-:func:`main` runs every subcommand the same way. It resolves the options,
-checks every output path, loads the knowledge files the subcommand reads
-(knom-mine isa.tsv, the other knom commands isa.tsv and relations.tsv,
-ternary-extract and kb-check all six, the others all but relations.tsv)
-and starts the subcommand, a generator that reads and validates every
-input and yields once; --dry-run stops there. The subcommand then
-computes and writes in one tsv.output_set, so its outputs and its stdout
-appear together once it succeeds, or not at all. On one machine, outputs
-are byte-identical across runs given identical inputs and seed.
+:func:`main` runs every subcommand the same way, with the cyclic garbage
+collector off. It resolves the options, checks every output path, loads
+the knowledge files the subcommand reads (knom-mine isa.tsv, the other
+knom commands isa.tsv and relations.tsv, ternary-extract and kb-check all
+six, eval without --model none, the others all but relations.tsv) and
+starts the subcommand, a generator that reads and validates every input
+and yields once; --dry-run stops there. The subcommand then computes and
+writes in one tsv.output_set, so its outputs and its stdout appear
+together once it succeeds, or not at all. On one machine, outputs are
+byte-identical across runs given identical inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import sys
@@ -106,7 +108,8 @@ def _given(args, *names, **renamed):
 def _load_kb(args):
     if not args.kb_dir:
         return load_kb()
-    return load_kb_dir(args.kb_dir, resources=args.kb_files)
+    back_off_only = args.command == "eval" and not args.model    # it queries no KB
+    return load_kb_dir(args.kb_dir, resources=() if back_off_only else args.kb_files)
 
 
 def _config(args, stored):
@@ -391,6 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A command makes no garbage cycle that grows with its input, so the
+    # collector's scans would free nothing; the caller's state is restored.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         for dest, path in vars(args).items():    # every output option ends in "out"
@@ -407,6 +414,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -1,3 +1,4 @@
+import gc
 import os
 
 import pytest
@@ -20,3 +21,13 @@ def kb_dir():
 @pytest.fixture(scope="session")
 def kb(kb_dir):
     return load_kb_dir(kb_dir)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fails a test that returns with the cyclic garbage collector off, and
+    turns it back on, so no test runs the rest of the session without it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector off")

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import kbread
 
-from kbread import knom
+from kbread import cli, knom
 from kbread.cli import _FEATURE_SETTINGS, _config, build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
 from kbread.model import TrainConfig, classify, load_model, save_model, train_supervised
@@ -24,8 +25,7 @@ def run(*argv):
     return main(list(argv))
 
 
-@pytest.fixture
-def paths(fixtures_dir, kb_dir):
+def input_paths(fixtures_dir, kb_dir):
     return {
         "kb": kb_dir,
         "labeled": f"{fixtures_dir}/quads_labeled.tsv",
@@ -35,6 +35,11 @@ def paths(fixtures_dir, kb_dir):
         "roles": f"{fixtures_dir}/tuples_roles.tsv",
         "compounds": f"{fixtures_dir}/compounds.tsv",
     }
+
+
+@pytest.fixture
+def paths(fixtures_dir, kb_dir):
+    return input_paths(fixtures_dir, kb_dir)
 
 
 def train_fixture_model(paths, tmp_path, *extra):
@@ -411,15 +416,19 @@ def knom_outputs(compounds, kb_dir, out_dir):
     return {name: open(path, "rb").read() for name, path in out.items()}
 
 
-def broken_relations_kb(paths, tmp_path):
-    """A copy of the fixture KB whose relations.tsv ends in a row of the
+#: A row of the wrong width for each knowledge file a test breaks.
+BAD_ROWS = {"relations.tsv": "worksfor\tshubert\n", "svo.tsv": "sam\tate\tcake\n"}
+
+
+def broken_kb(paths, tmp_path, name="relations.tsv"):
+    """A copy of the fixture KB whose file ``name`` ends in a row of the
     wrong width, and the number of that line."""
     kb_dir = tmp_path / "kb"
     shutil.copytree(paths["kb"], kb_dir)
-    relations = kb_dir / "relations.tsv"
-    lineno = len(relations.read_text(encoding="utf-8").splitlines()) + 1
-    with open(relations, "a", encoding="utf-8") as fh:
-        fh.write("worksfor\tshubert\n")
+    broken = kb_dir / name
+    lineno = len(broken.read_text(encoding="utf-8").splitlines()) + 1
+    with open(broken, "a", encoding="utf-8") as fh:
+        fh.write(BAD_ROWS[name])
     return str(kb_dir), lineno
 
 
@@ -444,14 +453,14 @@ class TestKbFilesPerCommand:
             stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
             return stdout, {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
-        broken, _ = broken_relations_kb(paths, tmp_path)
+        broken, _ = broken_kb(paths, tmp_path)
         assert outputs_and_stdout(broken, "broken") == outputs_and_stdout(paths["kb"], "intact")
 
     @pytest.mark.parametrize("name", ["ternary-extract", "knom-learn", "kb-check"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
     def test_commands_that_read_relations_fail_on_a_malformed_file(
             self, paths, trained, tmp_path, capsys, name, dry_run):
-        broken, lineno = broken_relations_kb(paths, tmp_path)
+        broken, lineno = broken_kb(paths, tmp_path)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         capsys.readouterr()
@@ -480,21 +489,39 @@ class TestKbFilesPerCommand:
             return open(out, "rb").read()
 
         expected = learn(paths["kb"], str(tmp_path / "expected.tsv"))
-        kb_dir = tmp_path / "kb"
-        shutil.copytree(paths["kb"], kb_dir)
-        svo = kb_dir / "svo.tsv"
-        lineno = len(svo.read_text(encoding="utf-8").splitlines()) + 1
-        with open(svo, "a", encoding="utf-8") as fh:
-            fh.write("sam\tate\tcake\n")
-        assert learn(str(kb_dir), str(tmp_path / "mappings.tsv")) == expected
+        kb_dir, lineno = broken_kb(paths, tmp_path, "svo.tsv")
+        assert learn(kb_dir, str(tmp_path / "mappings.tsv")) == expected
         capsys.readouterr()
-        assert run("kb-check", "--kb-dir", str(kb_dir)) == 2
+        assert run("kb-check", "--kb-dir", kb_dir) == 2
         assert f"svo.tsv:{lineno}:" in capsys.readouterr().err
         model_path = tmp_path / "model.tsv"
-        assert run("train", "--labeled", paths["labeled"], "--kb-dir", str(kb_dir),
+        assert run("train", "--labeled", paths["labeled"], "--kb-dir", kb_dir,
                    "--model-out", str(model_path)) == 2
         assert f"svo.tsv:{lineno}:" in capsys.readouterr().err
         assert not model_path.exists()
+
+    @staticmethod
+    def evaluate(paths, kb_dir, out_dir, *model):
+        """eval's exit code and outputs, with the back-off and ``model``."""
+        out_dir.mkdir()
+        code = run("eval", "--kb-dir", kb_dir, "--test", paths["test"], *model,
+                   "--collins-train", paths["labeled"], "--out", str(out_dir / "r.txt"),
+                   "--tsv-out", str(out_dir / "r.tsv"), "--chart-out", str(out_dir / "c.tsv"))
+        return code, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    def test_back_off_only_eval_reads_no_knowledge_file(self, paths, tmp_path):
+        broken, _ = broken_kb(paths, tmp_path, "svo.tsv")
+        intact = self.evaluate(paths, paths["kb"], tmp_path / "intact")
+        assert intact[0] == 0 and len(intact[1]) == 3
+        assert self.evaluate(paths, broken, tmp_path / "broken") == intact
+
+    def test_eval_with_a_model_fails_on_a_malformed_file(self, paths, tmp_path, capsys):
+        model = train_fixture_model(paths, tmp_path)
+        broken, lineno = broken_kb(paths, tmp_path, "svo.tsv")
+        capsys.readouterr()
+        assert self.evaluate(paths, broken, tmp_path / "out", "--model", model) == (2, {})
+        assert capsys.readouterr().err.startswith(
+            f"error: {os.path.join(broken, 'svo.tsv')}:{lineno}: ")
 
     def test_knom_and_kb_check_leave_numpy_and_scipy_unloaded(self, paths, tmp_path):
         mappings = str(tmp_path / "mappings.tsv")
@@ -594,19 +621,46 @@ class TestConfigPrecedence:
         assert not model_path.exists()
 
 
+def train_and_learn(inputs, base):
+    """A model trained with --families all, so it carries F6 weights, and
+    knom mappings learned, both from ``inputs`` (as ``input_paths``)."""
+    model, mappings = str(base / "model.tsv"), str(base / "mappings.tsv")
+    assert run("train", "--labeled", inputs["labeled"], "--unlabeled", inputs["unlabeled"],
+               "--kb-dir", inputs["kb"], "--model-out", model, "--families", "all") == 0
+    assert run("knom-learn", "--compounds", inputs["compounds"], "--kb-dir", inputs["kb"],
+               "--seq-min-support", "3", "--min-support", "3", "--out", mappings) == 0
+    return model, mappings
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, fixtures_dir, kb_dir):
-    """A model trained with --families all, so it carries F6 weights, and
-    knom mappings learned from the fixtures."""
-    base = tmp_path_factory.mktemp("trained")
-    model, mappings = str(base / "model.tsv"), str(base / "mappings.tsv")
-    assert run("train", "--labeled", f"{fixtures_dir}/quads_labeled.tsv",
-               "--unlabeled", f"{fixtures_dir}/quads_unlabeled.tsv", "--kb-dir", kb_dir,
-               "--model-out", model, "--families", "all") == 0
-    assert run("knom-learn", "--compounds", f"{fixtures_dir}/compounds.tsv",
-               "--kb-dir", kb_dir, "--seq-min-support", "3", "--min-support", "3",
-               "--out", mappings) == 0
-    return model, mappings
+    """``train_and_learn`` on the fixtures."""
+    return train_and_learn(input_paths(fixtures_dir, kb_dir), tmp_path_factory.mktemp("trained"))
+
+
+def repeat_rows(src, dst, times):
+    """Copies the directory tree ``src`` to ``dst`` with each data row of
+    each file written ``times`` times over; comment and header lines once."""
+    dst.mkdir()
+    for entry in os.scandir(src):
+        if entry.is_dir():
+            repeat_rows(entry.path, dst / entry.name, times)
+            continue
+        with open(entry.path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") + "\n" for line in fh]
+        head = [line for line in lines if line.startswith(("#", "format="))]
+        rows = [line for line in lines if not line.startswith(("#", "format="))]
+        (dst / entry.name).write_text("".join(head + rows * times), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def grown(tmp_path_factory, fixtures_dir):
+    """The fixtures with every data row ten times over, as ``input_paths``,
+    and ``train_and_learn`` on them."""
+    base = tmp_path_factory.mktemp("grown")
+    repeat_rows(fixtures_dir, base / "fixtures", 10)
+    inputs = input_paths(str(base / "fixtures"), str(base / "fixtures" / "kb"))
+    return inputs, train_and_learn(inputs, base)
 
 
 def fixture_command(name, paths, trained, out_dir):
@@ -1064,3 +1118,69 @@ class TestOutputSet:
         knom.write_mappings(knom.read_mappings(mappings), str(tmp_path / "mappings.tsv"))
         with open(mappings, "rb") as fh:
             assert files(tmp_path) == {"mappings.tsv": fh.read()}
+
+
+def unreachable_after(argv):
+    """How many objects ``gc.collect`` finds unreachable once ``main(argv)``
+    has returned 0, with the collector off from before the command on."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+class TestCyclicCollector:
+    """``main`` runs each command with the cyclic garbage collector off and
+    gives the caller back the state it found. That is safe while reference
+    counting frees what a command builds: the cycles a command leaves (the
+    parser's) must not grow with its input."""
+
+    @pytest.mark.parametrize("name", [*FEATURE_COMMANDS, "knom-mine", "knom-learn",
+                                      "knom-predict", "kb-check"])
+    def test_cycles_left_do_not_grow_with_the_input(self, paths, trained, grown, tmp_path,
+                                                    capsys, name):
+        def argv(inputs, models, tag):
+            out_dir = tmp_path / tag
+            out_dir.mkdir()
+            back_off = ["--collins-train", inputs["labeled"]] if name == "eval" else []
+            return [*fixture_command(name, inputs, models, out_dir), *back_off]
+
+        assert main(argv(paths, trained, "warm-up")) == 0    # lazy imports and caches
+        grown_inputs, grown_models = grown
+        assert (unreachable_after(argv(paths, trained, "fixtures"))
+                == unreachable_after(argv(grown_inputs, grown_models, "grown")))
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize("case", ["exit-0", "format-error", "dry-run", "usage-error"])
+    def test_command_runs_with_the_collector_off_and_restores_it(
+            self, paths, tmp_path, monkeypatch, capsys, case, enabled):
+        seen = []
+
+        def load_kb_dir(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        real = cli.load_kb_dir
+        monkeypatch.setattr(cli, "load_kb_dir", load_kb_dir)
+        broken, _ = broken_kb(paths, tmp_path)
+        argv, code = {"exit-0": (["--kb-dir", paths["kb"]], 0),
+                      "format-error": (["--kb-dir", broken], 2),
+                      "dry-run": (["--kb-dir", paths["kb"], "--dry-run"], 0),
+                      "usage-error": (["--bogus-flag"], 2)}[case]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                assert run("kb-check", *argv) == code
+            except SystemExit as exc:         # argparse's exit
+                assert exc.code == code
+            restored = gc.isenabled()
+        finally:
+            gc.enable()
+        assert restored is enabled
+        assert seen == ([] if case == "usage-error" else [False])
