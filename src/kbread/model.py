@@ -15,12 +15,13 @@ moves no weight; with no unlabeled data it degenerates to supervised
 training exactly.
 
 Training data items are ``(feature_set, target)`` pairs where the target is
-a hard label (``"V"``/``"N"``) or, for the posterior-weighted operations, a
-``(p_verb, p_noun)`` pair; a feature set is a set or list of names without
-repeats. :data:`MODEL_SETTINGS` lists the settings a model file stores.
+a hard label (``"V"``/``"N"``) or, for the posterior-weighted operations, the
+probability of verb attachment; a feature set is a set or list of names
+without repeats. :data:`MODEL_SETTINGS` lists the settings a model file stores.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from itertools import chain
 
@@ -91,17 +92,14 @@ class AttachmentModel:
 # -- targets -------------------------------------------------------------
 
 
-def _posterior_pair(target):
-    if isinstance(target, str):
-        if target == VERB:
-            return 1.0, 0.0
-        if target == NOUN:
-            return 0.0, 1.0
-        raise ValueError(f"unknown label {target!r}")
-    p1, p0 = target
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p0 <= 1.0):
-        raise ValueError(f"posterior weights must lie in [0, 1], got {target!r}")
-    return float(p1), float(p0)
+def _target(target):
+    """The probability of verb attachment a target gives: 1.0 for ``"V"``,
+    0.0 for ``"N"``, or a number in [0, 1] as it is."""
+    if isinstance(target, str) and target in (VERB, NOUN):
+        return 1.0 if target == VERB else 0.0
+    if isinstance(target, numbers.Real) and 0.0 <= target <= 1.0:
+        return float(target)
+    raise ValueError(f"a target is a label or a verb probability in [0, 1], got {target!r}")
 
 
 # -- packed objective -----------------------------------------------------
@@ -121,7 +119,8 @@ def _intern(fvs, vocab):
 
 class _Problem:
     """Posterior-weighted, L2-penalized conditional objective over instances
-    packed as the rows of a sparse 0/1 matrix.
+    packed as the rows of a sparse 0/1 matrix. Each row's target ``y`` is a
+    hard label or the probability of verb attachment (1.0 for ``"V"``).
 
     :meth:`scores` sums feature weights for training; :func:`classify_many`
     computes the same sums one instance at a time, without numpy, and a
@@ -132,7 +131,7 @@ class _Problem:
     dots, whose rounding depends on how many threads split a long vector.
     """
 
-    def __init__(self, rows, n_features, pairs=(), l2=0.0):
+    def __init__(self, rows, n_features, y=(), l2=0.0):
         import numpy as np
         from scipy.sparse import csr_matrix
         counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
@@ -141,8 +140,7 @@ class _Problem:
         self.X = csr_matrix((np.ones(len(indices)), indices, indptr),
                             shape=(len(rows), n_features))
         self.l2 = l2
-        self.p1 = np.array([p[0] for p in pairs], dtype=np.float64)
-        self.p0 = np.array([p[1] for p in pairs], dtype=np.float64)
+        self.y = np.array(y, dtype=np.float64)
 
     def scores(self, w):
         return self.X @ w
@@ -150,15 +148,15 @@ class _Problem:
     def value(self, w):
         import numpy as np
         z = self.scores(w)
-        data = self.p1 * z - (self.p1 + self.p0) * np.logaddexp(0.0, z)
+        data = self.y * z - np.logaddexp(0.0, z)
         return float(data.sum() - 0.5 * self.l2 * (w * w).sum())
 
     def derivatives(self, w):
         """The gradient at ``w`` and the row weights ``D`` of ``−Hessian = X.T D X + l2 I``."""
         from scipy.special import expit
         z = self.scores(w)
-        mass, sigma = self.p1 + self.p0, expit(z)
-        return self.X.T @ (self.p1 - mass * sigma) - self.l2 * w, mass * sigma * expit(-z)
+        sigma = expit(z)
+        return self.X.T @ (self.y - sigma) - self.l2 * w, sigma * expit(-z)
 
 
 def _newton(problem, w, cfg):
@@ -203,11 +201,10 @@ def _model_problem(model, data):
     """Pack data with hard or posterior targets against a model's weights;
     returns (problem, w, vocab)."""
     import numpy as np
-    items = [(fv, _posterior_pair(t)) for fv, t in data]
+    items = [(fv, _target(t)) for fv, t in data]
     vocab = {name: i for i, name in enumerate(model.weights)}
     rows = _intern([fv for fv, _ in items], vocab)
-    pairs = [p for _, p in items]
-    problem = _Problem(rows, len(vocab), pairs, model.config.l2_penalty)
+    problem = _Problem(rows, len(vocab), [y for _, y in items], model.config.l2_penalty)
     w = np.array([model.weights.get(name, 0.0) for name in vocab], dtype=float)
     return problem, w, vocab
 
@@ -257,8 +254,8 @@ def classify(model: AttachmentModel, fv) -> tuple[str, float]:
 def expected_log_likelihood(model: AttachmentModel, data) -> float:
     """Posterior-weighted conditional log likelihood, minus the L2 term.
 
-    Each item is ``(feature_set, target)`` with a hard label or a
-    ``(p_verb, p_noun)`` pair. With hard labels this is the plain
+    Each item is ``(feature_set, target)`` with a hard label or the
+    probability of verb attachment. With hard labels this is the plain
     conditional log likelihood.
     """
     problem, w, _ = _model_problem(model, data)
@@ -266,7 +263,8 @@ def expected_log_likelihood(model: AttachmentModel, data) -> float:
 
 
 def gradient(model: AttachmentModel, data) -> dict[str, float]:
-    """Gradient of the posterior-weighted objective in weight space.
+    """Gradient of the posterior-weighted objective in weight space. Each
+    item's target is a hard label or the probability of verb attachment.
 
     Covers every feature present in the data or carrying a model weight
     (the penalty term contributes to the latter even when absent from the
@@ -300,15 +298,15 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
     unlabeled = list(unlabeled)
     if not labeled:
         raise ValueError("training requires at least one labeled instance")
-    if not all(isinstance(t, str) for _, t in labeled):
+    if not all(t in (VERB, NOUN) for _, t in labeled):
         raise ValueError("training requires hard labels")
     import numpy as np
     from scipy.special import expit
     cfg = cfg or TrainConfig()
-    lab_pairs = [_posterior_pair(t) for _, t in labeled]
+    lab_y = [_target(t) for _, t in labeled]
     vocab = {}
     lab_rows = _intern([fv for fv, _ in labeled], vocab)
-    lab_problem = _Problem(lab_rows, len(vocab), lab_pairs, cfg.l2_penalty)
+    lab_problem = _Problem(lab_rows, len(vocab), lab_y, cfg.l2_penalty)
     w, ll, steps, grad_norm = _newton(lab_problem, np.zeros(len(vocab)), cfg)
     history = [{"phase": "supervised", "steps": steps, "ll": ll, "grad_norm": grad_norm}]
 
@@ -317,12 +315,10 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
         unlab_rows = _intern(unlabeled, vocab)
         w = np.pad(w, (0, len(vocab) - n))
         problem = _Problem(lab_rows + unlab_rows, len(vocab),
-                           lab_pairs + [(0.5, 0.5)] * len(unlab_rows), cfg.l2_penalty)
+                           lab_y + [0.5] * len(unlab_rows), cfg.l2_penalty)
         unlab = slice(len(lab_rows), None)
         for t in range(1, cfg.max_em_iters + 1):
-            p1 = expit(problem.scores(w)[unlab])
-            problem.p1[unlab] = p1
-            problem.p0[unlab] = 1.0 - p1
+            problem.y[unlab] = expit(problem.scores(w)[unlab])
             q_start = problem.value(w)
             w, q_end, steps, grad_norm = _newton(problem, w, cfg)
             ll = float(lab_problem.value(w[:n]) - 0.5 * cfg.l2_penalty * (w[n:] ** 2).sum())

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kbread.features import FAMILIES, NOUN, VERB, FeatureConfig, PPInstance, feature_name
 from kbread.model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, _intern, _logistic,
@@ -17,6 +17,8 @@ from kbread.tsv import FormatError
 from synth import sorted_sum_classify, two_cluster_data
 
 NO_REG = TrainConfig(l2_penalty=0.0)
+#: Targets other than a label or a verb probability in [0, 1].
+BAD_TARGETS = [(0.5, 0.5), "X", math.nan, -0.1, 1.1]
 
 
 def fd_gradient(model, data, h=1e-6):
@@ -216,7 +218,38 @@ class TestLogLikelihood:
 
     def test_posteriors_rejected(self):
         with pytest.raises(ValueError):
-            train_supervised([(frozenset(["a"]), (0.5, 0.5))])
+            train_supervised([(frozenset(["a"]), 0.5)])
+
+    @pytest.mark.parametrize("target", [0.0, 0.5, 1.0, *BAD_TARGETS], ids=repr)
+    @pytest.mark.parametrize("train", [train_supervised, lambda data: train_em(data, [])],
+                             ids=["supervised", "em"])
+    def test_training_rejects_every_target_but_a_label(self, train, target):
+        data = [(frozenset(["a"]), VERB), (frozenset(["b"]), target)]
+        with pytest.raises(ValueError, match="training requires hard labels"):
+            train(data)
+
+    @pytest.mark.parametrize("target", BAD_TARGETS, ids=repr)
+    @pytest.mark.parametrize("operation", [expected_log_likelihood, gradient])
+    def test_other_targets_rejected(self, operation, target):
+        model = AttachmentModel({"a": 0.5})
+        with pytest.raises(ValueError, match="a label or a verb probability"):
+            operation(model, [(frozenset(["a"]), VERB), (frozenset(["b"]), target)])
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2 ** 32), p=st.floats(0.0, 1.0))
+    def test_a_verb_probability_mixes_the_two_labels(self, seed, p):
+        # Both operations are linear in each target, and "V" is 1.0, "N" 0.0.
+        model, data = random_problem(random.Random(seed))
+        def at(target):
+            return [(fv, target) for fv, _ in data]
+        mixed = {VERB: p, NOUN: 1.0 - p}
+        assert expected_log_likelihood(model, at(p)) == pytest.approx(
+            sum(q * expected_log_likelihood(model, at(y)) for y, q in mixed.items()),
+            rel=1e-12, abs=1e-12)
+        by_label = {y: gradient(model, at(y)) for y in mixed}
+        for name, value in gradient(model, at(p)).items():
+            assert value == pytest.approx(sum(q * by_label[y][name] for y, q in mixed.items()),
+                                          rel=1e-12, abs=1e-12)
 
     def test_finite_at_extreme_scores(self):
         for z in (1e4, -1e4):
@@ -228,7 +261,7 @@ class TestLogLikelihood:
     def test_expected_matches_conditional_on_hard_labels(self):
         rng = random.Random(8)
         model, data = random_problem(rng)
-        soft = [(fv, (1.0, 0.0) if y == VERB else (0.0, 1.0)) for fv, y in data]
+        soft = [(fv, 1.0 if y == VERB else 0.0) for fv, y in data]
         assert expected_log_likelihood(model, soft) == pytest.approx(
             expected_log_likelihood(model, data), abs=1e-12)
 
@@ -240,10 +273,25 @@ class TestGradient:
         g = gradient(model, [(fv, VERB), (fv, NOUN)])
         assert g["a"] == pytest.approx(0.0, abs=1e-15)
 
-    def test_uniform_posterior_contributes_nothing(self):
-        model = AttachmentModel({}, config=NO_REG)
-        g = gradient(model, [(frozenset(["a", "b"]), (0.5, 0.5))])
-        assert all(v == pytest.approx(0.0, abs=1e-15) for v in g.values())
+    NAMES = tuple(f"f{i}" for i in range(8))
+    SETS = st.frozensets(st.sampled_from(NAMES), min_size=1)
+
+    # Weights within ±2 over 8 names keep every probability inside the
+    # interval ``classify`` clamps to, so it is the model's own posterior.
+    @settings(deadline=None, max_examples=200)
+    @given(weights=st.dictionaries(st.sampled_from(NAMES), st.floats(-2.0, 2.0)),
+           labeled=st.lists(st.tuples(SETS, st.sampled_from((VERB, NOUN))), max_size=12),
+           unlabeled=st.lists(SETS, min_size=1, max_size=12),
+           l2=st.sampled_from((0.0, 1e-4, 0.1)))
+    @example(weights={}, labeled=[], unlabeled=[frozenset(["f0", "f1"])], l2=0.0)
+    def test_uniform_posterior_contributes_nothing(self, weights, labeled, unlabeled, l2):
+        # At the model's own posteriors unlabeled data adds nothing to the
+        # gradient, at any weights: so EM cannot move a supervised optimum.
+        model = AttachmentModel(weights, config=TrainConfig(l2_penalty=l2))
+        own = [(fv, classify(model, fv)[1]) for fv in unlabeled]
+        before, after = gradient(model, labeled), gradient(model, labeled + own)
+        assert set(before) <= set(after)
+        assert all(abs(v - before.get(name, 0.0)) < 1e-12 for name, v in after.items())
 
     def test_matches_finite_differences(self):
         rng = random.Random(42)
