@@ -6,7 +6,7 @@ Each resource lives in its own tab-separated file and is optional; a missing
 file simply yields an empty store. :func:`load_kb_dir` opens only the
 files its ``resources`` argument names, so a command that never reads a file
 neither pays for it nor fails on it. All strings are case-folded and
-whitespace-normalized at load time, a line at a time (see :func:`_rows`).
+whitespace-normalized at load time, a block of lines at a time (see :func:`_rows`).
 Queries fold their arguments the same way on purpose, though every caller
 here passes folded words: README promises it and the tests' scan oracles
 query with unfolded words. The fold costs about 3 of the 14-18 µs a
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 
-from .tsv import FormatError, iter_data_lines, norm_token
+from .tsv import FormatError, data_lines, iter_blocks, norm_token, spaced, width_error
 
 DEFAULT_MIN_SVO_COUNT = 3
 
@@ -147,19 +147,24 @@ class KnowledgeBase:
 
 
 def _rows(path, columns):
-    """Yield ``(lineno, fields)`` for each line of ``tsv.iter_data_lines``,
-    each field folded as ``norm_token`` folds it; an empty field is a
-    :class:`FormatError`. Unlike ``tsv.iter_rows`` it folds a line once, not
-    each field: folding never makes or drops whitespace, so the fields agree."""
-    for lineno, line in iter_data_lines(path, columns):
-        line = line.casefold()
-        fields = line.split("\t")
-        # Whitespace other than the space is never printable, so no line to collapse skips it.
-        if " " in line or not line.replace("\t", "").isprintable():
-            fields = [" ".join(f.split()) for f in fields]
-        if not all(fields):
-            raise FormatError(path, lineno, "empty field")
-        yield lineno, fields
+    """Yield ``(lineno, fields)`` for each data line of a knowledge file,
+    each field folded as ``norm_token`` folds it; a line of the wrong width
+    or with an empty field is a :class:`FormatError`. Each block of
+    ``tsv.iter_blocks`` is folded once and tested folded: ``casefold`` makes
+    and removes no ``#``, whitespace or line end and keeps printability, so
+    the lines, fields and blanks are those of the text as written."""
+    for lineno, text in iter_blocks(path):
+        text = text.casefold()
+        collapse = spaced(text)
+        for lineno, line in data_lines(lineno, text):
+            fields = line.split("\t")
+            if len(fields) != len(columns):
+                raise width_error(path, lineno, columns, len(fields))
+            if collapse:
+                fields = [" ".join(f.split()) for f in fields]
+            if not all(fields):
+                raise FormatError(path, lineno, "empty field")
+            yield lineno, fields
 
 
 def _load_svo(path):

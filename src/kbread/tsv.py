@@ -1,11 +1,23 @@
 """Helpers shared by every tab-separated file reader and writer, and the one
-module that opens, creates, replaces or removes a file (see :func:`output_set`)."""
+module that opens, creates, replaces or removes a file (see :func:`output_set`).
+
+Every input is read in blocks of whole lines (see :func:`iter_blocks`), and
+a reader looks a line at a time for a mark, a comment or whitespace to strip
+only in a block that holds one.
+"""
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import contextvars
 import os
+import re
+
+#: The size in bytes of the blocks an input is read in (see :func:`iter_blocks`).
+BLOCK = 1 << 16
+#: A line whose first non-blank character is U+FEFF (``\s`` is ``str.isspace``).
+_MARK = re.compile(r"^[^\S\n]*\ufeff", re.MULTILINE)
 
 #: The staged temporary file of each target in the open output set.
 _staged = contextvars.ContextVar("staged", default=None)
@@ -35,49 +47,109 @@ def at_line(path, lineno, make, *args, **kwargs):
         raise FormatError(path, lineno, str(exc)) from None
 
 
+def _byte_blocks(fh):
+    """The bytes of a binary file in blocks of whole lines: the next
+    :data:`BLOCK` bytes after the last block, up to their last line end."""
+    rest = b""
+    while chunk := fh.read(BLOCK):
+        data = rest + chunk
+        # A CR that ends the bytes read may be the first half of a CRLF.
+        end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+        if end:
+            yield data[:end]
+        rest = data[end:]
+    if rest:
+        yield rest
+
+
+def iter_blocks(path):
+    """Yield ``(lineno, text)`` for blocks of whole lines of a UTF-8 text
+    file, ``lineno`` the number of the block's first line; every input file
+    is opened and decoded here, and nowhere else. Lines end in LF, CRLF or
+    CR, each given as ``"\\n"`` in ``text``. A leading byte-order mark is
+    dropped; the first line that is not valid UTF-8, or whose first
+    non-blank character is another mark, is a :class:`FormatError`, raised
+    once the lines before it are yielded."""
+    with open(path, "rb") as fh:
+        lineno = 1
+        for data in _byte_blocks(fh):
+            if lineno == 1 and data.startswith(codecs.BOM_UTF8):
+                data = data[len(codecs.BOM_UTF8):]
+            try:
+                text, fault = data.decode("utf-8"), None
+            except UnicodeDecodeError as exc:
+                text, fault = data[:exc.start].decode("utf-8"), "not valid UTF-8"
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            if fault:                   # keep the lines before the bad one
+                text = text[:text.rfind("\n") + 1]
+            if "\ufeff" in text and (mark := _MARK.search(text)):
+                text, fault = text[:mark.start()], "a byte-order mark starts the line"
+            if text:
+                yield lineno, text
+            lineno += text.count("\n")
+            if fault:
+                raise FormatError(path, lineno, fault)
+
+
+def _lines(lineno, text):
+    """The ``(lineno, line)`` of each non-blank line of a block that starts at line ``lineno``."""
+    return [(n, line) for n, line in enumerate(text.split("\n"), lineno)
+            if line and not line.isspace()]
+
+
+def data_lines(lineno, text):
+    """The ``(lineno, line)`` of each data line of a block of :func:`iter_blocks`
+    that starts at line ``lineno``: not blank, and its first non-blank
+    character not ``#``."""
+    lines = _lines(lineno, text)
+    if "#" in text:
+        lines = [(n, line) for n, line in lines
+                 if not ("#" in line and line.lstrip().startswith("#"))]
+    return lines
+
+
+def spaced(text) -> bool:
+    """Whether ``text`` may hold whitespace other than tab and LF: a space, or
+    a character that is not printable, as every other whitespace character is."""
+    return " " in text or not text.replace("\t", "").replace("\n", "").isprintable()
+
+
+def width_error(path, lineno, columns, width) -> FormatError:
+    """The error for a line of ``width`` fields in a file of ``columns``."""
+    return FormatError(path, lineno, f"expected {len(columns)} columns "
+                       f"({', '.join(columns)}), got {width}")
+
+
 def iter_lines(path):
-    """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 text
-    file, without its line end; every input file is read through this. A
-    leading byte-order mark is dropped; the first line that is not valid
-    UTF-8, or whose first non-blank character is another mark, is a :class:`FormatError`."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.isspace():
-                    # The "in" test first: it is a quarter of lstrip's cost.
-                    if "\ufeff" in line and line.lstrip().startswith("\ufeff"):
-                        raise FormatError(path, lineno, "a byte-order mark starts the line")
-                    yield lineno, line.rstrip("\r\n")
-    except UnicodeDecodeError:
-        # Text mode decodes in blocks, so find the line again in the bytes.
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise FormatError(path, lineno, "not valid UTF-8") from None
-        raise
+    """Yield ``(lineno, line)`` for each non-blank line of a text file that
+    :func:`iter_blocks` reads, without its line end."""
+    for block in iter_blocks(path):
+        yield from _lines(*block)
 
 
 def iter_data_lines(path, columns=None):
-    """Yield ``(lineno, line)`` for each data line of a TSV file: not blank, and
-    its first non-blank character not ``#``. Given the names of its ``columns``,
-    a line of another number of tab-separated fields is a :class:`FormatError`."""
-    for lineno, line in iter_lines(path):
-        if "#" in line and line.lstrip().startswith("#"):
-            continue
-        width = line.count("\t") + 1
-        if columns is not None and width != len(columns):
-            raise FormatError(path, lineno, f"expected {len(columns)} columns "
-                              f"({', '.join(columns)}), got {width}")
-        yield lineno, line
+    """Yield ``(lineno, line)`` for each data line of a TSV file (see
+    :func:`data_lines`). Given the names of its ``columns``, a line of
+    another number of tab-separated fields is a :class:`FormatError`."""
+    for block in iter_blocks(path):
+        for lineno, line in data_lines(*block):
+            if columns is not None and line.count("\t") + 1 != len(columns):
+                raise width_error(path, lineno, columns, line.count("\t") + 1)
+            yield lineno, line
 
 
 def iter_rows(path, columns=None):
     """Yield ``(lineno, fields)`` for each line of :func:`iter_data_lines`,
-    its fields stripped of surrounding whitespace."""
-    for lineno, line in iter_data_lines(path, columns):
-        yield lineno, [f.strip() for f in line.split("\t")]
+    its fields stripped of surrounding whitespace; only a block that
+    holds whitespace other than tab and LF (see :func:`spaced`) is stripped."""
+    for lineno, text in iter_blocks(path):
+        strip = spaced(text)
+        for lineno, line in data_lines(lineno, text):
+            fields = line.split("\t")
+            if columns is not None and len(fields) != len(columns):
+                raise width_error(path, lineno, columns, len(fields))
+            yield lineno, [f.strip() for f in fields] if strip else fields
 
 
 def format_row(fields) -> str:

@@ -7,14 +7,20 @@ import glob
 import itertools
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kbread
-from kbread.kb import KB_FILENAMES
-from kbread.tsv import FormatError, format_row, iter_lines
+from kbread import kb, tsv
+from kbread.kb import KB_FILENAMES, load_kb_dir
+from kbread.tsv import FormatError, format_row, iter_data_lines, iter_lines, iter_rows
 
+from synth import (line_iter_data_lines, line_iter_lines, line_iter_rows, line_kb_rows,
+                   read_outcome)
 from test_cli import fixture_command, paths, run, trained  # noqa: F401 - fixtures
 
 BOM = b"\xef\xbb\xbf"
@@ -191,6 +197,133 @@ def test_bad_utf8_after_the_first_read_block_is_found_at_its_line(tmp_path):
     path.write_bytes(b"row\tok\n" * 5000 + b"\r\nbad\t\xc3\n")
     with pytest.raises(FormatError, match=r"big\.tsv:5002: not valid UTF-8"):
         list(iter_lines(path))
+    # Lines of 7 bytes: the first read stops inside line k + 1, before its
+    # byte ``cut``, so the first block ends with line k. Bad bytes on either
+    # side of the stop, and on the lines around that one.
+    k, cut = divmod(tsv.BLOCK, 7)
+    for lineno, at in ((k, 5), (k + 1, cut - 1), (k + 1, cut), (k + 2, 0)):
+        lines = [bytearray(b"row\tok\n") for _ in range(k + 3)]
+        lines[lineno - 1][at] = 0xFF
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(FormatError, match=rf"big\.tsv:{lineno}: not valid UTF-8"):
+            list(iter_lines(path))
+
+
+@pytest.mark.parametrize("good_lines", [0, 3000], ids=["near", "far"])
+def test_the_first_fault_in_file_order_is_reported(paths, tmp_path, capsys, good_lines):
+    """A row of the wrong width on line 2 is reported before a bad byte
+    further down, however many good lines lie between the two."""
+    text = b"sun\tstar\nsun\n" + b"sun\tstar\n" * good_lines + b"m\xffon\tstar\n"
+    path = tmp_path / "two.tsv"
+    path.write_bytes(text)
+    with pytest.raises(FormatError, match=r"two\.tsv:2: expected 2 columns \(a, b\), got 1"):
+        list(iter_data_lines(path, ("a", "b")))
+    kb_dir = tmp_path / "kb"
+    shutil.copytree(paths["kb"], kb_dir)
+    (kb_dir / "isa.tsv").write_bytes(text)
+    capsys.readouterr()
+    assert run("kb-check", "--kb-dir", str(kb_dir)) == 2
+    assert capsys.readouterr().err == (f"error: {kb_dir / 'isa.tsv'}:2: expected 2 columns "
+                                       "(noun, category), got 1\n")
+
+
+#: Letters that fold to other letters, and the blanks a field may hold.
+LETTERS = "aZßİ"
+BLANKS = " \xa0\x0c\u2028"
+#: A field that folds to a nonempty token: blanks, a letter, then anything
+#: but a tab or line end, double spaces, "#" and U+FEFF included.
+FIELD = st.tuples(st.text(BLANKS, max_size=2), st.sampled_from(LETTERS),
+                  st.text(LETTERS + BLANKS + "#\ufeff", max_size=4)).map("".join)
+FAULTS = (None, "width", "empty", "mark", "utf8")
+
+
+@st.composite
+def tsv_files(draw):
+    """``(data, width)``: the bytes of a file of ``width`` columns with
+    blank, comment and data lines, LF, CRLF and CR line ends, perhaps a
+    leading byte-order mark, and at most one faulty line: a wrong width, an
+    empty field, a mark after blanks or a byte that is not UTF-8."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    row = st.lists(FIELD, min_size=width, max_size=width)
+    blank = st.text(BLANKS + "\t", max_size=3)
+    comment = st.tuples(st.text(BLANKS + "\t", max_size=2),
+                        st.text(LETTERS + "\t#", max_size=4)).map("#".join)
+    lines = [line.encode() for line in draw(st.lists(
+        st.one_of(row.map("\t".join), blank, comment), max_size=12))]
+    fault = draw(st.sampled_from(FAULTS))
+    if fault:
+        fields = draw(row)
+        if fault == "width":
+            if width == 1 or draw(st.booleans()):
+                fields.append(draw(FIELD))
+            else:
+                fields.pop()
+        elif fault == "empty":
+            fields[draw(st.integers(0, width - 1))] = draw(st.text(BLANKS, max_size=2))
+        elif fault == "mark":
+            fields[0] = draw(st.text(BLANKS, max_size=2)) + "\ufeff" + fields[0]
+        bad = "\t".join(fields).encode()
+        if fault == "utf8":
+            at = draw(st.integers(0, len(bad)))
+            bad = bad[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + bad[at:]
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = b""
+    mark = BOM if draw(st.booleans()) else b""
+    return mark + b"".join(line + end for line, end in zip(lines, ends)), width
+
+
+@pytest.fixture(scope="module")
+def files_dir(tmp_path_factory):
+    """One directory for every example of a property, which rewrites its file."""
+    return tmp_path_factory.mktemp("files")
+
+
+@settings(deadline=None, max_examples=400)
+@given(file=tsv_files(), block=st.integers(min_value=1, max_value=48))
+def test_block_readers_agree_with_the_line_readers(files_dir, file, block):
+    """Read in blocks of a few dozen bytes, so that a file spans many, every
+    reader yields the rows of its line-at-a-time oracle in ``synth`` or
+    fails at the same line with the same message."""
+    data, width = file
+    path = files_dir / "file.tsv"
+    path.write_bytes(data)
+    columns = tuple(f"c{i}" for i in range(width))
+    with mock.patch.object(tsv, "BLOCK", block):
+        for reader, oracle, args in [(iter_lines, line_iter_lines, ()),
+                                     (iter_data_lines, line_iter_data_lines, ()),
+                                     (iter_data_lines, line_iter_data_lines, (columns,)),
+                                     (iter_rows, line_iter_rows, ()),
+                                     (iter_rows, line_iter_rows, (columns,)),
+                                     (kb._rows, line_kb_rows, (columns,))]:
+            assert read_outcome(reader(path, *args)) == read_outcome(oracle(path, *args))
+
+
+@pytest.mark.parametrize("block", [tsv.BLOCK, 40], ids=["block", "small-block"])
+def test_the_store_equals_the_line_readers_store(kb_dir, monkeypatch, block):
+    monkeypatch.setattr(tsv, "BLOCK", block)
+    loaded = vars(load_kb_dir(kb_dir))
+    monkeypatch.setattr(kb, "_rows", line_kb_rows)
+    assert loaded == vars(load_kb_dir(kb_dir))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_large_knowledge_file_is_read_in_bounded_memory(tmp_path, end):
+    """Memory for a block and its longest line, not for the whole file."""
+    path = tmp_path / "isa.tsv"
+    path.write_bytes("".join(f"Noun{i:06d}{'X' * 90}\tCategory {i % 97} of{' THINGS' * 14}{end}"
+                             for i in range(42_000)).encode())
+    assert path.stat().st_size >= 8 << 20
+    tracemalloc.start()
+    try:
+        for _ in kb._rows(path, ("noun", "category")):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * tsv.BLOCK
 
 
 @pytest.mark.parametrize("fields", [["a\tb", "c"], ["a", "b\n"], ["a", "\rb"], ["#a", "b"],

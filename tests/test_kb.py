@@ -7,7 +7,7 @@ from kbread.cli import main
 from kbread.kb import KB_FILENAMES, KnowledgeBase, _rows, load_kb, load_kb_dir
 from kbread.tsv import FormatError, norm_token
 from synth import (KB_CATEGORIES, KB_NOUNS, KB_VERBS, lookup_svo_exists, random_kb_inputs,
-                   reference_kb_rows, scan_roles_for, scan_svo_any_verb)
+                   read_outcome, reference_kb_rows, scan_roles_for, scan_svo_any_verb)
 
 
 def make_kb(tmp_path, **contents):
@@ -212,14 +212,6 @@ FIELD_CHARS = "aZßİﬁ #\xa0\x1c\u2003\ufeff"
 def rows_dir(tmp_path_factory):
     """One directory for every example of a property, which rewrites its file."""
     return tmp_path_factory.mktemp("rows")
-
-
-def read_outcome(rows):
-    """The rows a reader yields, or the message of the error it raises."""
-    try:
-        return list(rows)
-    except FormatError as exc:
-        return str(exc)
 
 
 class TestLoaderFold:
