@@ -52,13 +52,14 @@ def check_word(token: str) -> str:
     return token
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class PPInstance:
     """One attachment problem: does (p, n2) modify the verb or the noun?
 
     The words, and ``n0`` when given, are folded with ``norm_token`` when
     the instance is built and checked with :func:`check_word`, so every
-    consumer sees them in their canonical form.
+    consumer sees them in their canonical form. The label is checked after
+    the words.
     """
 
     v: str
@@ -68,11 +69,18 @@ class PPInstance:
     n0: str | None = None
     label: str | None = None
 
-    def __post_init__(self):
-        for slot in ("v", "n1", "p", "n2") + (() if self.n0 is None else ("n0",)):
-            object.__setattr__(self, slot, check_word(norm_token(getattr(self, slot))))
-        if self.label is not None and self.label not in (VERB, NOUN):
-            raise ValueError(f"label must be V or N, got {self.label!r}")
+    def __init__(self, v, n1, p, n2, n0=None, label=None):
+        # Each field is set once. Slots keep the fields in place: without
+        # them, enough rejected builds give every later instance a dict.
+        set_ = object.__setattr__
+        set_(self, "v", check_word(norm_token(v)))
+        set_(self, "n1", check_word(norm_token(n1)))
+        set_(self, "p", check_word(norm_token(p)))
+        set_(self, "n2", check_word(norm_token(n2)))
+        set_(self, "n0", None if n0 is None else check_word(norm_token(n0)))
+        if label is not None and label not in (VERB, NOUN):
+            raise ValueError(f"label must be V or N, got {label!r}")
+        set_(self, "label", label)
 
 
 @dataclass(frozen=True)

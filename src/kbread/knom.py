@@ -38,24 +38,29 @@ def _check_unbroken(what: str, value: str) -> None:
         raise ValueError(f"{what} {value!r} holds a sequence element break")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class CompoundNoun:
     """Two or more tokens from the compound with id ``source``. The tokens
     are folded with ``norm_token`` when it is built. An empty token or id is
-    rejected, and so is a token holding an element break (" lex:" say)."""
+    rejected, and so is a token holding an element break (" lex:" say).
+    Fields are set once, as in :class:`~kbread.features.PPInstance`."""
 
     tokens: tuple[str, ...]
     source: str
 
-    def __post_init__(self):
-        tokens = tuple(norm_token(t) for t in self.tokens)
-        object.__setattr__(self, "tokens", tokens)
+    def __init__(self, tokens, source):
+        tokens = tuple(map(norm_token, tokens))
         if len(tokens) < 2:
             raise ValueError("a compound noun needs at least two tokens")
-        if not self.source or not all(tokens):
+        if not source or not all(tokens):
             raise ValueError("empty field")
         for token in tokens:
-            _check_unbroken("token", token)
+            # A folded token holds no whitespace but " ", so only such a
+            # token can hold a break.
+            if " " in token:
+                _check_unbroken("token", token)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "source", source)
 
 
 @dataclass(frozen=True)
@@ -112,14 +117,15 @@ class Prediction:
     known: bool
 
 
+def _choices(token: str, kb: KnowledgeBase) -> list[tuple[str, str]]:
+    """A token's element choices: one per category, in sorted order, or the
+    token itself as a literal anchor when it has no categories."""
+    return [(TYPE, t) for t in sorted(kb.types_of(token))] or [(LEX, token)]
+
+
 def _token_choices(cn: CompoundNoun, kb: KnowledgeBase) -> list[list[tuple[str, str]]]:
-    """Each token's element choices: one per category, in sorted order, or
-    the token itself as a literal anchor when it has no categories."""
-    choices = []
-    for token in cn.tokens:
-        types = sorted(kb.types_of(token))
-        choices.append([(TYPE, t) for t in types] or [(LEX, token)])
-    return choices
+    """Each token's element choices (see :func:`_choices`)."""
+    return [_choices(token, kb) for token in cn.tokens]
 
 
 def type_compound(cn: CompoundNoun, kb: KnowledgeBase) -> list[TypeSequence]:
@@ -138,13 +144,21 @@ def mine_sequences(corpus, kb: KnowledgeBase,
     own, and a prefix is extended only while enough distinct ids still fit
     it. Support can only fall as a prefix grows, so this keeps exactly the
     sequences that counting every candidate would keep (Apriori pruning),
-    without building the product of categories.
+    without building the product of categories. A prefix that fewer than
+    ``min_support`` compounds fit is dropped before its ids are counted, as
+    it cannot have more distinct ids than compounds. Each distinct token is
+    typed once per call.
     """
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
+    choices = {}                                # token -> its element choices
     by_length = {}                              # length -> [(compound, choices)]
     for cn in corpus:
-        by_length.setdefault(len(cn.tokens), []).append((cn, _token_choices(cn, kb)))
+        for token in cn.tokens:
+            if token not in choices:
+                choices[token] = _choices(token, kb)
+        by_length.setdefault(len(cn.tokens), []).append(
+            (cn, [choices[token] for token in cn.tokens]))
     mined = []
     for length, group in by_length.items():
         stack = [((), group)]                   # (prefix, members fitting it in corpus order)
@@ -163,7 +177,8 @@ def mine_sequences(corpus, kb: KnowledgeBase,
                 for element in member[1][depth]:
                     extensions.setdefault(element, []).append(member)
             stack.extend((prefix + (element,), fitting)
-                         for element, fitting in extensions.items())
+                         for element, fitting in extensions.items()
+                         if len(fitting) >= min_support)
     mined.sort(key=lambda m: m.sequence.elements)
     return mined
 

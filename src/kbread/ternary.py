@@ -27,7 +27,7 @@ ROLE_LABELS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class TernaryInstance:
     """A ternary relation instance; words are folded and checked as in :class:`PPInstance`."""
 
@@ -39,9 +39,15 @@ class TernaryInstance:
     relation: str | None = None
     role_label: str | None = None
 
-    def __post_init__(self):
-        for slot in ("n0", "v", "n1", "p", "n2"):
-            object.__setattr__(self, slot, check_word(norm_token(getattr(self, slot))))
+    def __init__(self, n0, v, n1, p, n2, relation=None, role_label=None):
+        set_ = object.__setattr__
+        set_(self, "n0", check_word(norm_token(n0)))
+        set_(self, "v", check_word(norm_token(v)))
+        set_(self, "n1", check_word(norm_token(n1)))
+        set_(self, "p", check_word(norm_token(p)))
+        set_(self, "n2", check_word(norm_token(n2)))
+        set_(self, "relation", relation)
+        set_(self, "role_label", role_label)
 
 
 @dataclass(frozen=True)

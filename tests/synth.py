@@ -3,12 +3,74 @@
 import math
 import os
 import random
+from dataclasses import dataclass
 
-from kbread.features import NOUN, VERB, FeatureConfig, PPInstance, feature_name
+from kbread.features import NOUN, VERB, FeatureConfig, PPInstance, check_word, feature_name
 from kbread.kb import KnowledgeBase
 from kbread.knom import (ANY, LEX, TYPE, CompoundNoun, MinedSequence, Prediction,
-                         TypeSequence, TypeSequenceMapping, _matches, type_compound)
+                         TypeSequence, TypeSequenceMapping, _check_unbroken, _matches,
+                         type_compound)
 from kbread.tsv import FormatError, norm_token
+
+# -- the token-holding value types as dataclass __init__ plus __post_init__ --
+#
+# Each builds its instance the way a plain frozen dataclass does: every
+# field is set as given, then ``__post_init__`` folds and checks. The
+# shipped classes set each field once; these are their oracles.
+
+
+@dataclass(frozen=True)
+class PostInitPPInstance:
+    """Oracle of :class:`kbread.features.PPInstance`."""
+
+    v: str
+    n1: str
+    p: str
+    n2: str
+    n0: str | None = None
+    label: str | None = None
+
+    def __post_init__(self):
+        for slot in ("v", "n1", "p", "n2") + (() if self.n0 is None else ("n0",)):
+            object.__setattr__(self, slot, check_word(norm_token(getattr(self, slot))))
+        if self.label is not None and self.label not in (VERB, NOUN):
+            raise ValueError(f"label must be V or N, got {self.label!r}")
+
+
+@dataclass(frozen=True)
+class PostInitTernaryInstance:
+    """Oracle of :class:`kbread.ternary.TernaryInstance`."""
+
+    n0: str
+    v: str
+    n1: str
+    p: str
+    n2: str
+    relation: str | None = None
+    role_label: str | None = None
+
+    def __post_init__(self):
+        for slot in ("n0", "v", "n1", "p", "n2"):
+            object.__setattr__(self, slot, check_word(norm_token(getattr(self, slot))))
+
+
+@dataclass(frozen=True)
+class PostInitCompoundNoun:
+    """Oracle of :class:`kbread.knom.CompoundNoun`."""
+
+    tokens: tuple[str, ...]
+    source: str
+
+    def __post_init__(self):
+        tokens = tuple(norm_token(t) for t in self.tokens)
+        object.__setattr__(self, "tokens", tokens)
+        if len(tokens) < 2:
+            raise ValueError("a compound noun needs at least two tokens")
+        if not self.source or not all(tokens):
+            raise ValueError("empty field")
+        for token in tokens:
+            _check_unbroken("token", token)
+
 
 # -- two-cluster attachment data ------------------------------------------
 

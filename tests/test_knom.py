@@ -1,11 +1,13 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbread.kb import KnowledgeBase
-from kbread.knom import (CompoundNoun, Prediction, TypeSequence, TypeSequenceMapping,
-                         baseline_mappings, learn_mappings, mine_sequences,
+from kbread.knom import (_ELEMENT_BREAK, CompoundNoun, Prediction, TypeSequence,
+                         TypeSequenceMapping, baseline_mappings, learn_mappings, mine_sequences,
                          predict_instances, read_compounds, read_mappings,
                          sample_predictions, type_compound, write_mappings,
                          write_predictions, write_sample_manifest)
@@ -350,3 +352,46 @@ class TestAgainstOracles:
         mappings = drawn + learned + baseline_mappings(drawn + learned)
         assert (predict_instances(mappings, corpus, kb)
                 == all_pairs_predict_instances(mappings, corpus, kb, relations))
+
+
+class TestShortcutsAreExact:
+    """The miner types each distinct token once per call and drops a prefix
+    with fewer fitting compounds than the threshold; ``CompoundNoun`` looks
+    for an element break only in a token that holds a space."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(text=st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(["\xa0", "\x1c", "\x85", " ", "\u3000", "\t", "\r\n",
+                                  "type:", "LEX:", "Any:", "ſ", "x"]),
+                 max_size=6).map("".join)))
+    def test_a_folded_token_with_a_break_holds_a_space(self, text):
+        folded = norm_token(text)
+        assert set(re.findall(r"\s", folded)) <= {" "}
+        if _ELEMENT_BREAK.search(folded):
+            assert " " in folded
+
+    def test_whitespace_is_what_split_breaks_on(self):
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", everything) == [c for c in everything if not c.split()]
+
+    def test_each_call_types_the_tokens_with_its_own_kb(self):
+        corpus = [cn([f"w{i % 2}", f"w{2 + i % 3}"], f"s{i}") for i in range(12)]
+        first = KnowledgeBase(isa=[("w0", "c0"), ("w1", "c0"), ("w2", "c1")])
+        second = KnowledgeBase(isa=[("w0", "d0"), ("w3", "d1"), ("w4", "d1")])
+        mined = [mine_sequences(corpus, kb, 2) for kb in (first, second, first)]
+        assert mined[0] == mined[2] == product_mine_sequences(corpus, first, 2)
+        assert mined[1] == product_mine_sequences(corpus, second, 2)
+        assert mined[0] != mined[1]
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(min_value=0))
+    def test_unique_ids_mining_equals_product(self, seed):
+        # With one compound per id, a prefix's fitting compounds and its
+        # distinct ids are equal in number, so the prune meets the threshold
+        # exactly; the tokens repeat across compounds.
+        kb, corpus, _ = random_knom_world(random.Random(seed))
+        corpus = [CompoundNoun(c.tokens, f"u{i}") for i, c in enumerate(corpus)]
+        for min_support in range(1, 6):
+            assert (mine_sequences(corpus, kb, min_support)
+                    == product_mine_sequences(corpus, kb, min_support))
