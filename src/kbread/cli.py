@@ -154,7 +154,7 @@ def cmd_train(args, kb):
     model = train_em(labeled, unlabeled, train_cfg)
     model.feature_config = feature_cfg
     save_model(model, args.model_out)
-    _write_train_log(model, args.log_out or args.model_out + ".log")
+    _write_train_log(model, args.log_out)
     print(f"trained on {model.n_labeled} labeled + {model.n_unlabeled} unlabeled "
           f"instances; {len(model.weights)} features")
 
@@ -232,7 +232,7 @@ def cmd_ternary_templates(args, kb):
     if apply_inputs is not None:
         labeled_out = ternary.apply_role_templates(templates, apply_inputs, model,
                                                    kb, feature_cfg)
-        ternary.write_ternary(labeled_out, args.labeled_out or "ternary_labeled.tsv")
+        ternary.write_ternary(labeled_out, args.labeled_out)
         print(f"labeled {len(labeled_out)} verb-attached tuples")
 
 
@@ -400,6 +400,11 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
+        # The outputs that no option names: the training log and the applied templates.
+        if args.command == "train":
+            args.log_out = args.log_out or args.model_out + ".log"
+        elif args.command == "ternary-templates" and args.tuples and args.model:
+            args.labeled_out = args.labeled_out or "ternary_labeled.tsv"
         for dest, path in vars(args).items():    # every output option ends in "out"
             if dest.endswith("out") and path is not None:
                 output_path(path)

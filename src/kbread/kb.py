@@ -6,7 +6,7 @@ Each resource lives in its own tab-separated file and is optional; a missing
 file simply yields an empty store. :func:`load_kb_dir` opens only the
 files its ``resources`` argument names, so a command that never reads a file
 neither pays for it nor fails on it. All strings are case-folded and
-whitespace-normalized at load time, a block of lines at a time (see :func:`_rows`).
+whitespace-normalized at load time, by the reader ``tsv.iter_folded_rows``.
 Queries fold their arguments the same way on purpose, though every caller
 here passes folded words: README promises it and the tests' scan oracles
 query with unfolded words. The fold costs about 3 of the 14-18 µs a
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 
-from .tsv import FormatError, data_lines, iter_blocks, norm_token, spaced, width_error
+from .tsv import FormatError, iter_folded_rows, norm_token
 
 DEFAULT_MIN_SVO_COUNT = 3
 
@@ -146,29 +146,8 @@ class KnowledgeBase:
 # -- loading ------------------------------------------------------------------
 
 
-def _rows(path, columns):
-    """Yield ``(lineno, fields)`` for each data line of a knowledge file,
-    each field folded as ``norm_token`` folds it; a line of the wrong width
-    or with an empty field is a :class:`FormatError`. Each block of
-    ``tsv.iter_blocks`` is folded once and tested folded: ``casefold`` makes
-    and removes no ``#``, whitespace or line end and keeps printability, so
-    the lines, fields and blanks are those of the text as written."""
-    for lineno, text in iter_blocks(path):
-        text = text.casefold()
-        collapse = spaced(text)
-        for lineno, line in data_lines(lineno, text):
-            fields = line.split("\t")
-            if len(fields) != len(columns):
-                raise width_error(path, lineno, columns, len(fields))
-            if collapse:
-                fields = [" ".join(f.split()) for f in fields]
-            if not all(fields):
-                raise FormatError(path, lineno, "empty field")
-            yield lineno, fields
-
-
 def _load_svo(path):
-    for lineno, (s, v, o, count) in _rows(path, ("subject", "verb", "object", "count")):
+    for lineno, (s, v, o, count) in iter_folded_rows(path, ("subject", "verb", "object", "count")):
         try:
             count = int(count)
         except ValueError:
@@ -179,7 +158,7 @@ def _load_svo(path):
 
 
 def _load_isa(path):
-    return (fields for _, fields in _rows(path, ("noun", "category")))
+    return (fields for _, fields in iter_folded_rows(path, ("noun", "category")))
 
 
 def _split_verbs(field, path, lineno):
@@ -190,16 +169,17 @@ def _split_verbs(field, path, lineno):
 
 
 def _load_roles(path):
-    for lineno, (verbs, filler, role) in _rows(path, ("verb[,verb...]", "filler", "role")):
+    columns = ("verb[,verb...]", "filler", "role")
+    for lineno, (verbs, filler, role) in iter_folded_rows(path, columns):
         yield _split_verbs(verbs, path, lineno), filler, role
 
 
 def _load_prepdefs(path):
-    return (fields for _, fields in _rows(path, ("preposition", "sense verb")))
+    return (fields for _, fields in iter_folded_rows(path, ("preposition", "sense verb")))
 
 
 def _load_synsets(path):
-    for lineno, (verbs,) in _rows(path, ("verb[,verb...]",)):
+    for lineno, (verbs,) in iter_folded_rows(path, ("verb[,verb...]",)):
         yield _split_verbs(verbs, path, lineno)
 
 
@@ -228,7 +208,7 @@ def _merge_groups(groups):
 
 
 def _load_relations(path):
-    return (fields for _, fields in _rows(path, ("relation", "arg1", "arg2")))
+    return (fields for _, fields in iter_folded_rows(path, ("relation", "arg1", "arg2")))
 
 
 def load_kb(svo=None, isa=None, roles=None, prepdefs=None, synsets=None,

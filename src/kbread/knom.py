@@ -123,15 +123,11 @@ def _choices(token: str, kb: KnowledgeBase) -> list[tuple[str, str]]:
     return [(TYPE, t) for t in sorted(kb.types_of(token))] or [(LEX, token)]
 
 
-def _token_choices(cn: CompoundNoun, kb: KnowledgeBase) -> list[list[tuple[str, str]]]:
-    """Each token's element choices (see :func:`_choices`)."""
-    return [_choices(token, kb) for token in cn.tokens]
-
-
 def type_compound(cn: CompoundNoun, kb: KnowledgeBase) -> list[TypeSequence]:
     """All candidate type sequences for one compound: the product of the
-    per-token choices, in deterministic order."""
-    return [TypeSequence(combo) for combo in itertools.product(*_token_choices(cn, kb))]
+    per-token choices (see :func:`_choices`), in deterministic order."""
+    choices = [_choices(token, kb) for token in cn.tokens]
+    return [TypeSequence(combo) for combo in itertools.product(*choices)]
 
 
 def mine_sequences(corpus, kb: KnowledgeBase,

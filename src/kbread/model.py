@@ -70,10 +70,12 @@ MODEL_SETTINGS = (
     (FeatureConfig, "max_prep_senses", "max_prep_senses", int, str),
     (FeatureConfig, "min_svo_count", "min_svo_count", int, str),
 )
+#: The ``(class, field, parse)`` of each setting, by its header key.
+_SETTING_OF = {key: (cls, name, parse) for cls, name, key, parse, _ in MODEL_SETTINGS}
+_COUNTS = ("n_labeled", "n_unlabeled")
 #: Every key a model header may hold. Files written before ``learning_rate``
 #: and ``category_scheme`` were deleted hold them, and they are ignored.
-_HEADER_KEYS = {MODEL_FORMAT, "n_labeled", "n_unlabeled", "learning_rate", "category_scheme",
-                *(key for _, _, key, _, _ in MODEL_SETTINGS)}
+_HEADER_KEYS = {MODEL_FORMAT, *_COUNTS, "learning_rate", "category_scheme", *_SETTING_OF}
 
 
 @dataclass
@@ -353,21 +355,39 @@ def save_model(model: AttachmentModel, path) -> None:
 
 
 def load_model(path) -> AttachmentModel:
-    """Read a model file. A setting whose line the file lacks is the
+    """Read a model file in one pass, checking each line where it stands, so
+    that of several faults the first in file order is reported. The first
+    line must be the format line. A setting whose line the file lacks is the
     default, and older keys (``learning_rate``, ``category_scheme``) are
     ignored. An unknown header key is a FormatError at its line, and so is
     a header value that does not parse, a negative count, a setting its own
     checks reject, and a header key or feature name an earlier line set."""
-    header = {}
-    weights = {}
-    for lineno, line in iter_lines(path):
+    lines = iter_lines(path)
+    if next(lines, (1, None))[1] != f"#{MODEL_FORMAT}\t{MODEL_VERSION}":
+        raise FormatError(path, 1, f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")
+    seen, settings, counts, weights = {MODEL_FORMAT}, {TrainConfig: {}, FeatureConfig: {}}, {}, {}
+    for lineno, line in lines:
         cols = line.split("\t")
         if line.startswith("#"):
             if len(cols) != 2:
                 raise FormatError(path, lineno, "malformed header line")
-            if cols[0][1:] in header:
+            key, text = cols[0][1:], cols[1]
+            if key in seen:
                 raise FormatError(path, lineno, f"repeated header key {cols[0]!r}")
-            header[cols[0][1:]] = (cols[1], lineno)
+            if key not in _HEADER_KEYS:
+                raise FormatError(path, lineno, f"unknown header key {cols[0]!r}")
+            seen.add(key)
+            try:
+                if key in _SETTING_OF:
+                    cls, name, parse = _SETTING_OF[key]
+                    settings[cls][name] = parse(text)
+                    cls(**{name: settings[cls][name]})      # the setting's own checks
+                elif key in _COUNTS:
+                    counts[key] = int(text)
+                    if counts[key] < 0:
+                        raise ValueError("an instance count must be >= 0")
+            except ValueError as exc:
+                raise FormatError(path, lineno, f"#{key} {text!r}: {exc}") from None
             continue
         if len(cols) != 2:
             raise FormatError(path, lineno, "expected feature-name and weight")
@@ -380,34 +400,5 @@ def load_model(path) -> AttachmentModel:
         if cols[0] in weights:
             raise FormatError(path, lineno, f"repeated feature {cols[0]!r}")
         weights[cols[0]] = weight
-    if header.get(MODEL_FORMAT, (None,))[0] != MODEL_VERSION:
-        raise FormatError(path, 1, f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")
-
-    def value(key, convert, settings=None, field=None):
-        """A header value, checked as ``settings(field=value)``."""
-        text, lineno = header[key]
-        try:
-            parsed = convert(text)
-            if settings is not None:
-                settings(**{field: parsed})
-        except ValueError as exc:
-            raise FormatError(path, lineno, f"#{key} {text!r}: {exc}") from None
-        return parsed
-
-    def config(owner):
-        """``owner`` with the value of each setting line; a missing line is the default."""
-        return owner(**{name: value(key, parse, owner, name) for cls, name, key, parse, _
-                        in MODEL_SETTINGS if cls is owner and key in header})
-
-    def count(text):
-        if (n := int(text)) < 0:
-            raise ValueError("an instance count must be >= 0")
-        return n
-
-    cfg, feature_config = config(TrainConfig), config(FeatureConfig)
-    counts = {key: value(key, count) for key in ("n_labeled", "n_unlabeled") if key in header}
-    for key, (_, lineno) in header.items():
-        if key not in _HEADER_KEYS:
-            raise FormatError(path, lineno, f"unknown header key {'#' + key!r}")
-    return AttachmentModel(weights=weights, config=cfg, feature_config=feature_config,
-                           **counts)
+    return AttachmentModel(weights=weights, config=TrainConfig(**settings[TrainConfig]),
+                           feature_config=FeatureConfig(**settings[FeatureConfig]), **counts)

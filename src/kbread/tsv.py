@@ -1,9 +1,10 @@
 """Helpers shared by every tab-separated file reader and writer, and the one
 module that opens, creates, replaces or removes a file (see :func:`output_set`).
 
-Every input is read in blocks of whole lines (see :func:`iter_blocks`), and
-a reader looks a line at a time for a mark, a comment or whitespace to strip
-only in a block that holds one.
+Every input is read in blocks of whole lines (see :func:`_iter_blocks`) by
+:func:`iter_lines` (a model file), :func:`iter_folded_rows` (a knowledge
+file) or :func:`iter_rows` (any other). A reader looks a line at a time for
+a mark, a comment or whitespace to strip only in a block that holds one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import contextvars
 import os
 import re
 
-#: The size in bytes of the blocks an input is read in (see :func:`iter_blocks`).
+#: The size in bytes of the blocks an input is read in (see :func:`_iter_blocks`).
 BLOCK = 1 << 16
 #: A line whose first non-blank character is U+FEFF (``\s`` is ``str.isspace``).
 _MARK = re.compile(r"^[^\S\n]*\ufeff", re.MULTILINE)
@@ -62,7 +63,7 @@ def _byte_blocks(fh):
         yield rest
 
 
-def iter_blocks(path):
+def _iter_blocks(path):
     """Yield ``(lineno, text)`` for blocks of whole lines of a UTF-8 text
     file, ``lineno`` the number of the block's first line; every input file
     is opened and decoded here, and nowhere else. Lines end in LF, CRLF or
@@ -98,8 +99,8 @@ def _lines(lineno, text):
             if line and not line.isspace()]
 
 
-def data_lines(lineno, text):
-    """The ``(lineno, line)`` of each data line of a block of :func:`iter_blocks`
+def _data_lines(lineno, text):
+    """The ``(lineno, line)`` of each data line of a block of :func:`_iter_blocks`
     that starts at line ``lineno``: not blank, and its first non-blank
     character not ``#``."""
     lines = _lines(lineno, text)
@@ -109,13 +110,13 @@ def data_lines(lineno, text):
     return lines
 
 
-def spaced(text) -> bool:
+def _spaced(text) -> bool:
     """Whether ``text`` may hold whitespace other than tab and LF: a space, or
     a character that is not printable, as every other whitespace character is."""
     return " " in text or not text.replace("\t", "").replace("\n", "").isprintable()
 
 
-def width_error(path, lineno, columns, width) -> FormatError:
+def _width_error(path, lineno, columns, width) -> FormatError:
     """The error for a line of ``width`` fields in a file of ``columns``."""
     return FormatError(path, lineno, f"expected {len(columns)} columns "
                        f"({', '.join(columns)}), got {width}")
@@ -123,33 +124,44 @@ def width_error(path, lineno, columns, width) -> FormatError:
 
 def iter_lines(path):
     """Yield ``(lineno, line)`` for each non-blank line of a text file that
-    :func:`iter_blocks` reads, without its line end."""
-    for block in iter_blocks(path):
+    :func:`_iter_blocks` reads, without its line end."""
+    for block in _iter_blocks(path):
         yield from _lines(*block)
 
 
-def iter_data_lines(path, columns=None):
-    """Yield ``(lineno, line)`` for each data line of a TSV file (see
-    :func:`data_lines`). Given the names of its ``columns``, a line of
-    another number of tab-separated fields is a :class:`FormatError`."""
-    for block in iter_blocks(path):
-        for lineno, line in data_lines(*block):
-            if columns is not None and line.count("\t") + 1 != len(columns):
-                raise width_error(path, lineno, columns, line.count("\t") + 1)
-            yield lineno, line
-
-
 def iter_rows(path, columns=None):
-    """Yield ``(lineno, fields)`` for each line of :func:`iter_data_lines`,
-    its fields stripped of surrounding whitespace; only a block that
-    holds whitespace other than tab and LF (see :func:`spaced`) is stripped."""
-    for lineno, text in iter_blocks(path):
-        strip = spaced(text)
-        for lineno, line in data_lines(lineno, text):
+    """Yield ``(lineno, fields)`` for each data line of a TSV file (see
+    :func:`_data_lines`), its fields stripped only in a block that holds
+    whitespace other than tab and LF (see :func:`_spaced`). Given the names
+    of its ``columns``, a line of another width is a :class:`FormatError`."""
+    for lineno, text in _iter_blocks(path):
+        strip = _spaced(text)
+        for lineno, line in _data_lines(lineno, text):
             fields = line.split("\t")
             if columns is not None and len(fields) != len(columns):
-                raise width_error(path, lineno, columns, len(fields))
+                raise _width_error(path, lineno, columns, len(fields))
             yield lineno, [f.strip() for f in fields] if strip else fields
+
+
+def iter_folded_rows(path, columns):
+    """Yield ``(lineno, fields)`` for each data line of a knowledge file,
+    each field folded as ``norm_token`` folds it; a line of the wrong width
+    or with an empty field is a :class:`FormatError`. Each block of
+    :func:`_iter_blocks` is folded once and tested folded: ``casefold`` makes
+    and removes no ``#``, whitespace or line end and keeps printability, so
+    the lines, fields and blanks are those of the text as written."""
+    for lineno, text in _iter_blocks(path):
+        text = text.casefold()
+        collapse = _spaced(text)
+        for lineno, line in _data_lines(lineno, text):
+            fields = line.split("\t")
+            if len(fields) != len(columns):
+                raise _width_error(path, lineno, columns, len(fields))
+            if collapse:
+                fields = [" ".join(f.split()) for f in fields]
+            if not all(fields):
+                raise FormatError(path, lineno, "empty field")
+            yield lineno, fields
 
 
 def format_row(fields) -> str:

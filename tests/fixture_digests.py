@@ -9,8 +9,10 @@ relative to that directory, so the listing does not depend on where the
 checkout or the temporary directory lies.
 
 Two checkouts whose listings are equal write the same bytes on the fixtures.
-To compare a change with its parent, copy this script into the parent's
-``tests`` directory and run it on both sides::
+``fixture_digests.txt`` pins this checkout's listing, and
+``test_fixture_digests.py`` compares the two. To compare a change with its
+parent, copy this script into the parent's ``tests`` directory and run it
+on both sides::
 
     python tests/fixture_digests.py > change.txt
     python ../parent/tests/fixture_digests.py > parent.txt

@@ -231,7 +231,7 @@ def read_outcome(rows):
 
 def line_iter_lines(path):
     """``tsv.iter_lines`` as it read a line at a time: Python's text mode
-    decodes the file and finds its line ends. Unlike ``tsv.iter_blocks`` it
+    decodes the file and finds its line ends. Unlike ``tsv._iter_blocks`` it
     reports a bad byte before any fault on the lines of the same 8 KiB
     decode chunk above it: the two agree on a file with at most one fault."""
     try:
@@ -251,8 +251,10 @@ def line_iter_lines(path):
         raise
 
 
-def line_iter_data_lines(path, columns=None):
-    """``tsv.iter_data_lines`` as a generator over :func:`line_iter_lines`."""
+def line_data_lines(path, columns=None):
+    """The data lines of :func:`line_iter_lines`, unsplit: those that
+    ``tsv.iter_rows`` and ``tsv.iter_folded_rows`` split into fields. Given
+    the names of its ``columns``, a line of another width is an error."""
     for lineno, line in line_iter_lines(path):
         if "#" in line and line.lstrip().startswith("#"):
             continue
@@ -264,14 +266,15 @@ def line_iter_data_lines(path, columns=None):
 
 
 def line_iter_rows(path, columns=None):
-    """``tsv.iter_rows`` as a generator over :func:`line_iter_data_lines`."""
-    for lineno, line in line_iter_data_lines(path, columns):
+    """``tsv.iter_rows`` as a generator over :func:`line_data_lines`."""
+    for lineno, line in line_data_lines(path, columns):
         yield lineno, [f.strip() for f in line.split("\t")]
 
 
 def line_kb_rows(path, columns):
-    """``kb._rows`` as it folded a line at a time, over :func:`line_iter_data_lines`."""
-    for lineno, line in line_iter_data_lines(path, columns):
+    """``tsv.iter_folded_rows`` as it folded a line at a time, over
+    :func:`line_data_lines`."""
+    for lineno, line in line_data_lines(path, columns):
         line = line.casefold()
         fields = line.split("\t")
         if " " in line or not line.replace("\t", "").isprintable():
@@ -282,8 +285,8 @@ def line_kb_rows(path, columns):
 
 
 def reference_kb_rows(path, columns):
-    """``kb._rows`` as a plain chain: :func:`line_iter_rows` strips the
-    fields, then ``norm_token`` folds each one on its own."""
+    """``tsv.iter_folded_rows`` as a plain chain: :func:`line_iter_rows`
+    strips the fields, then ``norm_token`` folds each one on its own."""
     for lineno, fields in line_iter_rows(path, columns):
         fields = [norm_token(f) for f in fields]
         if not all(fields):

@@ -1048,6 +1048,24 @@ class TestOutputSet:
         assert [p.name for p in tmp_path.iterdir()] == ["dir"]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("name,option,default", [
+        ("train", "--log-out", "{out}/a.tsv.log"),
+        ("ternary-templates", "--labeled-out", "ternary_labeled.tsv")])
+    def test_a_directory_at_a_default_output_path_exits_2_before_any_output(
+            self, paths, trained, tmp_path, capsys, monkeypatch, name, option, default, dry_run):
+        """An output option left out writes to its default path, which a dry
+        run checks as it checks a path given."""
+        monkeypatch.chdir(tmp_path)
+        argv = fixture_command(name, paths, trained, tmp_path)
+        if option in argv:
+            del argv[argv.index(option):argv.index(option) + 2]
+        default = default.format(out=tmp_path)
+        os.mkdir(default)
+        assert run(*argv, *(["--dry-run"] if dry_run else [])) == 2
+        assert capsys.readouterr() == ("", f"error: {default}: not a regular file\n")
+        assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(default)]
+
     def test_fifo_output_exits_2_before_any_output(self, paths, tmp_path, capsys):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)

@@ -1,28 +1,57 @@
-import hashlib
+"""Every output the kbread commands write on the fixtures is pinned:
+``fixture_digests.txt`` holds the listing that ``fixture_digests.py``
+prints, which names each output file, stdout and exit code with its
+sha256. Its header names the Python, numpy and scipy versions it was made
+with, since the bytes are promised on one machine only.
+
+A change that moves outputs on purpose regenerates the file with::
+
+    python tests/test_fixture_digests.py
+
+and its diff shows which outputs moved.
+"""
+
 import os
+import platform
 import subprocess
 import sys
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixture_digests.py")
+import numpy
+import scipy
 
-COMMANDS = ["train", "train-unlabeled", "train-all-families", "train-two-steps", "train-dry-run",
-            "predict", "eval", "eval-collins", "ternary-extract", "ternary-templates",
-            "knom-mine", "knom-learn", "knom-predict", "knom-predict-baseline", "kb-check"]
-#: Every file the commands write; the dry run writes none.
-FILES = ["train.tsv", "train.tsv.log", "train-unlabeled.tsv", "train-unlabeled.tsv.log",
-         "train-all-families.tsv", "train-all-families.tsv.log", "train-two-steps.tsv",
-         "train-two-steps.tsv.log", "predict.tsv", "eval.txt", "eval.tsv", "eval-chart.tsv",
-         "eval-collins.txt", "ternary-extract.tsv", "ternary-templates.tsv",
-         "ternary-templates-labeled.tsv", "knom-mine.tsv", "knom-learn.tsv", "knom-predict.tsv",
-         "knom-predict-sample.tsv", "knom-predict-baseline.tsv"]
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SCRIPT = os.path.join(TESTS, "fixture_digests.py")
+PINNED = os.path.join(TESTS, "fixture_digests.txt")
 
 
-def test_lists_every_output_the_same_way_each_run():
-    runs = [subprocess.run([sys.executable, SCRIPT], capture_output=True, text=True, check=True)
-            for _ in range(2)]
-    assert runs[0].stdout == runs[1].stdout
-    listing = dict(reversed(line.split("  ")) for line in runs[0].stdout.splitlines())
-    assert sorted(listing) == sorted(FILES + [f"{command}.{part}" for command in COMMANDS
-                                              for part in ("stdout", "exit")])
-    success = hashlib.sha256(b"0\n").hexdigest()
-    assert {listing[f"{command}.exit"] for command in COMMANDS} == {success}
+def versions():
+    """The header line of the pinned file on this machine."""
+    return (f"# python {platform.python_version()}, numpy {numpy.__version__}, "
+            f"scipy {scipy.__version__}")
+
+
+def listing():
+    """What ``fixture_digests.py`` prints, run in a process of its own."""
+    run = subprocess.run([sys.executable, SCRIPT], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def digests(lines):
+    """``{name: sha256}`` of the lines of a listing."""
+    return dict(reversed(line.split("  ")) for line in lines)
+
+
+def test_every_fixture_output_is_the_pinned_one():
+    with open(PINNED, encoding="utf-8") as fh:
+        header, *pinned = fh.read().splitlines()
+    assert header == versions(), f"pinned with {header[2:]}; this is {versions()[2:]}"
+    pinned, found = digests(pinned), digests(listing().splitlines())
+    moved = sorted(name for name in pinned.keys() | found.keys()
+                   if pinned.get(name) != found.get(name))
+    assert not moved, f"outputs moved: {', '.join(moved)}"
+
+
+if __name__ == "__main__":
+    with open(PINNED, "w", encoding="utf-8") as fh:
+        fh.write(versions() + "\n" + listing())

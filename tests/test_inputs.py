@@ -17,10 +17,9 @@ from hypothesis import given, settings, strategies as st
 import kbread
 from kbread import kb, tsv
 from kbread.kb import KB_FILENAMES, load_kb_dir
-from kbread.tsv import FormatError, format_row, iter_data_lines, iter_lines, iter_rows
+from kbread.tsv import FormatError, format_row, iter_folded_rows, iter_lines, iter_rows
 
-from synth import (line_iter_data_lines, line_iter_lines, line_iter_rows, line_kb_rows,
-                   read_outcome)
+from synth import line_iter_lines, line_iter_rows, line_kb_rows, read_outcome
 from test_cli import fixture_command, paths, run, trained  # noqa: F401 - fixtures
 
 BOM = b"\xef\xbb\xbf"
@@ -217,7 +216,7 @@ def test_the_first_fault_in_file_order_is_reported(paths, tmp_path, capsys, good
     path = tmp_path / "two.tsv"
     path.write_bytes(text)
     with pytest.raises(FormatError, match=r"two\.tsv:2: expected 2 columns \(a, b\), got 1"):
-        list(iter_data_lines(path, ("a", "b")))
+        list(iter_rows(path, ("a", "b")))
     kb_dir = tmp_path / "kb"
     shutil.copytree(paths["kb"], kb_dir)
     (kb_dir / "isa.tsv").write_bytes(text)
@@ -293,11 +292,9 @@ def test_block_readers_agree_with_the_line_readers(files_dir, file, block):
     columns = tuple(f"c{i}" for i in range(width))
     with mock.patch.object(tsv, "BLOCK", block):
         for reader, oracle, args in [(iter_lines, line_iter_lines, ()),
-                                     (iter_data_lines, line_iter_data_lines, ()),
-                                     (iter_data_lines, line_iter_data_lines, (columns,)),
                                      (iter_rows, line_iter_rows, ()),
                                      (iter_rows, line_iter_rows, (columns,)),
-                                     (kb._rows, line_kb_rows, (columns,))]:
+                                     (iter_folded_rows, line_kb_rows, (columns,))]:
             assert read_outcome(reader(path, *args)) == read_outcome(oracle(path, *args))
 
 
@@ -305,7 +302,7 @@ def test_block_readers_agree_with_the_line_readers(files_dir, file, block):
 def test_the_store_equals_the_line_readers_store(kb_dir, monkeypatch, block):
     monkeypatch.setattr(tsv, "BLOCK", block)
     loaded = vars(load_kb_dir(kb_dir))
-    monkeypatch.setattr(kb, "_rows", line_kb_rows)
+    monkeypatch.setattr(kb, "iter_folded_rows", line_kb_rows)
     assert loaded == vars(load_kb_dir(kb_dir))
 
 
@@ -318,7 +315,7 @@ def test_a_large_knowledge_file_is_read_in_bounded_memory(tmp_path, end):
     assert path.stat().st_size >= 8 << 20
     tracemalloc.start()
     try:
-        for _ in kb._rows(path, ("noun", "category")):
+        for _ in iter_folded_rows(path, ("noun", "category")):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbread.cli import main
-from kbread.kb import KB_FILENAMES, KnowledgeBase, _rows, load_kb, load_kb_dir
-from kbread.tsv import FormatError, norm_token
+from kbread.kb import KB_FILENAMES, KnowledgeBase, load_kb, load_kb_dir
+from kbread.tsv import FormatError, iter_folded_rows, norm_token
 from synth import (KB_CATEGORIES, KB_NOUNS, KB_VERBS, lookup_svo_exists, random_kb_inputs,
                    read_outcome, reference_kb_rows, scan_roles_for, scan_svo_any_verb)
 
@@ -236,13 +236,13 @@ class TestLoaderFold:
                                    min_size=1, max_size=4).map("\t".join), max_size=4),
            width=st.integers(min_value=1, max_value=4))
     def test_rows_equal_the_field_by_field_fold(self, rows_dir, lines, width):
-        """``_rows`` folds each line once; it yields what folding each
+        """``iter_folded_rows`` folds each line once; it yields what folding each
         stripped field on its own yields, or fails at the same line with the
         same message."""
         path = rows_dir / "rows.tsv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         columns = tuple(f"c{i}" for i in range(width))
-        assert read_outcome(_rows(path, columns)) == read_outcome(reference_kb_rows(path, columns))
+        assert read_outcome(iter_folded_rows(path, columns)) == read_outcome(reference_kb_rows(path, columns))
 
 
 @st.composite

@@ -653,6 +653,27 @@ class TestModelFile:
             load_model(path)
         assert str(exc.value) == f"{path}:{lineno}: #{key} '-7': an instance count must be >= 0"
 
+    @pytest.mark.parametrize("lines,message", [
+        (["#l2_penalty\t-1", "F15:(with)\t0.5", "F1:(at)\tmuch"],
+         "#l2_penalty '-1': l2_penalty must be finite and nonnegative"),
+        (["#bogus\t1", "#l2_penalty\t-1"], "unknown header key '#bogus'"),
+    ], ids=["setting-then-weight", "key-then-setting"])
+    def test_the_first_fault_in_file_order_is_reported(self, tmp_path, lines, message):
+        path = tmp_path / "model.tsv"
+        path.write_text("\n".join(["#kbread-model\t1", *lines]) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("first", ["F15:(with)\t0.5", "#l2_penalty\t0.5", "#n_labeled\t3"],
+                             ids=["weight", "setting", "count"])
+    def test_the_format_line_comes_first(self, tmp_path, first):
+        path = tmp_path / "model.tsv"
+        path.write_text(f"{first}\n#kbread-model\t1\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}:1: not a kbread-model v1 file"
+
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "bogus.tsv"
         path.write_text("hello\tworld\n", encoding="utf-8")
