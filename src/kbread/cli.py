@@ -143,6 +143,8 @@ def cmd_train(args, kb):
     feature_cfg = _config(args, FeatureConfig())
     train_cfg = _config(args, TrainConfig())
     labeled_insts = read_corpus(args.labeled, labeled=True)
+    if not labeled_insts:
+        raise ValueError(f"{args.labeled}: training requires at least one labeled instance")
     if args.expand_synonyms:
         labeled_insts = expand_with_synonyms(labeled_insts, kb)
     extract = extractor(kb, feature_cfg)
@@ -294,19 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="read and validate every input, write nothing")
     setting_help = {"families": "comma list of feature families, or all/default"}
 
-    def add_settings(p, owner):
-        """A flag for each setting of ``owner``, checked by ``owner``."""
-        for cls, name, key, parse, _ in MODEL_SETTINGS:
+    def add_settings(p, owner, stored=False):
+        """A flag for each setting of ``owner``, checked by ``owner``. Its help
+        spells the default as a model file does; ``stored`` when the command
+        reads a model, whose stored value comes before the default."""
+        for cls, name, key, parse, spell in MODEL_SETTINGS:
             if cls is owner:
+                default = f"default {spell(getattr(owner(), name))}"
+                if stored:
+                    default = f"the model's stored value, else the {default}"
                 p.add_argument("--" + key.replace("_", "-"), action=_Setting, convert=parse,
                                check=lambda value, name=name: owner(**{name: value}),
-                               help=setting_help.get(key))
+                               help="; ".join(filter(None, (setting_help.get(key), default))))
 
-    features = argparse.ArgumentParser(add_help=False, parents=[shared])
-    add_settings(features, FeatureConfig)
     # train, predict and eval draw no random numbers; they take --seed so that
     # a script can pass one seed to every step of a pipeline.
-    seeded = argparse.ArgumentParser(add_help=False, parents=[features])
+    seeded = argparse.ArgumentParser(add_help=False, parents=[shared])
     seeded.add_argument("--seed", type=int, help="accepted and unused")
 
     parser = argparse.ArgumentParser(prog="kbread",
@@ -322,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp_files = ("svo", "isa", "roles", "prepdefs", "synsets")    # all but relations
     p = command("train", cmd_train, seeded, "train an attachment model", pp_files)
+    add_settings(p, FeatureConfig)
     p.add_argument("--labeled", required=True)
     p.add_argument("--unlabeled")
     p.add_argument("--model-out", required=True)
@@ -331,11 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_settings(p, TrainConfig)
 
     p = command("predict", cmd_predict, seeded, "classify a corpus", pp_files)
+    add_settings(p, FeatureConfig, stored=True)
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
 
     p = command("eval", cmd_eval, seeded, "score methods on labeled data", pp_files)
+    add_settings(p, FeatureConfig, stored=True)
     p.add_argument("--test", required=True)
     p.add_argument("--model")
     p.add_argument("--collins-train")
@@ -343,16 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsv-out")
     p.add_argument("--chart-out")
 
-    p = command("ternary-extract", cmd_ternary_extract, features,
+    p = command("ternary-extract", cmd_ternary_extract, shared,
                 "extract ternary instances from 5-tuples")
+    add_settings(p, FeatureConfig, stored=True)
     p.add_argument("--model", required=True)
     p.add_argument("--tuples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-support", action=_Setting, convert=int,
                    check=lambda n: _library("ternary").map_relations_to_verbs(None, [], n))
 
-    p = command("ternary-templates", cmd_ternary_templates, features,
+    p = command("ternary-templates", cmd_ternary_templates, shared,
                 "learn (and optionally apply) role templates", pp_files)
+    add_settings(p, FeatureConfig, stored=True)
     p.add_argument("--labeled-tuples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tuples")

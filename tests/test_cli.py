@@ -16,7 +16,8 @@ import kbread
 from kbread import cli, knom
 from kbread.cli import _FEATURE_SETTINGS, _config, build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
-from kbread.model import TrainConfig, classify, load_model, save_model, train_supervised
+from kbread.model import (MODEL_SETTINGS, TrainConfig, classify, load_model, save_model,
+                          train_supervised)
 from kbread.tsv import output_set, write_lines
 from test_model import FEATURE_FIELDS
 
@@ -116,6 +117,18 @@ class TestTrain:
         assert run("train", "--labeled", paths["labeled"], "--kb-dir", paths["kb"],
                    "--model-out", model_path, "--dry-run") == 0
         assert not os.path.exists(model_path)
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_a_labeled_file_without_rows_exits_2_naming_it(self, paths, tmp_path, capsys,
+                                                            dry_run):
+        labeled = tmp_path / "labeled.tsv"
+        labeled.write_text("format=quad\n", encoding="utf-8")
+        assert run("train", "--labeled", str(labeled), "--kb-dir", paths["kb"],
+                   "--model-out", str(tmp_path / "m.tsv"),
+                   *(["--dry-run"] if dry_run else [])) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {labeled}: training requires at least one labeled instance\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["labeled.tsv"]
 
     def test_synonym_expansion_grows_training_data(self, paths, tmp_path):
         model_path = train_fixture_model(paths, tmp_path, "--expand-synonyms")
@@ -861,6 +874,34 @@ class TestOptions:
                    "--kb-dir", paths["kb"], "--out", out) == 2
         assert f"{model_path}:{lineno}:" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+class TestHelp:
+    @staticmethod
+    def help_of(capsys, monkeypatch, command, option):
+        """The help text of ``option`` in ``kbread <command> --help``."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        text = capsys.readouterr().out
+        start = text.index(f"  {option} ")
+        end = text.find("\n  -", start + 1)
+        return " ".join(text[start:end if end >= 0 else None].split()[2:])
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "ternary-extract",
+                                         "ternary-templates"])
+    def test_a_command_reading_a_model_puts_its_stored_value_first(self, capsys, monkeypatch,
+                                                                  command):
+        assert (self.help_of(capsys, monkeypatch, command, "--min-svo-count")
+                == "the model's stored value, else the default 3")
+
+    def test_train_help_shows_each_default_as_a_model_file_spells_it(self, capsys,
+                                                                    monkeypatch):
+        for cls, name, key, _, spell in MODEL_SETTINGS:
+            default = spell(getattr(cls(), name))
+            assert self.help_of(capsys, monkeypatch, "train",
+                                "--" + key.replace("_", "-")).endswith(f"default {default}")
+        assert self.help_of(capsys, monkeypatch, "train", "--l2-penalty") == "default 0.1"
 
 
 class TestStoredMinSvoCount:
