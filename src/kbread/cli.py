@@ -33,7 +33,7 @@ from dataclasses import replace
 
 from .features import FeatureConfig, expand_with_synonyms, extractor, read_corpus
 from .kb import KB_FILENAMES, load_kb, load_kb_dir
-from .model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, classify_many,
+from .model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, classify_instances,
                     load_model, save_model, train_em)
 from .tsv import FormatError, format_row, iter_rows, output_path, output_set, write_lines
 
@@ -166,7 +166,7 @@ def cmd_predict(args, kb):
     feature_cfg = _config(args, model.feature_config)
     instances = read_corpus(args.input)
     yield
-    decisions = classify_many(model, map(extractor(kb, feature_cfg), instances))
+    decisions = classify_instances(model, kb, feature_cfg, instances)
     lines = [format_row([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2, label, f"{p:.6f}"])
              for inst, (label, p) in zip(instances, decisions)]
     write_lines(args.out, lines)
@@ -179,9 +179,8 @@ def cmd_eval(args, kb):
     predictors = {}
     if args.model:
         model = load_model(args.model)
-        extract = extractor(kb, _config(args, model.feature_config))
-        predictors["ppad"] = lambda insts: [label for label, _ in classify_many(
-            model, map(extract, insts))]
+        cfg = _config(args, model.feature_config)
+        predictors["ppad"] = lambda gold: [d for d, _ in classify_instances(model, kb, cfg, gold)]
     else:
         _reject_unread(args, "--model", *_FEATURE_SETTINGS)
     if args.collins_train:

@@ -2,17 +2,17 @@
 feature sets.
 
 The probability of verb attachment is the logistic function of the summed
-weights of the present features. Supervised training maximizes the
-L2-penalized conditional log likelihood by truncated Newton (Newton-CG;
-Lin, Weng & Keerthi, JMLR 2008), accepting only steps that do not lower
-the objective, until it converges.
-Semi-supervised training wraps the same optimizer in an
-expectation-maximization loop: the current model supplies posteriors for
-unlabeled instances, labeled instances keep hard 1/0 posteriors, and each
-maximization step maximizes the posterior-weighted (expected complete-data)
-objective. The loop stops at its fixed point, when a maximization step
-moves no weight; with no unlabeled data it degenerates to supervised
-training exactly.
+weights of the present features; :func:`classify_instances` extracts only
+the families the model holds a weight in. Supervised training maximizes
+the L2-penalized conditional log likelihood by truncated Newton (Newton-CG;
+Lin, Weng & Keerthi, JMLR 2008), accepting only steps that do not lower the
+objective, until it converges. Semi-supervised training wraps the same
+optimizer in an expectation-maximization loop: the current model supplies
+posteriors for unlabeled instances, labeled instances keep hard 1/0
+posteriors, and each maximization step maximizes the posterior-weighted
+(expected complete-data) objective. The loop stops at its fixed point, when
+a maximization step moves no weight; with no unlabeled data it degenerates
+to supervised training exactly.
 
 Training data items are ``(feature_set, target)`` pairs where the target is
 a hard label (``"V"``/``"N"``) or, for the posterior-weighted operations, the
@@ -22,7 +22,7 @@ without repeats. :data:`MODEL_SETTINGS` lists the settings a model file stores.
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 
 # numpy and scipy are imported inside the functions that build or evaluate
@@ -31,7 +31,7 @@ from itertools import chain
 # which makes the setting flags when the parser is built, and no command
 # but ``train`` should pay for loading numpy and scipy.
 
-from .features import VERB, NOUN, FeatureConfig, format_families, parse_families
+from .features import VERB, NOUN, FeatureConfig, extractor, format_families, parse_families
 from .tsv import FormatError, format_row, iter_lines, write_lines
 
 _CG_MAX_ITERS = 50
@@ -246,6 +246,17 @@ def classify_many(model: AttachmentModel, fvs) -> list[tuple[str, float]]:
         p = _logistic(z)
         decisions.append(((VERB if p >= 0.5 else NOUN), p))
     return decisions
+
+
+def classify_instances(model: AttachmentModel, kb, cfg: FeatureConfig | None, instances):
+    """:func:`classify_many` on each instance's features that ``cfg`` enables,
+    extracting only the families a weight's name starts with (before ``:``)."""
+    cfg = cfg or FeatureConfig()
+    families = cfg.enabled_families & {name.partition(":")[0] for name in model.weights}
+    if not families:                # every score is +0.0, and FeatureConfig needs a family
+        return [(VERB, 0.5) for _ in instances]
+    extract = extractor(kb, replace(cfg, enabled_families=families))
+    return classify_many(model, map(extract, instances))
 
 
 def classify(model: AttachmentModel, fv) -> tuple[str, float]:

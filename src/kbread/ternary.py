@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .features import VERB, FeatureConfig, PPInstance, check_word, extractor
+from .features import VERB, FeatureConfig, PPInstance, check_word
 from .kb import KnowledgeBase
-from .model import AttachmentModel, classify_many
+from .model import AttachmentModel, classify_instances
 from .tsv import FormatError, at_line, format_row, iter_rows, norm_token, write_lines
 
 #: Role labels assignable to the preposition-introduced third argument.
@@ -80,7 +80,7 @@ def _verb_attached(tuples, model: AttachmentModel, kb: KnowledgeBase,
     tuples = list(tuples)
     for inst in tuples:
         _require_n0(inst)
-    decisions = classify_many(model, map(extractor(kb, cfg), tuples))
+    decisions = classify_instances(model, kb, cfg, tuples)
     return [inst for inst, (label, _) in zip(tuples, decisions) if label == VERB]
 
 

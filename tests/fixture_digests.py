@@ -55,12 +55,19 @@ COMMANDS = (
     ("train-dry-run", (*TRAIN, *UNLABELED, "--dry-run", "--model-out", "train-dry-run.tsv")),
     ("predict", ("predict", "--model", MODEL, "--input", "fixtures/quads_test.tsv", *KB,
                  "--out", "predict.tsv")),
+    # MODEL holds no F2 or F6 weight, so scoring does not extract those two families.
+    ("predict-all-families", ("predict", "--model", MODEL, "--families", "all",
+                              "--input", "fixtures/quads_test.tsv", *KB,
+                              "--out", "predict-all-families.tsv")),
     ("eval", ("eval", *TEST, "--model", MODEL, *COLLINS, *KB, "--out", "eval.txt",
               "--tsv-out", "eval.tsv", "--chart-out", "eval-chart.tsv")),
     ("eval-collins", ("eval", *TEST, *COLLINS, *KB, "--out", "eval-collins.txt")),
     ("ternary-extract", ("ternary-extract", "--model", "train-all-families.tsv",
                          "--families", "all", "--tuples", "fixtures/tuples.tsv", *KB,
                          "--out", "ternary-extract.tsv")),
+    ("ternary-extract-default-model", ("ternary-extract", "--model", MODEL, "--families", "all",
+                                       "--tuples", "fixtures/tuples.tsv", *KB,
+                                       "--out", "ternary-extract-default-model.tsv")),
     ("ternary-templates", ("ternary-templates", "--labeled-tuples", "fixtures/tuples_roles.tsv",
                            "--tuples", "fixtures/tuples.tsv", "--model", MODEL, *KB,
                            "--min-support", "3", "--out", "ternary-templates.tsv",

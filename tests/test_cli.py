@@ -16,10 +16,11 @@ import kbread
 from kbread import cli, knom
 from kbread.cli import _FEATURE_SETTINGS, _config, build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
+from kbread.kb import load_kb_dir
 from kbread.model import (MODEL_SETTINGS, TrainConfig, classify, load_model, save_model,
                           train_supervised)
 from kbread.tsv import output_set, write_lines
-from test_model import FEATURE_FIELDS
+from test_model import FEATURE_FIELDS, CountingKB
 
 
 def run(*argv):
@@ -607,6 +608,29 @@ class TestFamilyFlags:
         assert any(f.startswith("F2:") or f.startswith("F6:")
                    for f in all_feats - default_feats)
         assert not any(f.startswith(("F2:", "F6:")) for f in default_feats)
+
+    @pytest.mark.parametrize("name", ["predict", "eval", "ternary-extract", "ternary-templates"])
+    def test_scoring_looks_up_no_family_the_model_does_not_weight(
+            self, paths, trained, tmp_path, monkeypatch, name):
+        # F1, F2, F5 and F6 are enabled on the command line; only the model
+        # that weights them makes their lookups.
+        model = load_model(trained[0])
+        unweighted = str(tmp_path / "unweighted.tsv")
+        save_model(replace(model, weights={f: w for f, w in model.weights.items()
+                                           if f.split(":")[0] not in ("F1", "F2", "F5", "F6")}),
+                   unweighted)
+        kbs = []
+
+        def counting_kb(*args, **kwargs):
+            kbs.append(CountingKB(load_kb_dir(*args, **kwargs)))
+            return kbs[-1]
+        monkeypatch.setattr(cli, "load_kb_dir", counting_kb)
+        for tag, model_path in (("weighted", trained[0]), ("unweighted", unweighted)):
+            (tmp_path / tag).mkdir()
+            assert run(*fixture_command(name, paths, (model_path, None), tmp_path / tag),
+                       "--families", "all", "--min-svo-count", "1") == 0
+        weighted, unweighted = kbs
+        assert weighted.calls and not unweighted.calls
 
 
 class TestConfigPrecedence:

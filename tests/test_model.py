@@ -3,16 +3,20 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kbread.features import FAMILIES, NOUN, VERB, FeatureConfig, PPInstance, feature_name
+from kbread.features import (FAMILIES, NOUN, VERB, FeatureConfig, PPInstance, extractor,
+                             feature_name, read_corpus)
 from kbread.model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, _intern, _logistic,
-                          _Problem, classify, classify_many, expected_log_likelihood,
-                          gradient, load_model, save_model, train_em, train_supervised)
+                          _Problem, classify, classify_instances, classify_many,
+                          expected_log_likelihood, gradient, load_model, save_model, train_em,
+                          train_supervised)
+from kbread.ternary import extract_ternary, read_tuples
 from kbread.tsv import FormatError
 from synth import sorted_sum_classify, two_cluster_data
 
@@ -194,6 +198,98 @@ class TestClassifyMany:
                frozenset(["c", "b"])]
         batch = classify_many(model, fvs)
         assert [classify(model, fv) for fv in fvs] == batch
+
+
+class CountingKB:
+    """A knowledge base that counts the calls of the lookups only F1, F2, F5
+    and F6 make; every other attribute is the wrapped one's."""
+
+    LOOKUPS = ("svo_exists", "svo_any_verb", "roles_for", "prep_senses")
+
+    def __init__(self, kb):
+        self.kb = kb
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        lookup = getattr(self.kb, name)
+        if name not in self.LOOKUPS:
+            return lookup
+
+        def counted(*args):
+            self.calls[name] += 1
+            return lookup(*args)
+        return counted
+
+
+#: Every family, with the triple threshold at 1 so that F1, F2 and F6 fire on the fixtures.
+EVERY_FAMILY = FeatureConfig(enabled_families=frozenset(FAMILIES), min_svo_count=1)
+
+
+@pytest.fixture(scope="module")
+def fixture_instances(fixtures_dir):
+    """Every quad and 5-tuple of the fixtures, in file order."""
+    quads = [inst for name in ("quads_labeled.tsv", "quads_test.tsv", "quads_unlabeled.tsv")
+             for inst in read_corpus(os.path.join(fixtures_dir, name))]
+    return quads + read_tuples(os.path.join(fixtures_dir, "tuples.tsv"))
+
+
+def bits(decisions):
+    """Decisions with each probability as its exact bits."""
+    return [(label, p.hex()) for label, p in decisions]
+
+
+class TestClassifyInstances:
+    """``classify_instances`` extracts only the families a model weights and
+    decides bit for bit as ``classify_many`` over every enabled family."""
+
+    #: Weight names that no feature carries; "F4" names a weighted family all the same.
+    STRAY_NAMES = ("junk", "F4", "F99:x")
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_decides_as_classify_many_over_every_enabled_family(self, kb, fixture_instances,
+                                                                 data):
+        extract = extractor(kb, EVERY_FAMILY)
+        pool = sorted({name for inst in fixture_instances for name in extract(inst)})
+        names = data.draw(st.lists(st.sampled_from([*pool, *self.STRAY_NAMES]), unique=True))
+        model = AttachmentModel({name: data.draw(st.floats(-3, 3)) for name in names})
+        cfg = FeatureConfig(
+            enabled_families=data.draw(st.frozensets(st.sampled_from(FAMILIES), min_size=1)),
+            max_prep_senses=data.draw(st.integers(0, 5)),
+            min_svo_count=data.draw(st.sampled_from((1, FeatureConfig().min_svo_count))))
+        expected = classify_many(model, map(extractor(kb, cfg), fixture_instances))
+        assert bits(classify_instances(model, kb, cfg, fixture_instances)) == bits(expected)
+
+    @pytest.mark.parametrize("weights", [{}, {"F8:(a,b,c,d)": 1.5, "junk": -2.0, "F99:x": 3.0}],
+                             ids=["no-weight", "no-enabled-family"])
+    def test_no_weighted_family_decides_v_at_one_half(self, kb, fixture_instances, weights):
+        counting = CountingKB(kb)
+        cfg = FeatureConfig(enabled_families=frozenset({"F1", "F2", "F5", "F6"}), min_svo_count=1)
+        model = AttachmentModel(weights)
+        decisions = classify_instances(model, counting, cfg, fixture_instances)
+        assert decisions == [(VERB, 0.5)] * len(fixture_instances)
+        assert bits(decisions) == bits(classify_many(model, map(extractor(kb, cfg),
+                                                                fixture_instances)))
+        assert not counting.calls
+
+    def test_unweighted_knowledge_families_make_no_lookup(self, kb, fixture_instances):
+        # A model trained on the other families: F1, F2, F5 and F6 are
+        # enabled but unweighted, so scoring must not look them up.
+        lookup_free = replace(EVERY_FAMILY, enabled_families=EVERY_FAMILY.enabled_families
+                              - {"F1", "F2", "F5", "F6"})
+        model = train_supervised([(extractor(kb, lookup_free)(inst), inst.label)
+                                  for inst in fixture_instances if inst.label])
+        counting = CountingKB(kb)
+        list(map(extractor(counting, EVERY_FAMILY), fixture_instances))
+        assert set(counting.calls) == set(CountingKB.LOOKUPS)   # the spy sees every lookup
+        counting.calls.clear()
+        decisions = classify_instances(model, counting, EVERY_FAMILY, fixture_instances)
+        tuples = [inst for inst in fixture_instances if inst.n0]
+        extract_ternary(tuples, model, counting, EVERY_FAMILY)
+        assert not counting.calls
+        expected = classify_many(model, map(extractor(kb, EVERY_FAMILY), fixture_instances))
+        assert bits(decisions) == bits(expected)
+        assert {label for label, _ in decisions} == {VERB, NOUN}
 
 
 class TestLogLikelihood:
