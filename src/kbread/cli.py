@@ -35,7 +35,7 @@ from .features import FeatureConfig, expand_with_synonyms, extractor, read_corpu
 from .kb import KB_FILENAMES, load_kb, load_kb_dir
 from .model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, classify_instances,
                     load_model, save_model, train_em)
-from .tsv import FormatError, format_row, iter_rows, output_path, output_set, write_lines
+from .tsv import FormatError, iter_rows, output_path, output_set, write_lines, write_rows
 
 #: Settings read only by feature extraction.
 _FEATURE_SETTINGS = tuple(key for cls, _, key, _, _ in MODEL_SETTINGS if cls is FeatureConfig)
@@ -106,9 +106,9 @@ def _given(args, *names, **renamed):
 
 
 def _load_kb(args):
-    if not args.kb_dir:
+    if args.kb_dir is None:
         return load_kb()
-    back_off_only = args.command == "eval" and not args.model    # it queries no KB
+    back_off_only = args.command == "eval" and args.model is None    # it queries no KB
     return load_kb_dir(args.kb_dir, resources=() if back_off_only else args.kb_files)
 
 
@@ -127,13 +127,11 @@ def _reject_unread(args, needed, *settings):
 
 
 def _write_train_log(model: AttachmentModel, path) -> None:
-    lines = ["#phase\tdetail"]
-    for record in model.history:
-        details = [f"{key}={value!r}" for key, value in record.items() if key != "phase"]
-        lines.append(format_row([record["phase"], *details]))
-    lines.append(format_row(["final", f"labeled={model.n_labeled}",
-                             f"unlabeled={model.n_unlabeled}", f"features={len(model.weights)}"]))
-    write_lines(path, lines)
+    rows = [[record["phase"], *(f"{key}={value!r}" for key, value in record.items()
+                                if key != "phase")] for record in model.history]
+    rows.append(["final", f"labeled={model.n_labeled}", f"unlabeled={model.n_unlabeled}",
+                 f"features={len(model.weights)}"])
+    write_rows(path, rows, header=["#phase\tdetail"])
 
 
 # -- subcommands: read every input, yield, compute and write --------------------
@@ -150,7 +148,7 @@ def cmd_train(args, kb):
     extract = extractor(kb, feature_cfg)
     labeled = [(extract(i), i.label) for i in labeled_insts]
     unlabeled = []
-    if args.unlabeled:
+    if args.unlabeled is not None:
         unlabeled = [extract(i) for i in read_corpus(args.unlabeled)]
     yield
     model = train_em(labeled, unlabeled, train_cfg)
@@ -167,23 +165,22 @@ def cmd_predict(args, kb):
     instances = read_corpus(args.input)
     yield
     decisions = classify_instances(model, kb, feature_cfg, instances)
-    lines = [format_row([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2, label, f"{p:.6f}"])
-             for inst, (label, p) in zip(instances, decisions)]
-    write_lines(args.out, lines)
-    print(f"wrote {len(lines)} predictions to {args.out}")
+    write_rows(args.out, ([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2, label, f"{p:.6f}"]
+                          for inst, (label, p) in zip(instances, decisions)))
+    print(f"wrote {len(decisions)} predictions to {args.out}")
 
 
 def cmd_eval(args, kb):
     from . import collins, evaluation
     gold = read_corpus(args.test, labeled=True)
     predictors = {}
-    if args.model:
+    if args.model is not None:
         model = load_model(args.model)
         cfg = _config(args, model.feature_config)
         predictors["ppad"] = lambda gold: [d for d, _ in classify_instances(model, kb, cfg, gold)]
     else:
         _reject_unread(args, "--model", *_FEATURE_SETTINGS)
-    if args.collins_train:
+    if args.collins_train is not None:
         train = read_corpus(args.collins_train, labeled=True)
         counts = collins.fit_counts(train)
         predictors["collins"] = lambda insts: [collins.predict(counts, inst)[0]
@@ -194,9 +191,9 @@ def cmd_eval(args, kb):
     reports = evaluation.compare(predictors, gold)
     text = evaluation.format_reports(reports)
     write_lines(args.out, text.splitlines())
-    if args.tsv_out:
+    if args.tsv_out is not None:
         evaluation.write_reports_tsv(reports, args.tsv_out)
-    if args.chart_out:
+    if args.chart_out is not None:
         evaluation.write_prep_chart(reports, args.chart_out)
     print(text, end="")
 
@@ -218,8 +215,8 @@ def cmd_ternary_templates(args, kb):
     from . import ternary
     labeled = ternary.read_role_tuples(args.labeled_tuples)
     apply_inputs = None
-    if args.tuples or args.model:
-        if not (args.tuples and args.model):
+    if args.tuples is not None or args.model is not None:
+        if args.tuples is None or args.model is None:
             raise ValueError("applying templates needs both --tuples and --model")
         model = load_model(args.model)
         feature_cfg = _config(args, model.feature_config)
@@ -260,23 +257,22 @@ def cmd_knom_predict(args, kb):
     from . import knom
     corpus = knom.read_compounds(args.compounds)
     mappings = knom.read_mappings(args.mappings)
-    if not args.sample_out:
-        _reject_unread(args, "--sample-out", "sample_size")
+    if args.sample_out is None:
+        _reject_unread(args, "--sample-out", "sample_size", "seed")
     yield
     if args.baseline:
         mappings = knom.baseline_mappings(mappings)
     predictions = knom.predict_instances(mappings, corpus, kb)
     knom.write_predictions(predictions, args.out)
     print(f"predicted {len(predictions)} instances")
-    if args.sample_out:
-        sample = knom.sample_predictions(predictions, seed=args.seed,
-                                         **_given(args, size="sample_size"))
+    if args.sample_out is not None:
+        sample = knom.sample_predictions(predictions, **_given(args, "seed", size="sample_size"))
         knom.write_sample_manifest(sample, args.sample_out)
         print(f"wrote annotation sample of {len(sample)} to {args.sample_out}")
 
 
 def cmd_kb_check(args, kb):
-    if not args.kb_dir:
+    if args.kb_dir is None:
         raise ValueError("kb-check needs --kb-dir")
     yield
     for key, value in kb.stats().items():
@@ -396,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-out")
     p.add_argument("--sample-size", action=_Setting, convert=int,
                    check=lambda n: _library("knom").sample_predictions([], n))
-    p.add_argument("--seed", type=int, default=0, help="seed of the sample draw")
+    p.add_argument("--seed", type=int,
+                   help="seed of the sample draw, read only with --sample-out; default 0")
 
     command("kb-check", cmd_kb_check, shared, "load and summarize a knowledge base")
     return parser
@@ -410,10 +407,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # The outputs that no option names: the training log and the applied templates.
-        if args.command == "train":
-            args.log_out = args.log_out or args.model_out + ".log"
-        elif args.command == "ternary-templates" and args.tuples and args.model:
-            args.labeled_out = args.labeled_out or "ternary_labeled.tsv"
+        if args.command == "train" and args.log_out is None:
+            args.log_out = args.model_out + ".log"
+        elif (args.command == "ternary-templates" and args.labeled_out is None
+              and args.tuples is not None and args.model is not None):
+            args.labeled_out = "ternary_labeled.tsv"
         for dest, path in vars(args).items():    # every output option ends in "out"
             if dest.endswith("out") and path is not None:
                 output_path(path)

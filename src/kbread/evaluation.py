@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .features import NOUN, VERB
-from .tsv import format_row, write_lines
+from .tsv import write_rows
 
 
 @dataclass
@@ -114,23 +114,18 @@ def format_reports(reports) -> str:
 def write_reports_tsv(reports, path) -> None:
     """Machine-readable report: method, scope, n, correct, accuracy,
     gold verb/noun counts (per-preposition rows only)."""
-    lines = ["#method\tscope\tn\tcorrect\taccuracy\tgold_verb\tgold_noun"]
+    rows = []
     for r in reports:
-        lines.append(format_row([r.method, "overall", str(r.n), str(r.correct),
-                                 _fmt(r.accuracy), "-", "-"]))
-        lines.append(format_row([r.method, "excl_of", str(r.n_excl_of), str(r.correct_excl_of),
-                                 _fmt(r.accuracy_excl_of), "-", "-"]))
-        for prep in sorted(r.per_prep):
-            s = r.per_prep[prep]
-            lines.append(format_row([r.method, f"prep:{prep}", str(s.n), str(s.correct),
-                                     _fmt(s.accuracy), str(s.gold_verb), str(s.gold_noun)]))
-    write_lines(path, lines)
+        rows.append([r.method, "overall", str(r.n), str(r.correct), _fmt(r.accuracy), "-", "-"])
+        rows.append([r.method, "excl_of", str(r.n_excl_of), str(r.correct_excl_of),
+                     _fmt(r.accuracy_excl_of), "-", "-"])
+        rows += ([r.method, f"prep:{prep}", str(s.n), str(s.correct), _fmt(s.accuracy),
+                  str(s.gold_verb), str(s.gold_noun)] for prep, s in sorted(r.per_prep.items()))
+    write_rows(path, rows, header=["#method\tscope\tn\tcorrect\taccuracy\tgold_verb\tgold_noun"])
 
 
 def write_prep_chart(reports, path) -> None:
     """Plottable per-preposition accuracy: method, preposition, accuracy."""
-    lines = ["#method\tpreposition\taccuracy"]
-    for r in reports:
-        for prep in sorted(r.per_prep):
-            lines.append(format_row([r.method, prep, _fmt(r.per_prep[prep].accuracy)]))
-    write_lines(path, lines)
+    write_rows(path, ([r.method, prep, _fmt(s.accuracy)]
+                      for r in reports for prep, s in sorted(r.per_prep.items())),
+               header=["#method\tpreposition\taccuracy"])

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .kb import KnowledgeBase
-from .tsv import FormatError, at_line, format_row, iter_rows, norm_token, write_lines
+from .tsv import FormatError, at_line, iter_rows, norm_token, write_rows
 
 #: Sequence element kinds: a category name, a literal word, or a wildcard.
 TYPE, LEX, ANY = "type", "lex", "any"
@@ -322,20 +322,14 @@ def _parse_element(text, path, lineno):
 
 def write_sequences(mined, path) -> None:
     """Mined sequences as TSV: sequence, support, supporter ids."""
-    lines = []
-    for m in mined:
-        ids = ",".join(cn.source for cn in m.supporters)
-        lines.append(format_row([_format_sequence(m.sequence), str(len(m.supporters)), ids]))
-    write_lines(path, lines)
+    write_rows(path, ([_format_sequence(m.sequence), str(len(m.supporters)),
+                       ",".join(cn.source for cn in m.supporters)] for m in mined))
 
 
 def write_mappings(mappings, path) -> None:
     """Mappings as TSV: relation, arg1 pos, arg2 pos, sequence, support."""
-    lines = []
-    for mp in mappings:
-        lines.append(format_row([mp.relation, str(mp.arg1_pos), str(mp.arg2_pos),
-                                 _format_sequence(mp.sequence), str(mp.support)]))
-    write_lines(path, lines)
+    write_rows(path, ([mp.relation, str(mp.arg1_pos), str(mp.arg2_pos),
+                       _format_sequence(mp.sequence), str(mp.support)] for mp in mappings))
 
 
 def read_mappings(path) -> list[TypeSequenceMapping]:
@@ -359,14 +353,12 @@ def read_mappings(path) -> list[TypeSequenceMapping]:
 
 def write_predictions(predictions, path) -> None:
     """Predictions as TSV: relation, arg1, arg2, source id, known|new."""
-    lines = [format_row([p.relation, p.arg1, p.arg2, p.source, "known" if p.known else "new"])
-             for p in predictions]
-    write_lines(path, lines)
+    write_rows(path, ([p.relation, p.arg1, p.arg2, p.source, "known" if p.known else "new"]
+                      for p in predictions))
 
 
 def write_sample_manifest(predictions, path) -> None:
     """Annotation manifest: prediction rows plus an empty judgment column."""
-    lines = ["#relation\targ1\targ2\tsource\tstatus\tjudgment"]
-    lines += [format_row([p.relation, p.arg1, p.arg2, p.source,
-                          "known" if p.known else "new", "-"]) for p in predictions]
-    write_lines(path, lines)
+    write_rows(path, ([p.relation, p.arg1, p.arg2, p.source, "known" if p.known else "new", "-"]
+                      for p in predictions),
+               header=["#relation\targ1\targ2\tsource\tstatus\tjudgment"])

@@ -32,7 +32,7 @@ from itertools import chain
 # but ``train`` should pay for loading numpy and scipy.
 
 from .features import VERB, NOUN, FeatureConfig, extractor, format_families, parse_families
-from .tsv import FormatError, format_row, iter_lines, write_lines
+from .tsv import FormatError, iter_lines, write_rows
 
 _CG_MAX_ITERS = 50
 _CG_RTOL = 0.1
@@ -351,7 +351,7 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
 def save_model(model: AttachmentModel, path) -> None:
     """Write a model as a versioned TSV; loading reproduces predictions
     exactly (weights are stored with round-trip float precision)."""
-    lines = [
+    header = [
         f"#{MODEL_FORMAT}\t{MODEL_VERSION}",
         *(f"#{key}\t{spell(getattr(model.config, name))}"
           for cls, name, key, _, spell in MODEL_SETTINGS if cls is TrainConfig),
@@ -360,9 +360,7 @@ def save_model(model: AttachmentModel, path) -> None:
         *(f"#{key}\t{spell(getattr(model.feature_config, name))}"
           for cls, name, key, _, spell in MODEL_SETTINGS if cls is FeatureConfig),
     ]
-    for name in sorted(model.weights):
-        lines.append(format_row([name, repr(model.weights[name])]))
-    write_lines(path, lines)
+    write_rows(path, ([name, repr(model.weights[name])] for name in sorted(model.weights)), header)
 
 
 def load_model(path) -> AttachmentModel:

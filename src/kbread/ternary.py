@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .features import VERB, FeatureConfig, PPInstance, check_word
 from .kb import KnowledgeBase
 from .model import AttachmentModel, classify_instances
-from .tsv import FormatError, at_line, format_row, iter_rows, norm_token, write_lines
+from .tsv import FormatError, at_line, iter_rows, norm_token, write_rows
 
 #: Role labels assignable to the preposition-introduced third argument.
 ROLE_LABELS = (
@@ -205,15 +205,11 @@ def read_role_tuples(path) -> list[tuple[PPInstance, str]]:
 def write_ternary(instances, path) -> None:
     """Write extractions as TSV: n0, v, n1, p, n2, relation or "-",
     role label or "-"."""
-    lines = []
-    for t in instances:
-        lines.append(format_row([t.n0, t.v, t.n1, t.p, t.n2,
-                                 t.relation or "-", t.role_label or "-"]))
-    write_lines(path, lines)
+    write_rows(path, ([t.n0, t.v, t.n1, t.p, t.n2, t.relation or "-", t.role_label or "-"]
+                      for t in instances))
 
 
 def write_templates(templates, path) -> None:
-    lines = [format_row([t.label, t.verb, t.arg1_type, t.preposition, t.arg2_type,
-                         str(t.support)]) for t in templates]
-    write_lines(path, lines)
+    write_rows(path, ([t.label, t.verb, t.arg1_type, t.preposition, t.arg2_type, str(t.support)]
+                      for t in templates))
 

@@ -5,6 +5,8 @@ Every input is read in blocks of whole lines (see :func:`_iter_blocks`) by
 :func:`iter_lines` (a model file), :func:`iter_folded_rows` (a knowledge
 file) or :func:`iter_rows` (any other). A reader looks a line at a time for
 a mark, a comment or whitespace to strip only in a block that holds one.
+Every output table is written by :func:`write_rows`, the one caller of the
+row formatter :func:`format_row`.
 """
 
 from __future__ import annotations
@@ -165,8 +167,8 @@ def iter_folded_rows(path, columns):
 
 
 def format_row(fields) -> str:
-    """One data line of a TSV file: the fields joined by tabs. Every writer
-    builds its data rows here, so that no row is split or lost on reading: a
+    """One data line of a TSV file: the fields joined by tabs. :func:`write_rows`
+    builds every data row here, so that no row is split or lost on reading: a
     field that holds a tab, CR or LF is a ``ValueError``, and so is a line
     whose first non-blank character is ``#``, which :func:`iter_rows` skips
     as a comment, or U+FEFF, which reading drops or rejects as a byte-order mark."""
@@ -227,3 +229,9 @@ def write_lines(path, lines) -> None:
     staged[target] = temp
     with open(fd, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
+
+
+def write_rows(path, rows, header=()) -> None:
+    """Write the ``header`` lines as they are, then each row, a list of
+    fields, as :func:`format_row` joins it (see :func:`write_lines`)."""
+    write_lines(path, [*header, *map(format_row, rows)])

@@ -9,7 +9,8 @@ from kbread.features import NOUN, VERB, FeatureConfig, PPInstance, check_word, f
 from kbread.kb import KnowledgeBase
 from kbread.knom import (ANY, LEX, TYPE, CompoundNoun, MinedSequence, Prediction,
                          TypeSequence, TypeSequenceMapping, _check_unbroken, _matches,
-                         type_compound)
+                         baseline_mappings, learn_mappings, mine_sequences,
+                         predict_instances, type_compound)
 from kbread.tsv import FormatError, norm_token
 
 # -- the token-holding value types as dataclass __init__ plus __post_init__ --
@@ -501,3 +502,89 @@ def write_planted(directory):
         for cn in compounds:
             fh.write(cn.source + "\t" + "\t".join(cn.tokens) + "\n")
     return kb_dir, compounds_path
+
+
+# -- the compound-noun claim: held-out planted pairs under type noise ----------
+
+#: The categories that PLANTED's type elements name.
+PLANTED_CATEGORIES = tuple(sorted({value for *_, elements in PLANTED
+                                   for kind, value in elements if kind == TYPE}))
+
+
+@dataclass(frozen=True)
+class PlantedWorld:
+    compounds: list     # CompoundNoun
+    isa: list           # (token, category) rows, after the type noise
+    relations: list     # (relation, arg1, arg2) rows of the compounds not held out
+    held_out: frozenset  # (relation, arg1, arg2) of the held-out compounds
+
+
+def planted_world(seed, q=0.0, support=30, held_out=10, noise=200):
+    """PLANTED realized by ``support`` compounds per mapping, each with its
+    own typed tokens; ``held_out`` of them, chosen at random, have their
+    relation rows left out of the knowledge base. Plus ``noise`` compounds
+    of two untyped tokens found nowhere else, all in random order. Type
+    noise at rate ``q``: each category row is, with probability q/2, given
+    another planted category at random and, with a further q/2, dropped."""
+    rng = random.Random(seed)
+    compounds, isa, relations, hidden = [], [], [], set()
+    for m, (relation, arg1_pos, arg2_pos, elements) in enumerate(PLANTED, start=1):
+        hold = set(rng.sample(range(support), held_out))
+        for k in range(support):
+            tokens = tuple(value if kind == LEX else f"{value}{m}_{k}" for kind, value in elements)
+            isa += [(t, value) for t, (kind, value) in zip(tokens, elements) if kind == TYPE]
+            row = (relation, tokens[arg1_pos - 1], tokens[arg2_pos - 1])
+            if k in hold:
+                hidden.add(row)
+            else:
+                relations.append(row)
+            compounds.append(CompoundNoun(tokens, f"p{m}_{k:02d}"))
+    compounds += [CompoundNoun((f"noise{k}_a", f"noise{k}_b"), f"n{k:03d}") for k in range(noise)]
+    rng.shuffle(compounds)
+    noisy = []
+    for token, category in isa:
+        draw = rng.random()
+        if draw < q / 2:
+            noisy.append((token, rng.choice([c for c in PLANTED_CATEGORIES if c != category])))
+        elif draw >= q:
+            noisy.append((token, category))
+    return PlantedWorld(compounds, noisy, relations, frozenset(hidden))
+
+
+def new_triples(world, kb, min_support, baseline=False):
+    """The (relation, arg1, arg2) triples that mining, learning (then, given
+    ``baseline``, wildcarding) and predicting on ``world``'s compounds over
+    ``kb`` predict and ``kb`` does not hold."""
+    mappings = learn_mappings(mine_sequences(world.compounds, kb, min_support), kb, min_support)
+    if baseline:
+        mappings = baseline_mappings(mappings)
+    return {(p.relation, p.arg1, p.arg2)
+            for p in predict_instances(mappings, world.compounds, kb) if not p.known}
+
+
+def mcnemar_exact(b, c):
+    """Two-sided exact McNemar p-value of ``b`` pairs that only the first
+    method gets right against ``c`` that only the second does."""
+    n = b + c
+    return min(1.0, 2 * sum(math.comb(n, k) for k in range(min(b, c) + 1)) / 2 ** n)
+
+
+def knom_claim(seed, q=0.0, min_support=5):
+    """The compound-noun claim on ``planted_world(seed, q)``: for typed
+    mappings, the wildcard baseline (``baseline_mappings``) and the
+    literal-only run (the same calls over a KB without category rows), the
+    held-out recall and the precision of the new triples (None when there
+    is none), by name; and McNemar's exact p of typed against wildcard over
+    the held-out triples."""
+    world = planted_world(seed, q)
+    typed = KnowledgeBase(isa=world.isa, relations=world.relations)
+    runs = {"typed": new_triples(world, typed, min_support),
+            "wildcard": new_triples(world, typed, min_support, baseline=True),
+            "literal": new_triples(world, KnowledgeBase(relations=world.relations),
+                                   min_support)}
+    scores = {name: (len(new & world.held_out) / len(world.held_out),
+                     len(new & world.held_out) / len(new) if new else None)
+              for name, new in runs.items()}
+    only_typed = len(world.held_out & runs["typed"] - runs["wildcard"])
+    only_wildcard = len(world.held_out & runs["wildcard"] - runs["typed"])
+    return scores, mcnemar_exact(only_typed, only_wildcard)

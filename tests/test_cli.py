@@ -754,6 +754,20 @@ TUNABLES = [
 ]
 
 
+#: (subcommand, {option: value}): an empty path, given to an option that
+#: read it as not given, and what else the fixture command needs so that the
+#: run succeeds when it does (a value of None removes the option).
+EMPTY_PATHS = [
+    ("predict", {"--kb-dir": ""}),
+    ("train", {"--unlabeled": ""}),
+    ("train", {"--log-out": ""}),
+    ("eval", {"--model": "", "--collins-train": "labeled"}),
+    ("eval", {"--collins-train": ""}),
+    ("ternary-templates", {"--tuples": "", "--model": "", "--labeled-out": None}),
+    ("ternary-templates", {"--labeled-out": ""}),
+]
+
+
 class TestOptions:
     @pytest.mark.parametrize("name,key,value,changes", TUNABLES)
     def test_flag_and_config_key_write_identical_outputs(self, paths, trained, tmp_path,
@@ -855,6 +869,34 @@ class TestOptions:
         assert run(name, "--kb-dir", paths["kb"], *[files.get(a, a) for a in extra],
                    "--out", str(tmp_path / "out.tsv")) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name,options", EMPTY_PATHS)
+    def test_an_empty_path_exits_2_and_writes_nothing(self, paths, trained, tmp_path,
+                                                      monkeypatch, capsys, name, options):
+        # A relative output would be written where the command runs.
+        monkeypatch.chdir(tmp_path)
+        argv = fixture_command(name, paths, trained, tmp_path)
+        for option, value in options.items():
+            if option in argv:
+                del argv[argv.index(option):argv.index(option) + 2]
+            if value is not None:
+                argv += [option, paths.get(value, value)]
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_without_sample_out_exits_2(self, paths, trained, tmp_path, capsys):
+        argv = fixture_command("knom-predict", paths, trained, tmp_path)
+        del argv[argv.index("--sample-out"):]
+        assert run(*argv, "--seed", "7") == 2
+        assert capsys.readouterr() == ("", "error: seed: read only with --sample-out\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_sample_drawn_without_seed_is_drawn_with_seed_0(self, paths, trained, tmp_path):
+        unset = outputs("knom-predict", paths, trained, tmp_path / "unset", "--sample-size", "2")
+        assert unset == outputs("knom-predict", paths, trained, tmp_path / "zero",
+                                "--sample-size", "2", "--seed", "0")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_training_setting_exits_2(self, paths, tmp_path, value):

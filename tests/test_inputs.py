@@ -334,22 +334,54 @@ def test_a_row_that_reading_would_split_or_lose_is_rejected(fields):
 FILE_CHANGES = ("replace", "rename", "remove", "unlink")
 
 
+def package_modules():
+    """``(file name, syntax tree)`` of each module of ``kbread``, by file name."""
+    package = os.path.dirname(kbread.__file__)
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path), ast.parse(fh.read(), path)
+
+
 def test_only_tsv_opens_files():
     """Every file the package reads or writes goes through ``tsv``, so
     decoding, the ``file:line`` of a rejected line and when an output
     appears are decided in one place: no other module opens a file, or
     replaces or removes one."""
-    package = os.path.dirname(kbread.__file__)
-    opens = []
-    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
-        if os.path.basename(path) == "tsv.py":
-            continue
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
-        opens += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and (getattr(node.func, "id", None) == "open"
-                       or getattr(node.func, "attr", None) == "open"
-                       or (getattr(node.func, "attr", None) in FILE_CHANGES
-                           and getattr(node.func.value, "id", None) == "os"))]
+    opens = [f"{name}:{node.lineno}" for name, tree in package_modules() if name != "tsv.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "open"
+                  or getattr(node.func, "attr", None) == "open"
+                  or (getattr(node.func, "attr", None) in FILE_CHANGES
+                      and getattr(node.func.value, "id", None) == "os"))]
     assert opens == []
+
+
+def test_only_tsv_formats_rows():
+    """Every writer hands its rows to ``tsv.write_rows``, so the row rule
+    of ``format_row`` holds for every output by the API: no other module
+    names ``format_row``."""
+    callers = sorted({name[:-len(".py")] for name, tree in package_modules()
+                      if name != "tsv.py" for node in ast.walk(tree)
+                      if "format_row" in (getattr(node, "id", None), getattr(node, "attr", None))})
+    assert callers == []
+
+
+def test_every_module_level_import_is_used():
+    """Each name a module imports at module level is used in it, so an
+    import that a change leaves without a use is caught. ``__init__``
+    imports to export, and ``from __future__`` imports bind no name."""
+    unused = []
+    for name, tree in package_modules():
+        if name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{name}:{node.lineno}: {b}" for b in bound if b not in used]
+    assert unused == []

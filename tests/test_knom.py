@@ -12,7 +12,8 @@ from kbread.knom import (_ELEMENT_BREAK, CompoundNoun, Prediction, TypeSequence,
                          sample_predictions, type_compound, write_mappings,
                          write_predictions, write_sample_manifest)
 from kbread.tsv import FormatError, norm_token
-from synth import (KNOM_WORDS, PLANTED, all_pairs_predict_instances, planted_corpus,
+from synth import (KNOM_WORDS, PLANTED, PLANTED_CATEGORIES, all_pairs_predict_instances,
+                   knom_claim, mcnemar_exact, planted_corpus, planted_world,
                    product_mine_sequences, random_knom_world, random_mapping,
                    scan_relations_between)
 from test_kb import make_kb
@@ -208,6 +209,38 @@ class TestPlantedRecovery:
                      relations="".join(f"{r}\t{a}\t{b}\n" for r, a, b in relation_rows))
         mined = mine_sequences(compounds, kb, min_support=10)
         assert learn_mappings(mined, kb, min_support=13) == []
+
+
+class TestCompoundNounClaim:
+    """The paper's claim that the knowledge-aware method outperforms a
+    baseline without background knowledge, on held-out planted pairs (see
+    ``synth.planted_world``) with no type noise, min support 5."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_typed_mappings_beat_both_baselines(self, seed):
+        scores, p = knom_claim(seed)
+        recall, precision = ({name: score[i] for name, score in scores.items()} for i in (0, 1))
+        assert recall["typed"] > max(recall["wildcard"], recall["literal"])
+        assert recall == {"typed": 1.0, "wildcard": 0.4, "literal": 0.0}
+        # The literal-only run predicts no new triple, so it has no precision.
+        assert precision == {"typed": 1.0, "wildcard": 1.0, "literal": None}
+        assert p < 1e-3
+
+    def test_the_world_holds_out_and_corrupts_as_planned(self):
+        clean, noisy = planted_world(0), planted_world(0, q=0.4)
+        assert len(clean.compounds) == 30 * len(PLANTED) + 200
+        assert len(clean.held_out) == 10 * len(PLANTED)
+        assert not clean.held_out & set(clean.relations)
+        assert len(clean.relations) == 20 * len(PLANTED)
+        corrupted = len(set(noisy.isa) - set(clean.isa))
+        dropped = len(clean.isa) - len(noisy.isa)
+        assert all(c in PLANTED_CATEGORIES for _, c in noisy.isa)
+        assert 0.1 < corrupted / len(clean.isa) < 0.3 and 0.1 < dropped / len(clean.isa) < 0.3
+
+    def test_mcnemar_exact(self):
+        assert mcnemar_exact(0, 0) == mcnemar_exact(1, 0) == 1.0
+        assert mcnemar_exact(5, 1) == mcnemar_exact(1, 5) == 2 * (1 + 6) / 2 ** 6
+        assert mcnemar_exact(30, 0) == 2 / 2 ** 30
 
 
 class TestSamplingAndFiles:
