@@ -70,6 +70,8 @@ class _Config(argparse.Action):
     def __call__(self, parser, namespace, path, option_string=None):
         if getattr(namespace, self.dest) is not None:
             raise ValueError(f"{option_string} may be given only once")
+        if not path:
+            raise ValueError(f"{option_string}: empty path")
         setattr(namespace, self.dest, path)
         settings = {a.dest: a for a in parser._actions if isinstance(a, _Setting)}
         seen = set()
@@ -406,6 +408,8 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
+        if empty := [k for k, v in vars(args).items() if v == ""]:  # every str option is a path
+            raise ValueError(f"--{empty[0].replace('_', '-')}: empty path")
         # The outputs that no option names: the training log and the applied templates.
         if args.command == "train" and args.log_out is None:
             args.log_out = args.model_out + ".log"

@@ -25,11 +25,11 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 
-# numpy and scipy are imported inside the functions that build or evaluate
-# the packed objective, not here. Only training, expected_log_likelihood and
-# gradient use it; ``kbread.cli`` imports this module for MODEL_SETTINGS,
-# which makes the setting flags when the parser is built, and no command
-# but ``train`` should pay for loading numpy and scipy.
+# numpy is imported inside the functions that build or evaluate the packed
+# objective, not here. Only training, expected_log_likelihood and gradient
+# use it; ``kbread.cli`` imports this module for MODEL_SETTINGS, which makes
+# the setting flags when the parser is built, and no command but ``train``
+# should pay for loading numpy.
 
 from .features import VERB, NOUN, FeatureConfig, extractor, format_families, parse_families
 from .tsv import FormatError, iter_lines, write_rows
@@ -121,31 +121,35 @@ def _intern(fvs, vocab):
 
 class _Problem:
     """Posterior-weighted, L2-penalized conditional objective over instances
-    packed as the rows of a sparse 0/1 matrix. Each row's target ``y`` is a
-    hard label or the probability of verb attachment (1.0 for ``"V"``).
+    packed as the rows of a sparse 0/1 matrix, kept as a row id and a column
+    id per nonzero. Each row's target ``y`` is a hard label or the
+    probability of verb attachment (1.0 for ``"V"``).
 
     :meth:`scores` sums feature weights for training; :func:`classify_many`
     computes the same sums one instance at a time, without numpy, and a
-    property test pins the two equal. Each row keeps its columns in the
-    order :func:`_intern` gave them and the matrix is never canonicalised:
-    sorting column ids would change the order, and so the rounding, of every
-    sum. Inner products here and in :func:`_newton` are numpy sums, not BLAS
-    dots, whose rounding depends on how many threads split a long vector.
+    property test pins the two equal. Both products are sequential bincount
+    sums, not BLAS or CSR: each adds its terms one at a time from +0.0, in
+    :func:`_intern`'s column order, which sorting would change. Inner
+    products are numpy sums, not BLAS dots, whose rounding depends on how
+    many threads split a long vector.
     """
 
     def __init__(self, rows, n_features, y=(), l2=0.0):
         import numpy as np
-        from scipy.sparse import csr_matrix
         counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=indptr[-1])
-        self.X = csr_matrix((np.ones(len(indices)), indices, indptr),
-                            shape=(len(rows), n_features))
+        self.rows = np.repeat(np.arange(len(rows)), counts)
+        self.cols = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=len(self.rows))
+        self.shape = (len(rows), n_features)
         self.l2 = l2
         self.y = np.array(y, dtype=np.float64)
 
-    def scores(self, w):
-        return self.X @ w
+    def scores(self, w):           # X·w
+        import numpy as np
+        return np.bincount(self.rows, weights=w[self.cols], minlength=self.shape[0])
+
+    def feature_sums(self, u):     # Xᵀ·u
+        import numpy as np
+        return np.bincount(self.cols, weights=u[self.rows], minlength=self.shape[1])
 
     def value(self, w):
         import numpy as np
@@ -155,10 +159,9 @@ class _Problem:
 
     def derivatives(self, w):
         """The gradient at ``w`` and the row weights ``D`` of ``−Hessian = X.T D X + l2 I``."""
-        from scipy.special import expit
         z = self.scores(w)
-        sigma = expit(z)
-        return self.X.T @ (self.y - sigma) - self.l2 * w, sigma * expit(-z)
+        sigma = _expit(z)
+        return self.feature_sums(self.y - sigma) - self.l2 * w, sigma * _expit(-z)
 
 
 def _newton(problem, w, cfg):
@@ -171,7 +174,7 @@ def _newton(problem, w, cfg):
     step cannot move ``w``. Returns ``(w, value, iterations, ‖g‖)``."""
     import numpy as np
     scale = max(1.0, problem.l2)    # the system over ``scale`` keeps ``l2 * v`` finite
-    X, XT, l2 = problem.X, problem.X.T, problem.l2 / scale
+    l2 = problem.l2 / scale
     value, steps = problem.value(w), 0
     g, curvature = problem.derivatives(w)
     while steps < cfg.max_gradient_steps and math.sqrt((g * g).sum()) >= cfg.convergence_tol:
@@ -179,7 +182,7 @@ def _newton(problem, w, cfg):
         p, rr = r, (r * r).sum()
         stop = _CG_RTOL ** 2 * rr
         for _ in range(_CG_MAX_ITERS):
-            hp = XT @ (curvature * (X @ p)) + l2 * p
+            hp = problem.feature_sums(curvature * problem.scores(p)) + l2 * p
             if (php := (p * hp).sum()) <= 0:
                 break
             alpha = rr / php
@@ -211,11 +214,20 @@ def _model_problem(model, data):
     return problem, w, vocab
 
 
+def _expit(x):
+    """``1/(1+exp(-x))`` for each element of an array, bit for bit as C computes
+    it: ``math.exp`` is the C library's, and numpy's ``exp`` may differ in the last
+    bit. Where ``exp(-x)`` overflows, and ``math.exp`` would raise, it is 0.0."""
+    import numpy as np
+    m = np.where(x < -math.log(np.finfo(float).max), np.inf, -x).tolist()
+    return 1.0 / (1.0 + np.fromiter(map(math.exp, m), dtype=np.float64, count=len(m)))
+
+
 def _logistic(z: float) -> float:
     """Probability of verb attachment for one score, clamped into the open
-    interval (0, 1). Training's vectorised E-step and gradient use scipy's
-    ``expit`` instead; this one stays plain ``math`` so that scoring never
-    loads numpy or scipy."""
+    interval (0, 1). Training's vectorised E-step and gradient use
+    :func:`_expit` instead; this one takes no array, so that scoring never
+    loads numpy."""
     if z >= 0:
         p = 1.0 / (1.0 + math.exp(-z))
     else:
@@ -314,7 +326,6 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
     if not all(t in (VERB, NOUN) for _, t in labeled):
         raise ValueError("training requires hard labels")
     import numpy as np
-    from scipy.special import expit
     cfg = cfg or TrainConfig()
     lab_y = [_target(t) for _, t in labeled]
     vocab = {}
@@ -331,7 +342,7 @@ def train_em(labeled, unlabeled, cfg: TrainConfig | None = None) -> AttachmentMo
                            lab_y + [0.5] * len(unlab_rows), cfg.l2_penalty)
         unlab = slice(len(lab_rows), None)
         for t in range(1, cfg.max_em_iters + 1):
-            problem.y[unlab] = expit(problem.scores(w)[unlab])
+            problem.y[unlab] = _expit(problem.scores(w)[unlab])
             q_start = problem.value(w)
             w, q_end, steps, grad_norm = _newton(problem, w, cfg)
             ll = float(lab_problem.value(w[:n]) - 0.5 * cfg.l2_penalty * (w[n:] ** 2).sum())

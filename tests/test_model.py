@@ -5,15 +5,19 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.special import expit
 
+import kbread
 from kbread.features import (FAMILIES, NOUN, VERB, FeatureConfig, PPInstance, extractor,
                              feature_name, read_corpus)
-from kbread.model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, _intern, _logistic,
-                          _Problem, classify, classify_instances, classify_many,
+from kbread.model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, _expit, _intern,
+                          _logistic, _Problem, classify, classify_instances, classify_many,
                           expected_log_likelihood, gradient, load_model, save_model, train_em,
                           train_supervised)
 from kbread.ternary import extract_ternary, read_tuples
@@ -124,6 +128,84 @@ class TestNewton:
         model = train_supervised(labeled, NO_REG)
         assert all(math.isfinite(w) for w in model.weights.values())
         assert all(classify(model, fv)[0] == y for fv, y in labeled)
+
+
+def same_bits(a, b):
+    """Whether two float64 arrays hold the same bits, any NaN equal to any NaN."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and (nan == np.isnan(b)).all()
+            and (a[~nan].view(np.uint64) == b[~nan].view(np.uint64)).all())
+
+
+def scipy_pack(rows, n_features):
+    """The rows of a :class:`_Problem` as a scipy CSR matrix, columns unsorted."""
+    indptr = np.cumsum([0, *map(len, rows)])
+    indices = np.array([c for row in rows for c in row], dtype=np.intp)
+    return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(rows), n_features))
+
+
+#: Doubles within 40 ulps of where ``exp(-x)`` overflows (x = -709.78),
+#: turns subnormal (708.40), underflows to zero (745.13) or is too small to
+#: change ``1 + exp(-x)`` (36.74), of either sign.
+EDGES = [float(x) for c in (709.782712893384, 708.3964185322641, 745.1332191019411,
+                            36.7368005696771)
+         for sign in (1.0, -1.0)
+         for x in sign * c + np.arange(-40, 41) * np.spacing(c)]
+#: Signed zeros, infinities, NaN and subnormals.
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+           -1e-310, 1e-300]
+
+
+@st.composite
+def packs(draw):
+    """``(rows, n_features, w, u)``: rows of distinct column ids in drawn
+    order, some or all of them empty, and a value per column and per row."""
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), unique=True) if n else st.just([]),
+                         max_size=15))
+    values = st.one_of(st.floats(), st.sampled_from((0.0, -0.0, 1e308, -1e308)))
+    return (rows, n, draw(st.lists(values, min_size=n, max_size=n)),
+            draw(st.lists(values, min_size=len(rows), max_size=len(rows))))
+
+
+class TestAgainstScipy:
+    """Training computes without scipy what scipy's ``expit`` and CSR and
+    CSC products compute, bit for bit; these tests use scipy as the oracle."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(x=st.lists(st.one_of(st.floats(), st.floats(-746.0, 746.0),
+                                st.sampled_from(EDGES + SPECIAL)), max_size=40))
+    @example(x=SPECIAL)
+    @example(x=EDGES)
+    @example(x=[])
+    def test_expit_is_scipy_expit(self, x):
+        x = np.array(x, dtype=np.float64)
+        assert same_bits(_expit(x), expit(x))
+
+    def test_expit_agrees_on_random_scores(self):
+        x = np.random.default_rng(3).normal(0.0, 300.0, 200_000)
+        assert same_bits(_expit(x), expit(x))
+
+    def test_expit_overflow_gives_zero_without_a_warning(self):
+        # Warnings are errors under the test configuration.
+        assert _expit(np.array([-709.7827128933841, -1e308, -math.inf])).tolist() == [0.0] * 3
+
+    @settings(deadline=None, max_examples=300)
+    @given(pack=packs())
+    @example(pack=([], 0, [], []))
+    @example(pack=([], 3, [1.0, -0.0, 2.0], []))
+    @example(pack=([[], [], []], 2, [1.0, 2.0], [-0.0, 1.0, math.nan]))
+    @example(pack=([[2, 0, 1], [], [1]], 3, [1e308, 1e308, -1e308], [-0.0, 5.0, -0.0]))
+    def test_products_are_scipy_csr_and_csc_products(self, pack):
+        rows, n, w, u = pack
+        w, u = np.array(w, dtype=np.float64), np.array(u, dtype=np.float64)
+        problem, X = _Problem(rows, n), scipy_pack(rows, n)
+        assert same_bits(problem.scores(w), X @ w)
+        assert same_bits(problem.feature_sums(u), X.T @ u)
+
+    def test_no_module_mentions_scipy(self):
+        assert [path.name for path in Path(kbread.__file__).parent.glob("*.py")
+                if "scipy" in path.read_text(encoding="utf-8")] == []
 
 
 class TestPredictProba:
