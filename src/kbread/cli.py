@@ -10,15 +10,15 @@ A config key the subcommand does not take is an error. The training and
 feature settings are the rows of ``model.MODEL_SETTINGS``.
 
 :func:`main` runs every subcommand the same way, with the cyclic garbage
-collector off. It resolves the options, checks every output path, loads
-the knowledge files the subcommand reads (knom-mine isa.tsv, the other
-knom commands isa.tsv and relations.tsv, ternary-extract and kb-check all
-six, eval without --model none, the others all but relations.tsv) and
-starts the subcommand, a generator that reads and validates every input
-and yields once; --dry-run stops there. The subcommand then computes and
-writes in one tsv.output_set, so its outputs and its stdout appear
-together once it succeeds, or not at all. On one machine, outputs are
-byte-identical across runs given identical inputs and seed.
+collector off. It resolves the options, checks every output path and
+starts the subcommand, a generator that reads and validates every input,
+then yields once the knowledge files it will query: those of the families
+its model scores or its training extracts (``features.knowledge_files``)
+and its own. ``main`` loads exactly those and sends the store in; --dry-run
+stops there. The subcommand then computes and writes in one
+tsv.output_set, so its outputs and its stdout appear together once it
+succeeds, or not at all. On one machine, outputs are byte-identical across
+runs given identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ import io
 import sys
 from dataclasses import replace
 
-from .features import FeatureConfig, expand_with_synonyms, extractor, read_corpus
-from .kb import KB_FILENAMES, load_kb, load_kb_dir
+from .features import (FeatureConfig, expand_with_synonyms, extractor, knowledge_files,
+                       read_corpus)
+from .kb import KB_FILENAMES, KnowledgeBase, load_kb_dir
 from .model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, classify_instances,
-                    load_model, save_model, train_em)
+                    load_model, save_model, scored_families, train_em)
 from .tsv import FormatError, iter_rows, output_path, output_set, write_lines, write_rows
 
 #: Settings read only by feature extraction.
@@ -107,13 +108,6 @@ def _given(args, *names, **renamed):
             if getattr(args, dest, None) is not None}
 
 
-def _load_kb(args):
-    if args.kb_dir is None:
-        return load_kb()
-    back_off_only = args.command == "eval" and args.model is None    # it queries no KB
-    return load_kb_dir(args.kb_dir, resources=() if back_off_only else args.kb_files)
-
-
 def _config(args, stored):
     """``stored`` (a model's own settings, or the defaults) with each of its
     settings that is given replaced."""
@@ -136,23 +130,23 @@ def _write_train_log(model: AttachmentModel, path) -> None:
     write_rows(path, rows, header=["#phase\tdetail"])
 
 
-# -- subcommands: read every input, yield, compute and write --------------------
+# -- subcommands: read every input, yield the knowledge files, compute and write 
 
 
-def cmd_train(args, kb):
+def cmd_train(args):
     feature_cfg = _config(args, FeatureConfig())
     train_cfg = _config(args, TrainConfig())
-    labeled_insts = read_corpus(args.labeled, labeled=True)
-    if not labeled_insts:
+    labeled = read_corpus(args.labeled, labeled=True)
+    if not labeled:
         raise ValueError(f"{args.labeled}: training requires at least one labeled instance")
+    unlabeled = [] if args.unlabeled is None else read_corpus(args.unlabeled)
+    files = knowledge_files(feature_cfg.enabled_families)
+    kb = yield files | {"synsets"} if args.expand_synonyms else files
     if args.expand_synonyms:
-        labeled_insts = expand_with_synonyms(labeled_insts, kb)
+        labeled = expand_with_synonyms(labeled, kb)
     extract = extractor(kb, feature_cfg)
-    labeled = [(extract(i), i.label) for i in labeled_insts]
-    unlabeled = []
-    if args.unlabeled is not None:
-        unlabeled = [extract(i) for i in read_corpus(args.unlabeled)]
-    yield
+    labeled = [(extract(i), i.label) for i in labeled]
+    unlabeled = [extract(i) for i in unlabeled]
     model = train_em(labeled, unlabeled, train_cfg)
     model.feature_config = feature_cfg
     save_model(model, args.model_out)
@@ -161,35 +155,39 @@ def cmd_train(args, kb):
           f"instances; {len(model.weights)} features")
 
 
-def cmd_predict(args, kb):
+def cmd_predict(args):
     model = load_model(args.model)
     feature_cfg = _config(args, model.feature_config)
     instances = read_corpus(args.input)
-    yield
+    kb = yield knowledge_files(scored_families(model, feature_cfg))
     decisions = classify_instances(model, kb, feature_cfg, instances)
     write_rows(args.out, ([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2, label, f"{p:.6f}"]
                           for inst, (label, p) in zip(instances, decisions)))
     print(f"wrote {len(decisions)} predictions to {args.out}")
 
 
-def cmd_eval(args, kb):
+def cmd_eval(args):
     from . import collins, evaluation
     gold = read_corpus(args.test, labeled=True)
-    predictors = {}
+    predictors, files = {}, set()
     if args.model is not None:
         model = load_model(args.model)
         cfg = _config(args, model.feature_config)
+        files = knowledge_files(scored_families(model, cfg))
         predictors["ppad"] = lambda gold: [d for d, _ in classify_instances(model, kb, cfg, gold)]
     else:
         _reject_unread(args, "--model", *_FEATURE_SETTINGS)
     if args.collins_train is not None:
         train = read_corpus(args.collins_train, labeled=True)
+        if not train:
+            raise ValueError(f"{args.collins_train}: fitting requires at least one "
+                             "labeled instance")
         counts = collins.fit_counts(train)
         predictors["collins"] = lambda insts: [collins.predict(counts, inst)[0]
                                                for inst in insts]
     if not predictors:
         raise ValueError("eval needs --model and/or --collins-train")
-    yield
+    kb = yield files
     reports = evaluation.compare(predictors, gold)
     text = evaluation.format_reports(reports)
     write_lines(args.out, text.splitlines())
@@ -200,12 +198,12 @@ def cmd_eval(args, kb):
     print(text, end="")
 
 
-def cmd_ternary_extract(args, kb):
+def cmd_ternary_extract(args):
     from . import ternary
     model = load_model(args.model)
     feature_cfg = _config(args, model.feature_config)
     tuples = ternary.read_tuples(args.tuples)
-    yield
+    kb = yield knowledge_files(scored_families(model, feature_cfg)) | {"relations"}
     instances = ternary.extract_ternary(tuples, model, kb, feature_cfg)
     maps = ternary.map_relations_to_verbs(kb, tuples, **_given(args, "min_support"))
     instances = ternary.annotate_relations(instances, maps)
@@ -213,19 +211,20 @@ def cmd_ternary_extract(args, kb):
     print(f"extracted {len(instances)} ternary instances from {len(tuples)} tuples")
 
 
-def cmd_ternary_templates(args, kb):
+def cmd_ternary_templates(args):
     from . import ternary
     labeled = ternary.read_role_tuples(args.labeled_tuples)
-    apply_inputs = None
+    apply_inputs, files = None, {"isa"}
     if args.tuples is not None or args.model is not None:
         if args.tuples is None or args.model is None:
             raise ValueError("applying templates needs both --tuples and --model")
         model = load_model(args.model)
         feature_cfg = _config(args, model.feature_config)
         apply_inputs = ternary.read_tuples(args.tuples)
+        files |= knowledge_files(scored_families(model, feature_cfg))
     else:
         _reject_unread(args, "--tuples and --model", "labeled_out", *_FEATURE_SETTINGS)
-    yield
+    kb = yield files
     templates = ternary.learn_role_templates(labeled, kb, **_given(args, "min_support"))
     ternary.write_templates(templates, args.out)
     print(f"learned {len(templates)} role templates")
@@ -236,32 +235,32 @@ def cmd_ternary_templates(args, kb):
         print(f"labeled {len(labeled_out)} verb-attached tuples")
 
 
-def cmd_knom_mine(args, kb):
+def cmd_knom_mine(args):
     from . import knom
     corpus = knom.read_compounds(args.compounds)
-    yield
+    kb = yield {"isa"}
     mined = knom.mine_sequences(corpus, kb, **_given(args, "min_support"))
     knom.write_sequences(mined, args.out)
     print(f"mined {len(mined)} sequences from {len(corpus)} compounds")
 
 
-def cmd_knom_learn(args, kb):
+def cmd_knom_learn(args):
     from . import knom
     corpus = knom.read_compounds(args.compounds)
-    yield
+    kb = yield {"isa", "relations"}
     mined = knom.mine_sequences(corpus, kb, **_given(args, min_support="seq_min_support"))
     mappings = knom.learn_mappings(mined, kb, **_given(args, "min_support"))
     knom.write_mappings(mappings, args.out)
     print(f"learned {len(mappings)} mappings from {len(mined)} sequences")
 
 
-def cmd_knom_predict(args, kb):
+def cmd_knom_predict(args):
     from . import knom
     corpus = knom.read_compounds(args.compounds)
     mappings = knom.read_mappings(args.mappings)
     if args.sample_out is None:
         _reject_unread(args, "--sample-out", "sample_size", "seed")
-    yield
+    kb = yield {"isa", "relations"}
     if args.baseline:
         mappings = knom.baseline_mappings(mappings)
     predictions = knom.predict_instances(mappings, corpus, kb)
@@ -273,10 +272,10 @@ def cmd_knom_predict(args, kb):
         print(f"wrote annotation sample of {len(sample)} to {args.sample_out}")
 
 
-def cmd_kb_check(args, kb):
+def cmd_kb_check(args):
     if args.kb_dir is None:
         raise ValueError("kb-check needs --kb-dir")
-    yield
+    kb = yield set(KB_FILENAMES)
     for key, value in kb.stats().items():
         print(f"{key}\t{value}")
 
@@ -316,14 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "relation tools backed by a knowledge base")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, parent, help, kb_files=tuple(KB_FILENAMES)):
-        """A subcommand that reads the knowledge files ``kb_files``."""
+    def command(name, run, parent, help):
         p = sub.add_parser(name, parents=[parent], help=help)
-        p.set_defaults(run=run, kb_files=kb_files)
+        p.set_defaults(run=run)
         return p
 
-    pp_files = ("svo", "isa", "roles", "prepdefs", "synsets")    # all but relations
-    p = command("train", cmd_train, seeded, "train an attachment model", pp_files)
+    p = command("train", cmd_train, seeded, "train an attachment model")
     add_settings(p, FeatureConfig)
     p.add_argument("--labeled", required=True)
     p.add_argument("--unlabeled")
@@ -333,13 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="copy labeled instances once per verb synonym")
     add_settings(p, TrainConfig)
 
-    p = command("predict", cmd_predict, seeded, "classify a corpus", pp_files)
+    p = command("predict", cmd_predict, seeded, "classify a corpus")
     add_settings(p, FeatureConfig, stored=True)
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
 
-    p = command("eval", cmd_eval, seeded, "score methods on labeled data", pp_files)
+    p = command("eval", cmd_eval, seeded, "score methods on labeled data")
     add_settings(p, FeatureConfig, stored=True)
     p.add_argument("--test", required=True)
     p.add_argument("--model")
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                    check=lambda n: _library("ternary").map_relations_to_verbs(None, [], n))
 
     p = command("ternary-templates", cmd_ternary_templates, shared,
-                "learn (and optionally apply) role templates", pp_files)
+                "learn (and optionally apply) role templates")
     add_settings(p, FeatureConfig, stored=True)
     p.add_argument("--labeled-tuples", required=True)
     p.add_argument("--out", required=True)
@@ -368,15 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-support", action=_Setting, convert=int,
                    check=lambda n: _library("ternary").learn_role_templates([], None, n))
 
-    knom_files = ("isa", "relations")
-    p = command("knom-mine", cmd_knom_mine, shared, "mine type sequences", ("isa",))
+    p = command("knom-mine", cmd_knom_mine, shared, "mine type sequences")
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-support", action=_Setting, convert=int,
                    check=lambda n: _library("knom").mine_sequences([], None, n))
 
-    p = command("knom-learn", cmd_knom_learn, shared, "learn sequence-to-relation mappings",
-                knom_files)
+    p = command("knom-learn", cmd_knom_learn, shared, "learn sequence-to-relation mappings")
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seq-min-support", action=_Setting, convert=int,
@@ -385,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                    check=lambda n: _library("knom").learn_mappings([], None, n))
 
     p = command("knom-predict", cmd_knom_predict, shared,
-                "predict relation instances from compounds", knom_files)
+                "predict relation instances from compounds")
     p.add_argument("--compounds", required=True)
     p.add_argument("--mappings", required=True)
     p.add_argument("--out", required=True)
@@ -419,13 +414,15 @@ def main(argv=None) -> int:
         for dest, path in vars(args).items():    # every output option ends in "out"
             if dest.endswith("out") and path is not None:
                 output_path(path)
-        steps = args.run(args, _load_kb(args))
-        next(steps)                      # every input read and validated
+        steps = args.run(args)
+        files = next(steps)              # every input read and validated
+        kb = KnowledgeBase() if args.kb_dir is None else load_kb_dir(args.kb_dir, files)
         if args.dry_run:
             print("dry run: inputs ok")
         else:
-            with output_set(), contextlib.redirect_stdout(io.StringIO()) as held:
-                next(steps, None)        # compute and write
+            with (output_set(), contextlib.redirect_stdout(io.StringIO()) as held,
+                  contextlib.suppress(StopIteration)):
+                steps.send(kb)           # compute and write
             sys.stdout.write(held.getvalue())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,6 +116,14 @@ def format_families(families) -> str:
     return ",".join(f for f in FAMILIES if f in families)
 
 
+def knowledge_files(families) -> set[str]:
+    """The knowledge files (keys of ``kb.KB_FILENAMES``) that the lookups
+    of ``families`` read; F8-F15 read none."""
+    reads = {"F1": ("svo",), "F2": ("svo",), "F3": ("isa",), "F4": ("isa",), "F7": ("isa",),
+             "F5": ("roles", "synsets", "isa"), "F6": ("svo", "prepdefs")}
+    return {key for family in families for key in reads.get(family, ())}
+
+
 def feature_name(family: str, parts) -> str:
     return f"{family}:{_FUNCTOR.get(family, '')}({','.join(parts)})"
 

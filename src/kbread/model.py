@@ -260,11 +260,16 @@ def classify_many(model: AttachmentModel, fvs) -> list[tuple[str, float]]:
     return decisions
 
 
+def scored_families(model: AttachmentModel, cfg: FeatureConfig) -> frozenset[str]:
+    """The families ``cfg`` enables that a weight's name starts with (before ``:``)."""
+    return cfg.enabled_families & {name.partition(":")[0] for name in model.weights}
+
+
 def classify_instances(model: AttachmentModel, kb, cfg: FeatureConfig | None, instances):
     """:func:`classify_many` on each instance's features that ``cfg`` enables,
-    extracting only the families a weight's name starts with (before ``:``)."""
+    extracting only the :func:`scored_families`."""
     cfg = cfg or FeatureConfig()
-    families = cfg.enabled_families & {name.partition(":")[0] for name in model.weights}
+    families = scored_families(model, cfg)
     if not families:                # every score is +0.0, and FeatureConfig needs a family
         return [(VERB, 0.5) for _ in instances]
     extract = extractor(kb, replace(cfg, enabled_families=families))

@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import importlib
+import io
 import json
 import os
 import shutil
@@ -16,10 +18,12 @@ import kbread
 from kbread import cli, knom
 from kbread.cli import _FEATURE_SETTINGS, _config, build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
-from kbread.kb import load_kb_dir
+from kbread.kb import KB_FILENAMES, load_kb_dir
 from kbread.model import (MODEL_SETTINGS, TrainConfig, classify, load_model, save_model,
                           train_supervised)
 from kbread.tsv import output_set, write_lines
+import fixture_digests
+import test_fixture_digests
 from test_model import FEATURE_FIELDS, CountingKB
 
 
@@ -131,8 +135,10 @@ class TestTrain:
             "", f"error: {labeled}: training requires at least one labeled instance\n")
         assert [p.name for p in tmp_path.iterdir()] == ["labeled.tsv"]
 
-    def test_synonym_expansion_grows_training_data(self, paths, tmp_path):
-        model_path = train_fixture_model(paths, tmp_path, "--expand-synonyms")
+    # Without F5, --expand-synonyms is what reads synsets.tsv.
+    @pytest.mark.parametrize("families", [[], ["--families", "F12"]], ids=["default", "F12"])
+    def test_synonym_expansion_grows_training_data(self, paths, tmp_path, families):
+        model_path = train_fixture_model(paths, tmp_path, "--expand-synonyms", *families)
         model = load_model(model_path)
         # Four "caught" quads each gain a "captured" copy.
         assert model.n_labeled == 24
@@ -231,6 +237,17 @@ class TestEval:
         assert run("eval", "--test", paths["test"],
                    "--out", str(tmp_path / "r.txt")) == 2
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_a_collins_file_without_rows_exits_2_naming_it(self, paths, tmp_path, capsys,
+                                                           dry_run):
+        collins_train = tmp_path / "collins.tsv"
+        collins_train.write_text("format=quad\n", encoding="utf-8")
+        assert run("eval", "--test", paths["test"], "--collins-train", str(collins_train),
+                   "--out", str(tmp_path / "r.txt"), *(["--dry-run"] if dry_run else [])) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {collins_train}: fitting requires at least one labeled instance\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["collins.tsv"]
+
     def test_empty_test_file_reports_dashes(self, paths, tmp_path):
         model_path = train_fixture_model(paths, tmp_path)
         empty = tmp_path / "empty.tsv"
@@ -266,6 +283,11 @@ class TestTernaryCommands:
         text = open(out, encoding="utf-8").read()
         assert text == "np_v_np_pp.beneficiary\tbuy\tjewelry\tfor\tperson\t3\n"
         assert os.path.exists(labeled_out)
+        # Learning alone, with no model's families to name it, still reads isa.tsv.
+        alone = str(tmp_path / "alone.tsv")
+        assert run("ternary-templates", "--labeled-tuples", paths["roles"],
+                   "--kb-dir", paths["kb"], "--out", alone, "--min-support", "3") == 0
+        assert open(alone, encoding="utf-8").read() == text
 
 
 class TestKnomCommands:
@@ -431,7 +453,8 @@ def knom_outputs(compounds, kb_dir, out_dir):
 
 
 #: A row of the wrong width for each knowledge file a test breaks.
-BAD_ROWS = {"relations.tsv": "worksfor\tshubert\n", "svo.tsv": "sam\tate\tcake\n"}
+BAD_ROWS = {"relations.tsv": "worksfor\tshubert\n", "svo.tsv": "sam\tate\tcake\n",
+            "prepdefs.tsv": "with\n"}
 
 
 def broken_kb(paths, tmp_path, name="relations.tsv"):
@@ -447,27 +470,38 @@ def broken_kb(paths, tmp_path, name="relations.tsv"):
 
 
 class TestKbFilesPerCommand:
-    """knom-mine reads only isa.tsv, and knom-learn and knom-predict only
-    isa.tsv and relations.tsv; ternary-extract and kb-check read every
-    knowledge file, and the other PP commands every file but relations.tsv.
-    Only ``train`` loads numpy, no command loads scipy, and only the
-    commands that use knom, ternary, collins or evaluation import them."""
+    """A command reads only the knowledge files it will query, after it has
+    read and validated its other inputs: those of the families its model
+    weights, or that training extracts (``features.knowledge_files``), and
+    its own. knom-mine reads only isa.tsv, knom-learn and knom-predict
+    isa.tsv and relations.tsv, ternary-extract adds relations.tsv,
+    ternary-templates isa.tsv, ``train --expand-synonyms`` synsets.tsv, and
+    kb-check reads every file. Only ``train`` loads numpy, no command loads
+    scipy, and only the commands that use knom, ternary, collins or
+    evaluation import them."""
 
     @pytest.mark.parametrize("name", ["train", "predict", "eval", "ternary-templates",
                                       "knom-mine"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("bad_file", ["relations.tsv", "prepdefs.tsv"])
     def test_commands_that_skip_relations_ignore_a_malformed_file(
-            self, paths, trained, tmp_path, capsys, name, dry_run):
+            self, paths, trained, tmp_path, capsys, name, dry_run, bad_file):
+        # Without an F6 weight no command here queries prepdefs.tsv either.
+        model = load_model(trained[0])
+        no_f6 = str(tmp_path / "no-f6.tsv")
+        save_model(replace(model, weights={f: w for f, w in model.weights.items()
+                                           if not f.startswith("F6:")}), no_f6)
+
         def outputs_and_stdout(kb_dir, tag):
             out_dir = tmp_path / tag
             out_dir.mkdir()
             capsys.readouterr()
-            assert run(*fixture_command(name, dict(paths, kb=kb_dir), trained, out_dir),
-                       *dry_run) == 0
+            assert run(*fixture_command(name, dict(paths, kb=kb_dir), (no_f6, trained[1]),
+                                        out_dir), *dry_run) == 0
             stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
             return stdout, {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
-        broken, _ = broken_kb(paths, tmp_path)
+        broken, _ = broken_kb(paths, tmp_path, bad_file)
         assert outputs_and_stdout(broken, "broken") == outputs_and_stdout(paths["kb"], "intact")
 
     @pytest.mark.parametrize("name", ["ternary-extract", "knom-learn", "kb-check"])
@@ -483,6 +517,84 @@ class TestKbFilesPerCommand:
         assert capsys.readouterr().err.startswith(
             f"error: {os.path.join(broken, 'relations.tsv')}:{lineno}: expected 3 columns")
         assert list(out_dir.iterdir()) == []
+
+    def test_each_fixture_command_needs_only_the_files_it_loads(self, fixtures_dir, tmp_path,
+                                                                monkeypatch):
+        # Each command of the pinned listing loads these files, --dry-run too,
+        # and writes its pinned bytes on a directory that holds only them.
+        pp = {"svo", "isa", "roles", "synsets"}         # the default families' files
+        expected = {"train": pp, "train-unlabeled": pp, "train-all-families": pp | {"prepdefs"},
+                    "train-two-steps": pp, "train-dry-run": pp, "predict": pp,
+                    "predict-all-families": pp, "eval": pp, "eval-collins": set(),
+                    "ternary-extract": pp | {"prepdefs", "relations"},
+                    "ternary-extract-default-model": pp | {"relations"},
+                    "ternary-templates": pp, "knom-mine": {"isa"},
+                    "knom-learn": {"isa", "relations"}, "knom-predict": {"isa", "relations"},
+                    "knom-predict-baseline": {"isa", "relations"},
+                    "kb-check": set(KB_FILENAMES)}
+        loads = []
+
+        def spy(directory, resources):
+            loads.append(set(resources))
+            return load_kb_dir(directory, resources)
+        monkeypatch.setattr(cli, "load_kb_dir", spy)
+        full = tmp_path / "full"
+        shutil.copytree(fixtures_dir, full / "fixtures")
+        monkeypatch.chdir(full)
+        fixture_digests.digests(str(full))
+        names = [name for name, _ in fixture_digests.COMMANDS]
+        assert dict(zip(names, loads, strict=True)) == expected
+        for name, argv in fixture_digests.COMMANDS:
+            loads.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--dry-run"]) == 0
+            assert loads == [expected[name]], name
+
+        part = tmp_path / "part"
+        shutil.copytree(fixtures_dir, part / "fixtures")
+        commands = []
+        for name, argv in fixture_digests.COMMANDS:
+            (part / name).mkdir()
+            for key in expected[name]:
+                shutil.copy(full / "fixtures" / "kb" / KB_FILENAMES[key], part / name)
+            commands.append((name, tuple(name if arg == "fixtures/kb" else arg for arg in argv)))
+        monkeypatch.setattr(fixture_digests, "COMMANDS", tuple(commands))
+        monkeypatch.chdir(part)
+        with open(test_fixture_digests.PINNED, encoding="utf-8") as fh:
+            _, *pinned = fh.read().splitlines()
+        assert fixture_digests.digests(str(part)) == test_fixture_digests.digests(pinned)
+
+    def test_predict_reads_svo_only_for_a_weight_that_queries_it(self, paths, trained,
+                                                                  tmp_path, capsys):
+        model = load_model(trained[0])
+        assert any(name.startswith("F1:") for name in model.weights)
+        no_svo = str(tmp_path / "no-svo.tsv")
+        save_model(replace(model, weights={f: w for f, w in model.weights.items()
+                                           if f.split(":")[0] not in ("F1", "F2", "F6")}),
+                   no_svo)
+        broken, lineno = broken_kb(paths, tmp_path, "svo.tsv")
+
+        def predict(model_path, kb_dir, out_dir):
+            out_dir.mkdir()
+            code = run("predict", "--model", model_path, "--input", paths["test"],
+                       "--kb-dir", kb_dir, "--out", str(out_dir / "p.tsv"))
+            return code, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        intact = predict(no_svo, paths["kb"], tmp_path / "intact")
+        assert intact[0] == 0 and intact[1]
+        assert predict(no_svo, broken, tmp_path / "broken") == intact
+        capsys.readouterr()
+        assert predict(trained[0], broken, tmp_path / "weighted") == (2, {})
+        assert capsys.readouterr().err.startswith(
+            f"error: {os.path.join(broken, 'svo.tsv')}:{lineno}: ")
+
+    def test_a_malformed_input_is_reported_before_a_missing_kb_dir(self, paths, trained,
+                                                                   tmp_path, capsys):
+        bad = tmp_path / "input.tsv"
+        bad.write_text("caught\tbutterfly\twith\n", encoding="utf-8")
+        assert run("predict", "--model", trained[0], "--input", str(bad),
+                   "--kb-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "p.tsv")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
 
     def test_knom_outputs_need_only_isa_and_relations(self, paths, tmp_path):
         (tmp_path / "full").mkdir()

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 from kbread.features import (FAMILIES, FeatureConfig,
                              PPInstance, expand_with_synonyms,
                              extract_features, extractor, feature_name,
-                             parse_feature_name, read_corpus)
-from kbread.kb import KnowledgeBase, load_kb
+                             knowledge_files, parse_feature_name, read_corpus)
+from kbread.kb import KB_FILENAMES, KnowledgeBase, load_kb
 from kbread.ternary import read_role_tuples, read_tuples
 from kbread.tsv import FormatError
 from synth import KB_CATEGORIES, KB_NOUNS, KB_VERBS, random_kb_inputs, reference_features
+from test_model import fixture_instances  # noqa: F401  (a fixture)
 
 ALL = FeatureConfig(enabled_families=frozenset(FAMILIES))
 
@@ -220,6 +222,55 @@ class TestExtractor:
         cfg = FeatureConfig(enabled_families=frozenset(families), min_svo_count=3)
         feats = extractor(kb, cfg)(PPInstance(v="v", n1="a", p="with", n2="b"))
         assert [name for name in feats if name.startswith("F6")] == ["F6:def(with,using)"]
+
+
+#: The knowledge file whose rows fill each store of a KnowledgeBase, by attribute.
+STORES = {"_svo": "svo", "_types": "isa", "_roles": "roles", "_prepdefs": "prepdefs",
+          "_synonyms": "synsets", "_relations": "relations"}
+
+
+class RecordingStore(dict):
+    """A copy of a store that adds its file's key to ``touched`` on each
+    ``get``, the one way the queries read a store."""
+
+    def __init__(self, store, key, touched):
+        super().__init__(store)
+        self.key, self.touched = key, touched
+
+    def get(self, *args):
+        self.touched.add(self.key)
+        return super().get(*args)
+
+
+def recording_kb(kb):
+    """A copy of ``kb`` whose stores record their reads, and the set of the
+    keys of ``KB_FILENAMES`` whose stores were read."""
+    assert {name for name, value in vars(kb).items() if isinstance(value, dict)} == set(STORES)
+    touched, recording = set(), copy.copy(kb)
+    for name, key in STORES.items():
+        setattr(recording, name, RecordingStore(getattr(kb, name), key, touched))
+    return recording, touched
+
+
+class TestKnowledgeFiles:
+    """``knowledge_files`` names exactly the files whose stores a family's
+    lookups read: a command loads only those, so a file left out would
+    leave a store empty and change features without an error."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_family_reads_the_files_of_its_table_row(self, kb, fixture_instances, family):
+        recording, touched = recording_kb(kb)
+        extract = extractor(recording, FeatureConfig(enabled_families=frozenset([family]),
+                                                     min_svo_count=1))
+        for inst in fixture_instances:
+            extract(inst)
+        assert touched == knowledge_files([family])
+        assert knowledge_files([family]) <= KB_FILENAMES.keys()
+
+    def test_synonym_expansion_reads_only_synsets(self, kb, fixture_instances):
+        recording, touched = recording_kb(kb)
+        assert len(expand_with_synonyms(fixture_instances, recording)) > len(fixture_instances)
+        assert touched == {"synsets"}
 
 
 class TestFeatureNames:
