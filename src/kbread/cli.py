@@ -130,7 +130,7 @@ def _write_train_log(model: AttachmentModel, path) -> None:
     write_rows(path, rows, header=["#phase\tdetail"])
 
 
-# -- subcommands: read every input, yield the knowledge files, compute and write 
+# -- subcommands: read inputs, yield the knowledge files, compute and write ---
 
 
 def cmd_train(args):

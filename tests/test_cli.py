@@ -486,17 +486,20 @@ class TestKbFilesPerCommand:
     @pytest.mark.parametrize("bad_file", ["relations.tsv", "prepdefs.tsv"])
     def test_commands_that_skip_relations_ignore_a_malformed_file(
             self, paths, trained, tmp_path, capsys, name, dry_run, bad_file):
-        # Without an F6 weight no command here queries prepdefs.tsv either.
-        model = load_model(trained[0])
-        no_f6 = str(tmp_path / "no-f6.tsv")
-        save_model(replace(model, weights={f: w for f, w in model.weights.items()
-                                           if not f.startswith("F6:")}), no_f6)
+        # A model that weights F6 queries prepdefs.tsv, so that case drops
+        # the F6 weights; the relations.tsv cases keep the F6-weighted model.
+        model_path = trained[0]
+        if bad_file == "prepdefs.tsv":
+            model = load_model(trained[0])
+            model_path = str(tmp_path / "no-f6.tsv")
+            save_model(replace(model, weights={f: w for f, w in model.weights.items()
+                                               if not f.startswith("F6:")}), model_path)
 
         def outputs_and_stdout(kb_dir, tag):
             out_dir = tmp_path / tag
             out_dir.mkdir()
             capsys.readouterr()
-            assert run(*fixture_command(name, dict(paths, kb=kb_dir), (no_f6, trained[1]),
+            assert run(*fixture_command(name, dict(paths, kb=kb_dir), (model_path, trained[1]),
                                         out_dir), *dry_run) == 0
             stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
             return stdout, {p.name: p.read_bytes() for p in out_dir.iterdir()}
