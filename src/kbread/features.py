@@ -117,8 +117,8 @@ def format_families(families) -> str:
 
 
 def knowledge_files(families) -> set[str]:
-    """The knowledge files (keys of ``kb.KB_FILENAMES``) that the lookups
-    of ``families`` read; F8-F15 read none."""
+    """The knowledge files (keys of the table ``kb.KB_FILES``) that the
+    lookups of ``families`` read; F8-F15 read none."""
     reads = {"F1": ("svo",), "F2": ("svo",), "F3": ("isa",), "F4": ("isa",), "F7": ("isa",),
              "F5": ("roles", "synsets", "isa"), "F6": ("svo", "prepdefs")}
     return {key for family in families for key in reads.get(family, ())}

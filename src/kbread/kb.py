@@ -3,10 +3,11 @@ noun category assertions, verb role entries, preposition sense definitions,
 verb synonym groups, and relation instances.
 
 Each resource lives in its own tab-separated file and is optional; a missing
-file simply yields an empty store. :func:`load_kb_dir` opens only the
-files its ``resources`` argument names, so a command that never reads a file
-neither pays for it nor fails on it. All strings are case-folded and
-whitespace-normalized at load time, by the reader ``tsv.iter_folded_rows``.
+file simply yields an empty store. The table :data:`KB_FILES` declares each
+file's columns and row reader once, in load order. :func:`load_kb_dir` opens
+only the files its ``resources`` argument names, so a command that never
+reads a file neither pays for it nor fails on it. Every row reader runs over
+``tsv.iter_folded_rows``, which case-folds and whitespace-normalizes each field.
 Queries fold their arguments the same way on purpose, though every caller
 here passes folded words: README promises it and the tests' scan oracles
 query with unfolded words. The fold costs about 1.3 µs of a
@@ -16,7 +17,7 @@ medians of 9 interleaved rounds over 16,000 generated tuples, one process,
 empty results instead of raising. The store holds counts; the triple
 queries take ``FeatureConfig.min_svo_count`` as an argument.
 
-The constructor sums each file's folded rows, as its loader yields them,
+The constructor sums each file's folded rows, as its reader yields them,
 into one index per query, so each query is a few dict lookups: triples by
 ``(subject, object)``, role entries by ``(verb synonym group, filler)`` and
 relation names by ``(arg1, arg2)``. A loaded store is never mutated
@@ -31,24 +32,14 @@ from .tsv import FormatError, iter_folded_rows, norm_token
 
 DEFAULT_MIN_SVO_COUNT = 3
 
-#: Conventional file names inside a knowledge-base directory.
-KB_FILENAMES = {
-    "svo": "svo.tsv",
-    "isa": "isa.tsv",
-    "roles": "roles.tsv",
-    "prepdefs": "prepdefs.tsv",
-    "synsets": "synsets.tsv",
-    "relations": "relations.tsv",
-}
-
 
 class KnowledgeBase:
     """Indexed, read-only view of the loaded knowledge. Build one with
-    :func:`load_kb` or :func:`load_kb_dir`, or from folded rows: each keyword
-    of :data:`KB_FILENAMES` takes the rows its file's loader yields."""
+    :func:`load_kb` or :func:`load_kb_dir`, or from folded rows: each key of
+    :data:`KB_FILES` takes the rows that its reader there yields."""
 
     def __init__(self, svo=(), isa=(), roles=(), prepdefs=(), synsets=(), relations=()):
-        # Rows are read in file order, so of two bad files the first is reported.
+        # Rows are read in KB_FILES order, so of two bad files the first is reported.
         self._svo = {}                             # (s, o) -> {v: count}
         for s, v, o, count in svo:
             verbs = self._svo.setdefault((s, o), {})
@@ -148,43 +139,6 @@ class KnowledgeBase:
 # -- loading ------------------------------------------------------------------
 
 
-def _load_svo(path):
-    for lineno, (s, v, o, count) in iter_folded_rows(path, ("subject", "verb", "object", "count")):
-        try:
-            count = int(count)
-        except ValueError:
-            raise FormatError(path, lineno, f"count is not an integer: {count!r}") from None
-        if count < 1:
-            raise FormatError(path, lineno, "count must be >= 1")
-        yield s, v, o, count
-
-
-def _load_isa(path):
-    return (fields for _, fields in iter_folded_rows(path, ("noun", "category")))
-
-
-def _split_verbs(field, path, lineno):
-    verbs = [v.strip() for v in field.split(",") if v.strip()]
-    if not verbs:
-        raise FormatError(path, lineno, "empty verb list")
-    return verbs
-
-
-def _load_roles(path):
-    columns = ("verb[,verb...]", "filler", "role")
-    for lineno, (verbs, filler, role) in iter_folded_rows(path, columns):
-        yield _split_verbs(verbs, path, lineno), filler, role
-
-
-def _load_prepdefs(path):
-    return (fields for _, fields in iter_folded_rows(path, ("preposition", "sense verb")))
-
-
-def _load_synsets(path):
-    for lineno, (verbs,) in iter_folded_rows(path, ("verb[,verb...]",)):
-        yield _split_verbs(verbs, path, lineno)
-
-
 def _merge_groups(groups):
     """Union groups that share a member until all groups are disjoint. Each
     verb maps to its group; the members of a group share one frozenset."""
@@ -209,26 +163,58 @@ def _merge_groups(groups):
     return {v: g for g in map(frozenset, members.values()) for v in g}
 
 
-def _load_relations(path):
-    return (fields for _, fields in iter_folded_rows(path, ("relation", "arg1", "arg2")))
+def _fields(path, columns):
+    """The folded fields of each row, as they are."""
+    return (fields for _, fields in iter_folded_rows(path, columns))
 
 
-def load_kb(svo=None, isa=None, roles=None, prepdefs=None, synsets=None,
-            relations=None) -> KnowledgeBase:
-    """Load a knowledge base from per-resource file paths.
+def _counted_triples(path, columns):
+    """Each triple with its count, which must be an integer of at least 1."""
+    for lineno, (s, v, o, count) in iter_folded_rows(path, columns):
+        try:
+            count = int(count)
+        except ValueError:
+            raise FormatError(path, lineno, f"count is not an integer: {count!r}") from None
+        if count < 1:
+            raise FormatError(path, lineno, "count must be >= 1")
+        yield s, v, o, count
 
-    Every path is optional; ``None`` (or a path to a file that does not
-    exist) leaves that store empty. Duplicate triples have their counts
+
+def _verb_lists(path, columns):
+    """Each row with its first field, a comma list of verbs, as a list; a
+    one-column row is that list alone."""
+    for lineno, (verbs, *fields) in iter_folded_rows(path, columns):
+        verbs = [v.strip() for v in verbs.split(",") if v.strip()]
+        if not verbs:
+            raise FormatError(path, lineno, "empty verb list")
+        yield (verbs, *fields) if fields else verbs
+
+
+#: Every knowledge file in load order, keyed as :class:`KnowledgeBase` takes
+#: its rows: the file's columns, and the reader that yields its rows.
+KB_FILES = {
+    "svo": (("subject", "verb", "object", "count"), _counted_triples),
+    "isa": (("noun", "category"), _fields),
+    "roles": (("verb[,verb...]", "filler", "role"), _verb_lists),
+    "prepdefs": (("preposition", "sense verb"), _fields),
+    "synsets": (("verb[,verb...]",), _verb_lists),
+    "relations": (("relation", "arg1", "arg2"), _fields),
+}
+#: Conventional file names inside a knowledge-base directory.
+KB_FILENAMES = {key: f"{key}.tsv" for key in KB_FILES}
+
+
+def load_kb(**paths) -> KnowledgeBase:
+    """Load a knowledge base from file paths keyed as :data:`KB_FILES` is.
+
+    A path that is ``None`` or names no file leaves its store empty, and an
+    unknown key is a ``TypeError``. Duplicate triples have their counts
     summed, duplicate category assertions are kept (nouns may have several
     categories), and synonym groups sharing a member are merged.
     """
-    def rows(loader, path):
-        return () if path is None or not os.path.exists(path) else loader(path)
-
-    return KnowledgeBase(svo=rows(_load_svo, svo), isa=rows(_load_isa, isa),
-                         roles=rows(_load_roles, roles), prepdefs=rows(_load_prepdefs, prepdefs),
-                         synsets=rows(_load_synsets, synsets),
-                         relations=rows(_load_relations, relations))
+    rows = {key: read(path, columns) for key, (columns, read) in KB_FILES.items()
+            if (path := paths.pop(key, None)) is not None and os.path.exists(path)}
+    return KnowledgeBase(**rows, **paths)
 
 
 def load_kb_dir(directory, resources=tuple(KB_FILENAMES)) -> KnowledgeBase:
@@ -242,5 +228,4 @@ def load_kb_dir(directory, resources=tuple(KB_FILENAMES)) -> KnowledgeBase:
         if os.path.exists(directory):
             raise NotADirectoryError(f"{directory}: not a directory")
         raise FileNotFoundError(f"knowledge directory not found: {directory}")
-    paths = {key: os.path.join(directory, KB_FILENAMES[key]) for key in resources}
-    return load_kb(**paths)
+    return load_kb(**{key: os.path.join(directory, KB_FILENAMES[key]) for key in resources})

@@ -266,9 +266,9 @@ def scored_families(model: AttachmentModel, cfg: FeatureConfig) -> frozenset[str
 
 
 def classify_instances(model: AttachmentModel, kb, cfg: FeatureConfig | None, instances):
-    """:func:`classify_many` on each instance's features that ``cfg`` enables,
-    extracting only the :func:`scored_families`."""
-    cfg = cfg or FeatureConfig()
+    """:func:`classify_many` on each instance's features that ``cfg`` (by default
+    the model's ``feature_config``) enables, extracting only the :func:`scored_families`."""
+    cfg = cfg or model.feature_config
     families = scored_families(model, cfg)
     if not families:                # every score is +0.0, and FeatureConfig needs a family
         return [(VERB, 0.5) for _ in instances]

@@ -86,8 +86,8 @@ def _verb_attached(tuples, model: AttachmentModel, kb: KnowledgeBase,
 
 def extract_ternary(tuples, model: AttachmentModel, kb: KnowledgeBase,
                     cfg: FeatureConfig | None = None) -> list[TernaryInstance]:
-    """One ternary instance per tuple the model attaches to the verb;
-    noun-attached tuples are dropped. Input order is preserved."""
+    """One ternary instance per tuple, in input order, that the model attaches
+    to the verb when scored with ``cfg`` (by default the model's own)."""
     return [TernaryInstance(inst.n0, inst.v, inst.n1, inst.p, inst.n2)
             for inst in _verb_attached(tuples, model, kb, cfg)]
 
@@ -161,8 +161,8 @@ def apply_role_templates(templates, tuples, model: AttachmentModel,
     A template matches when its verb and preposition equal the tuple's and
     its argument types are among the categories of n1 and n2. Ties go to
     the highest support, then the lexicographically first label. Tuples
-    matching no template are still emitted, unlabeled; noun-attached tuples
-    are dropped.
+    matching no template are still emitted, unlabeled; tuples attached to the
+    noun, as :func:`extract_ternary` scores them, are dropped.
     """
     by_vp = {}
     for t in templates:

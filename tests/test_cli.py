@@ -19,8 +19,8 @@ from kbread import cli, knom
 from kbread.cli import _FEATURE_SETTINGS, _config, build_parser, main
 from kbread.features import FeatureConfig, extract_features, read_corpus
 from kbread.kb import KB_FILENAMES, load_kb_dir
-from kbread.model import (MODEL_SETTINGS, TrainConfig, classify, load_model, save_model,
-                          train_supervised)
+from kbread.model import (MODEL_SETTINGS, TrainConfig, classify, classify_instances, load_model,
+                          save_model, train_supervised)
 from kbread.tsv import output_set, write_lines
 import fixture_digests
 import test_fixture_digests
@@ -182,6 +182,21 @@ class TestPredict:
         by_verb = {r[1]: r[5] for r in rows}
         assert by_verb["acquired"] == "V"
         assert by_verb["expect"] == "N"
+
+    def test_library_scoring_without_a_config_matches_predict(self, fixtures_dir, kb, tmp_path,
+                                                              monkeypatch):
+        # The model holds all families and min_svo_count 1, neither the default;
+        # the default FeatureConfig scores two of the labeled quads differently.
+        (tmp_path / "fixtures").symlink_to(fixtures_dir)
+        monkeypatch.chdir(tmp_path)
+        assert run(*dict(fixture_digests.COMMANDS)["train-all-families"]) == 0
+        model, quads = "train-all-families.tsv", "fixtures/quads_labeled.tsv"
+        assert run("predict", "--model", model, "--input", quads, "--kb-dir", "fixtures/kb",
+                   "--out", "predict.tsv") == 0
+        decisions = classify_instances(load_model(model), kb, None, read_corpus(quads))
+        with open("predict.tsv", encoding="utf-8") as fh:
+            assert [[label, f"{p:.6f}"] for label, p in decisions] == \
+                [line.split("\t")[5:] for line in fh.read().splitlines()]
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_weight_exits_2(self, paths, tmp_path, capsys, weight):

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -314,3 +315,14 @@ class TestLoadKbDir:
 
     def test_a_directory_without_knowledge_files_is_an_empty_store(self, tmp_path):
         assert set(load_kb_dir(tmp_path).stats().values()) == {0}
+
+    def test_an_unknown_resource_is_an_error_naming_it(self, kb_dir):
+        with pytest.raises(KeyError, match="bogus"):
+            load_kb_dir(kb_dir, ("svo", "bogus"))
+
+
+# A path to an existing file too, so an unknown key is not just skipped as missing.
+@pytest.mark.parametrize("path", [None, "svo.tsv"])
+def test_load_kb_rejects_an_unknown_keyword_naming_it(kb_dir, path):
+    with pytest.raises(TypeError, match="bogus"):
+        load_kb(svo=None, bogus=path and os.path.join(kb_dir, path))

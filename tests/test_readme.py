@@ -3,6 +3,7 @@ import os
 import re
 
 from kbread.cli import _FEATURE_SETTINGS, _Setting, build_parser
+from kbread.kb import KB_FILENAMES, KB_FILES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,4 +35,13 @@ def test_options_table_lists_every_tunable_option():
                      if isinstance(a, argparse._SubParsersAction)]
     declared = {name: {a.dest for a in sub._actions if isinstance(a, _Setting)}
                 for name, sub in subparsers.choices.items()}
+    assert listed == declared
+
+
+def test_knowledge_directory_table_lists_every_file_in_load_order():
+    # Rows of the "Knowledge directory" table: | `file` | columns (notes) |.
+    (section,) = re.findall(r"^Knowledge directory .*?\n\n(.*?)\n\n", read_readme(), re.M | re.S)
+    listed = [(name, re.sub(r" \(.*?\)", "", columns).split(", "))
+              for name, columns in re.findall(r"^\| `(\w+\.tsv)` \| (.*?) \|$", section, re.M)]
+    declared = [(KB_FILENAMES[key], list(columns)) for key, (columns, _) in KB_FILES.items()]
     assert listed == declared
