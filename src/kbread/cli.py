@@ -14,8 +14,9 @@ collector off. It resolves the options, checks every output path and
 starts the subcommand, a generator that reads and validates every input,
 then yields once the knowledge files it will query: those of the families
 its model scores or its training extracts (``features.knowledge_files``)
-and its own. ``main`` loads exactly those and sends the store in; --dry-run
-stops there. The subcommand then computes and writes in one
+and its own. ``main`` loads exactly those and sends the store in, or
+exits 2 if the command yields any file and --kb-dir is not given;
+--dry-run stops there. The subcommand then computes and writes in one
 tsv.output_set, so its outputs and its stdout appear together once it
 succeeds, or not at all. On one machine, outputs are byte-identical across
 runs given identical inputs and seed.
@@ -273,8 +274,6 @@ def cmd_knom_predict(args):
 
 
 def cmd_kb_check(args):
-    if args.kb_dir is None:
-        raise ValueError("kb-check needs --kb-dir")
     kb = yield set(KB_FILENAMES)
     for key, value in kb.stats().items():
         print(f"{key}\t{value}")
@@ -416,6 +415,9 @@ def main(argv=None) -> int:
                 output_path(path)
         steps = args.run(args)
         files = next(steps)              # every input read and validated
+        if files and args.kb_dir is None:
+            needed = (name for key, name in KB_FILENAMES.items() if key in files)
+            raise ValueError(f"--kb-dir is needed to read {', '.join(needed)}")
         kb = KnowledgeBase() if args.kb_dir is None else load_kb_dir(args.kb_dir, files)
         if args.dry_run:
             print("dry run: inputs ok")

@@ -17,8 +17,8 @@ class PrepStats:
     gold_noun: int = 0
 
     @property
-    def accuracy(self) -> float:
-        return self.correct / self.n
+    def accuracy(self) -> float | None:
+        return self.correct / self.n if self.n else None
 
 
 @dataclass
@@ -32,15 +32,11 @@ class EvalReport:
 
     @property
     def accuracy(self) -> float | None:
-        if self.n == 0:
-            return None
-        return self.correct / self.n
+        return PrepStats(self.n, self.correct).accuracy
 
     @property
     def accuracy_excl_of(self) -> float | None:
-        if self.n_excl_of == 0:
-            return None
-        return self.correct_excl_of / self.n_excl_of
+        return PrepStats(self.n_excl_of, self.correct_excl_of).accuracy
 
 
 def evaluate(predictions, gold, method: str = "model") -> EvalReport:
@@ -66,14 +62,10 @@ def evaluate(predictions, gold, method: str = "model") -> EvalReport:
             stats.gold_verb += 1
         else:
             stats.gold_noun += 1
-        hit = pred == inst.label
-        if hit:
-            report.correct += 1
-            stats.correct += 1
-        if inst.p != "of":
-            report.n_excl_of += 1
-            if hit:
-                report.correct_excl_of += 1
+        stats.correct += pred == inst.label
+    of = report.per_prep.get("of", PrepStats())
+    report.correct = sum(s.correct for s in report.per_prep.values())
+    report.n_excl_of, report.correct_excl_of = report.n - of.n, report.correct - of.correct
     return report
 
 

@@ -269,18 +269,16 @@ def predict_instances(mappings, corpus, kb: KnowledgeBase) -> list[Prediction]:
 
 def baseline_mappings(mappings) -> list[TypeSequenceMapping]:
     """Type-free variants of the mappings: category elements become
-    wildcards, and mappings whose sequences end up all-wildcard (no lexical
-    anchor survives) are discarded as too permissive."""
+    wildcards, mappings left all-wildcard (no lexical anchor) are dropped as
+    too permissive, and of those alike the first of highest support is kept."""
     best = {}
-    for mp in mappings:
+    for mp in sorted(mappings, key=lambda mp: -mp.support):
         elements = tuple((ANY, "*") if kind == TYPE else (kind, value)
                          for kind, value in mp.sequence.elements)
         if all(kind == ANY for kind, _ in elements):
             continue
-        key = (mp.relation, mp.arg1_pos, mp.arg2_pos, elements)
-        cur = best.get(key)
-        if cur is None or mp.support > cur.support:
-            best[key] = replace(mp, sequence=TypeSequence(elements))
+        best.setdefault((mp.relation, mp.arg1_pos, mp.arg2_pos, elements),
+                        replace(mp, sequence=TypeSequence(elements)))
     return sorted(best.values(),
                   key=lambda mp: (mp.relation, mp.sequence.elements, mp.arg1_pos, mp.arg2_pos))
 

@@ -117,12 +117,8 @@ def annotate_relations(instances, maps) -> list[TernaryInstance]:
     maps; ambiguous pairs resolve to the highest-support map, then to the
     lexicographically first relation."""
     best = {}
-    for m in maps:
-        key = (m.verb, m.preposition)
-        cur = best.get(key)
-        if (cur is None or m.support > cur.support
-                or (m.support == cur.support and m.relation < cur.relation)):
-            best[key] = m
+    for m in sorted(maps, key=lambda m: (-m.support, m.relation)):
+        best.setdefault((m.verb, m.preposition), m)
     out = []
     for inst in instances:
         m = best.get((inst.v, inst.p))
@@ -165,17 +161,14 @@ def apply_role_templates(templates, tuples, model: AttachmentModel,
     noun, as :func:`extract_ternary` scores them, are dropped.
     """
     by_vp = {}
-    for t in templates:
+    for t in sorted(templates, key=lambda t: (-t.support, t.label)):
         by_vp.setdefault((t.verb, t.preposition), []).append(t)
     out = []
     for inst in _verb_attached(tuples, model, kb, cfg):
         t1s = kb.types_of(inst.n1)
         t2s = kb.types_of(inst.n2)
-        matches = [t for t in by_vp.get((inst.v, inst.p), ())
-                   if t.arg1_type in t1s and t.arg2_type in t2s]
-        role = None
-        if matches:
-            role = sorted(matches, key=lambda t: (-t.support, t.label))[0].label
+        role = next((t.label for t in by_vp.get((inst.v, inst.p), ())
+                     if t.arg1_type in t1s and t.arg2_type in t2s), None)
         out.append(TernaryInstance(inst.n0, inst.v, inst.n1, inst.p, inst.n2,
                                    role_label=role))
     return out

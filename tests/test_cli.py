@@ -17,7 +17,8 @@ import kbread
 
 from kbread import cli, knom
 from kbread.cli import _FEATURE_SETTINGS, _config, build_parser, main
-from kbread.features import FeatureConfig, extract_features, read_corpus
+from kbread.features import (FAMILIES, FeatureConfig, extract_features, knowledge_files,
+                             read_corpus)
 from kbread.kb import KB_FILENAMES, load_kb_dir
 from kbread.model import (MODEL_SETTINGS, TrainConfig, classify, classify_instances, load_model,
                           save_model, train_supervised)
@@ -390,7 +391,12 @@ class TestKnomCommands:
         ("\t2\t1\ttype:nationality lex:astro\t1", "empty field"),
         ("citizenof\t2\t3\ttype:nationality lex:astro\t1", "argument positions out of range"),
         ("citizenof\t2\t1\ttype:nationality lex:astro\t-7", "support must be >= 1"),
-    ], ids=["empty-relation", "position-out-of-range", "support-below-one"])
+        ("citizenof\ttwo\t1\ttype:nationality lex:astro\t1",
+         "positions and support must be integers"),
+        ("citizenof\t2\t1\ttype:nationality lex:astro\t1.5",
+         "positions and support must be integers"),
+    ], ids=["empty-relation", "position-out-of-range", "support-below-one",
+            "position-not-an-integer", "support-not-an-integer"])
     def test_bad_mapping_row_exits_2_at_its_line(self, paths, tmp_path, capsys, row, message):
         mappings = tmp_path / "map.tsv"
         mappings.write_text(row + "\n", encoding="utf-8")
@@ -613,6 +619,47 @@ class TestKbFilesPerCommand:
         assert run("predict", "--model", trained[0], "--input", str(bad),
                    "--kb-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "p.tsv")) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
+
+    @pytest.mark.parametrize("name,files", [
+        ("train", "svo.tsv, isa.tsv, roles.tsv, synsets.tsv"),
+        ("predict", "svo.tsv, isa.tsv, roles.tsv, prepdefs.tsv, synsets.tsv"),
+        ("ternary-templates", "svo.tsv, isa.tsv, roles.tsv, prepdefs.tsv, synsets.tsv"),
+        ("knom-mine", "isa.tsv"),
+        ("knom-predict", "isa.tsv, relations.tsv"),
+        ("kb-check", "svo.tsv, isa.tsv, roles.tsv, prepdefs.tsv, synsets.tsv, relations.tsv"),
+    ])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_a_command_that_queries_knowledge_exits_2_without_kb_dir(
+            self, paths, trained, tmp_path, capsys, name, files, dry_run):
+        command, _, _, *own = fixture_command(name, paths, trained, tmp_path)
+        capsys.readouterr()
+        assert run(command, *own, *dry_run) == 2
+        assert capsys.readouterr() == ("", f"error: --kb-dir is needed to read {files}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_command_that_queries_no_knowledge_runs_without_kb_dir(self, paths, trained,
+                                                                      tmp_path):
+        lexical = [f for f in FAMILIES if not knowledge_files({f})]
+        model = load_model(trained[0])
+        lexical_model = str(tmp_path / "lexical.tsv")
+        save_model(replace(model, weights={f: w for f, w in model.weights.items()
+                                           if f.split(":")[0] in lexical}), lexical_model)
+
+        def outputs(out_dir, *kb):
+            out_dir.mkdir()
+            for argv in (
+                    ["predict", "--model", lexical_model, "--input", paths["test"],
+                     "--out", str(out_dir / "p.tsv")],
+                    ["eval", "--test", paths["test"], "--collins-train", paths["labeled"],
+                     "--out", str(out_dir / "r.txt")],
+                    ["train", "--labeled", paths["labeled"], "--families", ",".join(lexical),
+                     "--model-out", str(out_dir / "m.tsv")]):
+                assert run(*argv, *kb) == 0
+            return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        without = outputs(tmp_path / "without")
+        assert sorted(without) == ["m.tsv", "m.tsv.log", "p.tsv", "r.txt"]
+        assert without == outputs(tmp_path / "with", "--kb-dir", paths["kb"])
 
     def test_knom_outputs_need_only_isa_and_relations(self, paths, tmp_path):
         (tmp_path / "full").mkdir()
@@ -869,6 +916,7 @@ TUNABLES = [
     *[(name, "min_svo_count", "6", name in ("train", "predict"))
       for name in FEATURE_COMMANDS],
     *[(name, "families", "F1", True) for name in FEATURE_COMMANDS],
+    ("train", "families", "default", False),
     *[(name, "max_prep_senses", "0", name in ("train", "predict"))
       for name in FEATURE_COMMANDS],
     ("train", "l2_penalty", "0.5", True),
@@ -997,10 +1045,12 @@ class TestOptions:
         ("ternary-templates", ["--labeled-tuples", "roles", "--labeled-out", "labeled_out"]),
         ("knom-predict", ["--compounds", "compounds", "--mappings", "compounds",
                           "--sample-size", "3"]),
+        ("ternary-templates", ["--labeled-tuples", "roles", "--tuples", "tuples"]),
+        ("ternary-templates", ["--labeled-tuples", "roles", "--model", "model"]),
     ])
-    def test_setting_without_the_input_it_applies_to_exits_2(self, paths, tmp_path,
+    def test_setting_without_the_input_it_applies_to_exits_2(self, paths, trained, tmp_path,
                                                              name, extra):
-        files = {**paths, "labeled_out": str(tmp_path / "labeled.tsv")}
+        files = {**paths, "model": trained[0], "labeled_out": str(tmp_path / "labeled.tsv")}
         assert run(name, "--kb-dir", paths["kb"], *[files.get(a, a) for a in extra],
                    "--out", str(tmp_path / "out.tsv")) == 2
         assert list(tmp_path.iterdir()) == []

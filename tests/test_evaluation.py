@@ -66,6 +66,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([VERB], [PPInstance(v="v", n1="a", p="of", n2="b")])
 
+    def test_invalid_prediction_rejected(self):
+        with pytest.raises(ValueError, match="invalid prediction 'X'"):
+            evaluate([VERB, "X"], [gold_instance("of", NOUN), gold_instance("in", VERB)])
+
     def test_permutation_invariance(self, hand_tallied):
         predictions, gold = hand_tallied
         paired = list(zip(predictions, gold))

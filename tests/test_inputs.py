@@ -26,11 +26,12 @@ BOM = b"\xef\xbb\xbf"
 
 #: One bad line of each kind, by the file it is put into: a row of the
 #: wrong width, a byte that is not UTF-8, a byte-order mark starting a row
-#: that is valid without it and, for a labeled corpus, a row without a label.
-WIDTH, UTF8, MARK, UNLABELED = "width", "utf8", "mark", "unlabeled"
+#: that is valid without it, for a labeled corpus a row without a label and,
+#: for a corpus, a format line naming no format.
+WIDTH, UTF8, MARK, UNLABELED, FORMAT = "width", "utf8", "mark", "unlabeled", "format"
 BAD_LINES = {
     "corpus": {WIDTH: b"caught\tbird\twith", UTF8: b"caught\tbird\xff\twith\tnet",
-               UNLABELED: b"caught\tbird\twith\tnet",
+               UNLABELED: b"caught\tbird\twith\tnet", FORMAT: b"format=triple",
                MARK: BOM + b"sam\tcaught\tbird\twith\tnet\tV"},
     "tuples": {WIDTH: b"sam\tate\tcake\twith", UTF8: b"sam\tate\tcake\xff\twith\tfork",
                MARK: BOM + b"sam\tate\tcake\twith\tfork"},

@@ -1,12 +1,13 @@
 import random
 import re
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbread.kb import KnowledgeBase
-from kbread.knom import (_ELEMENT_BREAK, CompoundNoun, Prediction, TypeSequence,
+from kbread.knom import (_ELEMENT_BREAK, ANY, LEX, TYPE, CompoundNoun, Prediction, TypeSequence,
                          TypeSequenceMapping, baseline_mappings, learn_mappings, mine_sequences,
                          predict_instances, read_compounds, read_mappings,
                          sample_predictions, type_compound, write_mappings,
@@ -166,6 +167,24 @@ class TestBaseline:
                                                ("lex", "x"))), 10)
         (out,) = baseline_mappings([mp])
         assert out.sequence.elements == (("any", "*"), ("lex", "of"), ("lex", "x"))
+
+    def test_mappings_that_wildcard_alike_keep_the_highest_support_then_the_first(self):
+        # A tag the collapse carries through makes the kept mapping visible.
+        @dataclass(frozen=True)
+        class Tagged(TypeSequenceMapping):
+            tag: str = ""
+
+        def mapping(category, support, tag):
+            return Tagged("r", 1, 2, TypeSequence(((TYPE, category), (LEX, "of"))), support, tag)
+
+        wild = TypeSequence(((ANY, "*"), (LEX, "of")))
+        for order in ([mapping("a", 5, "low"), mapping("b", 9, "high")],
+                      [mapping("b", 9, "high"), mapping("a", 5, "low")],
+                      [mapping("b", 9, "high"), mapping("a", 9, "second"),
+                       mapping("c", 5, "low")],
+                      [mapping("c", 5, "low"), mapping("a", 9, "high"),
+                       mapping("b", 9, "second")]):
+            assert baseline_mappings(order) == [Tagged("r", 1, 2, wild, 9, "high")]
 
     def test_baseline_overpredicts_and_knom_stays_typed(self, tmp_path):
         isa = "".join(f"book{i}\tbook\nwriter{i}\tperson\n" for i in range(10))

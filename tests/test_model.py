@@ -17,9 +17,9 @@ import kbread
 from kbread.features import (FAMILIES, NOUN, VERB, FeatureConfig, PPInstance, extractor,
                              feature_name, read_corpus)
 from kbread.model import (MODEL_SETTINGS, AttachmentModel, TrainConfig, _expit, _intern,
-                          _logistic, _Problem, classify, classify_instances, classify_many,
-                          expected_log_likelihood, gradient, load_model, save_model, train_em,
-                          train_supervised)
+                          _logistic, _newton, _Problem, classify, classify_instances,
+                          classify_many, expected_log_likelihood, gradient, load_model,
+                          save_model, train_em, train_supervised)
 from kbread.ternary import extract_ternary, read_tuples
 from kbread.tsv import FormatError
 from synth import sorted_sum_classify, two_cluster_data
@@ -100,6 +100,30 @@ class TestNewton:
         steps = train_supervised(data, cfg).history[0]["steps"]
         lls = [supervised_ll_after(data, cfg, k) for k in range(steps + 1)]
         assert all(b >= a for a, b in zip(lls, lls[1:]))
+
+    def test_a_step_that_would_lower_the_objective_is_halved(self):
+        # From w = 30 on one feature the full Newton step overshoots; each
+        # accepted step must still raise the objective, up to convergence.
+        class Recording(_Problem):
+            def value(self, w):
+                v = super().value(w)
+                if accepted and v < accepted[-1]:   # the step is halved
+                    rejected.append(v)
+                return v
+
+            def derivatives(self, w):          # called at each accepted ``w``
+                accepted.append(super().value(w))
+                return super().derivatives(w)
+
+        rejected, accepted = [], []
+        cfg = TrainConfig(l2_penalty=0.1)
+        problem = Recording([[0], [0], [0]], 1, [1.0, 0.0, 0.0], cfg.l2_penalty)
+        w, value, steps, grad_norm = _newton(problem, np.array([30.0]), cfg)
+        assert rejected
+        assert len(accepted) == steps + 1
+        assert accepted == sorted(accepted) and accepted[-1] == value
+        assert grad_norm < cfg.convergence_tol
+        assert w[0] == pytest.approx(-0.6039, abs=1e-4)
 
     def test_weights_do_not_depend_on_the_blas_thread_count(self):
         # Over 15,000 features, so a BLAS dot would split its vectors across
@@ -851,7 +875,11 @@ class TestModelFile:
         (["#l2_penalty\t-1", "F15:(with)\t0.5", "F1:(at)\tmuch"],
          "#l2_penalty '-1': l2_penalty must be finite and nonnegative"),
         (["#bogus\t1", "#l2_penalty\t-1"], "unknown header key '#bogus'"),
-    ], ids=["setting-then-weight", "key-then-setting"])
+        (["#l2_penalty", "#bogus\t1"], "malformed header line"),
+        (["#l2_penalty\t0.5\t1", "#bogus\t1"], "malformed header line"),
+        (["F15:(with)\tmuch", "#bogus\t1"], "weight is not a number: 'much'"),
+    ], ids=["setting-then-weight", "key-then-setting", "one-column-header",
+            "three-column-header", "non-numeric-weight"])
     def test_the_first_fault_in_file_order_is_reported(self, tmp_path, lines, message):
         path = tmp_path / "model.tsv"
         path.write_text("\n".join(["#kbread-model\t1", *lines]) + "\n", encoding="utf-8")
