@@ -2,12 +2,12 @@
 ternary-extract, ternary-templates, knom-mine, knom-learn, knom-predict,
 and kb-check.
 
-Every subcommand accepts --kb-dir, --config and --dry-run. A
-tunable option resolves as its flag, then its key in the --config file
-(flat key=value lines), then, for the feature settings of a command that
-reads a model, the model's stored value, then the library's own default.
-A config key the subcommand does not take is an error. The training and
-feature settings are the rows of ``model.MODEL_SETTINGS``.
+Every subcommand accepts --kb-dir, --config and --dry-run. A tunable option
+resolves as its flag, then its key in the --config file (flat key=value
+lines), then, for the feature settings of a command that reads a model, the
+model's stored value, then the library's own default; the command sets them in
+the model it scores. A config key the subcommand does not take is an error.
+The training and feature settings are the rows of ``model.MODEL_SETTINGS``.
 
 :func:`main` runs every subcommand the same way, with the cyclic garbage
 collector off. It resolves the options, checks every output path and
@@ -158,10 +158,10 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
-    feature_cfg = _config(args, model.feature_config)
+    model.feature_config = _config(args, model.feature_config)
     instances = read_corpus(args.input)
-    kb = yield knowledge_files(scored_families(model, feature_cfg))
-    decisions = classify_instances(model, kb, feature_cfg, instances)
+    kb = yield knowledge_files(scored_families(model))
+    decisions = classify_instances(model, kb, instances)
     write_rows(args.out, ([inst.n0 or "-", inst.v, inst.n1, inst.p, inst.n2, label, f"{p:.6f}"]
                           for inst, (label, p) in zip(instances, decisions)))
     print(f"wrote {len(decisions)} predictions to {args.out}")
@@ -173,9 +173,9 @@ def cmd_eval(args):
     predictors, files = {}, set()
     if args.model is not None:
         model = load_model(args.model)
-        cfg = _config(args, model.feature_config)
-        files = knowledge_files(scored_families(model, cfg))
-        predictors["ppad"] = lambda gold: [d for d, _ in classify_instances(model, kb, cfg, gold)]
+        model.feature_config = _config(args, model.feature_config)
+        files = knowledge_files(scored_families(model))
+        predictors["ppad"] = lambda gold: [d for d, _ in classify_instances(model, kb, gold)]
     else:
         _reject_unread(args, "--model", *_FEATURE_SETTINGS)
     if args.collins_train is not None:
@@ -202,10 +202,10 @@ def cmd_eval(args):
 def cmd_ternary_extract(args):
     from . import ternary
     model = load_model(args.model)
-    feature_cfg = _config(args, model.feature_config)
+    model.feature_config = _config(args, model.feature_config)
     tuples = ternary.read_tuples(args.tuples)
-    kb = yield knowledge_files(scored_families(model, feature_cfg)) | {"relations"}
-    instances = ternary.extract_ternary(tuples, model, kb, feature_cfg)
+    kb = yield knowledge_files(scored_families(model)) | {"relations"}
+    instances = ternary.extract_ternary(tuples, model, kb)
     maps = ternary.map_relations_to_verbs(kb, tuples, **_given(args, "min_support"))
     instances = ternary.annotate_relations(instances, maps)
     ternary.write_ternary(instances, args.out)
@@ -220,9 +220,9 @@ def cmd_ternary_templates(args):
         if args.tuples is None or args.model is None:
             raise ValueError("applying templates needs both --tuples and --model")
         model = load_model(args.model)
-        feature_cfg = _config(args, model.feature_config)
+        model.feature_config = _config(args, model.feature_config)
         apply_inputs = ternary.read_tuples(args.tuples)
-        files |= knowledge_files(scored_families(model, feature_cfg))
+        files |= knowledge_files(scored_families(model))
     else:
         _reject_unread(args, "--tuples and --model", "labeled_out", *_FEATURE_SETTINGS)
     kb = yield files
@@ -230,8 +230,7 @@ def cmd_ternary_templates(args):
     ternary.write_templates(templates, args.out)
     print(f"learned {len(templates)} role templates")
     if apply_inputs is not None:
-        labeled_out = ternary.apply_role_templates(templates, apply_inputs, model,
-                                                   kb, feature_cfg)
+        labeled_out = ternary.apply_role_templates(templates, apply_inputs, model, kb)
         ternary.write_ternary(labeled_out, args.labeled_out)
         print(f"labeled {len(labeled_out)} verb-attached tuples")
 

@@ -2,17 +2,17 @@
 feature sets.
 
 The probability of verb attachment is the logistic function of the summed
-weights of the present features; :func:`classify_instances` extracts only
-the families the model holds a weight in. Supervised training maximizes
-the L2-penalized conditional log likelihood by truncated Newton (Newton-CG;
-Lin, Weng & Keerthi, JMLR 2008), accepting only steps that do not lower the
-objective, until it converges. Semi-supervised training wraps the same
-optimizer in an expectation-maximization loop: the current model supplies
-posteriors for unlabeled instances, labeled instances keep hard 1/0
-posteriors, and each maximization step maximizes the posterior-weighted
-(expected complete-data) objective. The loop stops at its fixed point, when
-a maximization step moves no weight; with no unlabeled data it degenerates
-to supervised training exactly.
+weights of the present features; :func:`classify_instances` scores with the
+model's own ``feature_config``, extracting only the families it weights.
+Supervised training maximizes the L2-penalized conditional log likelihood by
+truncated Newton (Newton-CG; Lin, Weng & Keerthi, JMLR 2008), accepting only
+steps that do not lower the objective, until it converges. Semi-supervised
+training wraps the same optimizer in an expectation-maximization loop: the
+current model supplies posteriors for unlabeled instances, labeled instances
+keep hard 1/0 posteriors, and each maximization step maximizes the
+posterior-weighted (expected complete-data) objective. The loop stops at its
+fixed point, when a maximization step moves no weight; with no unlabeled
+data it degenerates to supervised training exactly.
 
 Training data items are ``(feature_set, target)`` pairs where the target is
 a hard label (``"V"``/``"N"``) or, for the posterior-weighted operations, the
@@ -260,19 +260,19 @@ def classify_many(model: AttachmentModel, fvs) -> list[tuple[str, float]]:
     return decisions
 
 
-def scored_families(model: AttachmentModel, cfg: FeatureConfig) -> frozenset[str]:
-    """The families ``cfg`` enables that a weight's name starts with (before ``:``)."""
-    return cfg.enabled_families & {name.partition(":")[0] for name in model.weights}
+def scored_families(model: AttachmentModel) -> frozenset[str]:
+    """The families the model's settings enable that a weight's name starts with (before ``:``)."""
+    return model.feature_config.enabled_families & {n.partition(":")[0] for n in model.weights}
 
 
-def classify_instances(model: AttachmentModel, kb, cfg: FeatureConfig | None, instances):
-    """:func:`classify_many` on each instance's features that ``cfg`` (by default
-    the model's ``feature_config``) enables, extracting only the :func:`scored_families`."""
-    cfg = cfg or model.feature_config
-    families = scored_families(model, cfg)
+def classify_instances(model: AttachmentModel, kb, instances):
+    """:func:`classify_many` on each instance's features that the model's
+    ``feature_config`` enables, extracting only the :func:`scored_families`.
+    To score with other settings, pass ``replace(model, feature_config=cfg)``."""
+    families = scored_families(model)
     if not families:                # every score is +0.0, and FeatureConfig needs a family
         return [(VERB, 0.5) for _ in instances]
-    extract = extractor(kb, replace(cfg, enabled_families=families))
+    extract = extractor(kb, replace(model.feature_config, enabled_families=families))
     return classify_many(model, map(extract, instances))
 
 

@@ -4,7 +4,8 @@ A 5-tuple (n0, v, n1, p, n2) whose enclosed PP attaches to the verb denotes
 a ternary relation over n0, n1, and n2. Two refinements are supported:
 mapping known binary relation instances onto (verb, preposition) pairs so
 extractions carry a relation name, and typed role templates that label the
-third argument (beneficiary, instrument, asset, source, or topic).
+third argument (beneficiary, instrument, asset, source, or topic). The model
+decides attachment with its own ``feature_config``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .features import VERB, FeatureConfig, PPInstance, check_word
+from .features import VERB, PPInstance, check_word
 from .kb import KnowledgeBase
 from .model import AttachmentModel, classify_instances
 from .tsv import FormatError, at_line, iter_rows, norm_token, write_rows
@@ -74,22 +75,19 @@ def _require_n0(inst: PPInstance) -> str:
     return inst.n0
 
 
-def _verb_attached(tuples, model: AttachmentModel, kb: KnowledgeBase,
-                   cfg: FeatureConfig | None) -> list[PPInstance]:
+def _verb_attached(tuples, model: AttachmentModel, kb: KnowledgeBase) -> list[PPInstance]:
     """The 5-tuples the model attaches to the verb, in input order."""
     tuples = list(tuples)
     for inst in tuples:
         _require_n0(inst)
-    decisions = classify_instances(model, kb, cfg, tuples)
+    decisions = classify_instances(model, kb, tuples)
     return [inst for inst, (label, _) in zip(tuples, decisions) if label == VERB]
 
 
-def extract_ternary(tuples, model: AttachmentModel, kb: KnowledgeBase,
-                    cfg: FeatureConfig | None = None) -> list[TernaryInstance]:
-    """One ternary instance per tuple, in input order, that the model attaches
-    to the verb when scored with ``cfg`` (by default the model's own)."""
+def extract_ternary(tuples, model: AttachmentModel, kb: KnowledgeBase) -> list[TernaryInstance]:
+    """One ternary instance per tuple the model attaches to the verb, in input order."""
     return [TernaryInstance(inst.n0, inst.v, inst.n1, inst.p, inst.n2)
-            for inst in _verb_attached(tuples, model, kb, cfg)]
+            for inst in _verb_attached(tuples, model, kb)]
 
 
 def map_relations_to_verbs(kb: KnowledgeBase, tuples,
@@ -150,8 +148,7 @@ def learn_role_templates(tuples, kb: KnowledgeBase,
 
 
 def apply_role_templates(templates, tuples, model: AttachmentModel,
-                         kb: KnowledgeBase,
-                         cfg: FeatureConfig | None = None) -> list[TernaryInstance]:
+                         kb: KnowledgeBase) -> list[TernaryInstance]:
     """Label verb-attached tuples with matching role templates.
 
     A template matches when its verb and preposition equal the tuple's and
@@ -164,7 +161,7 @@ def apply_role_templates(templates, tuples, model: AttachmentModel,
     for t in sorted(templates, key=lambda t: (-t.support, t.label)):
         by_vp.setdefault((t.verb, t.preposition), []).append(t)
     out = []
-    for inst in _verb_attached(tuples, model, kb, cfg):
+    for inst in _verb_attached(tuples, model, kb):
         t1s = kb.types_of(inst.n1)
         t2s = kb.types_of(inst.n2)
         role = next((t.label for t in by_vp.get((inst.v, inst.p), ())

@@ -519,13 +519,20 @@ class PlantedWorld:
     held_out: frozenset  # (relation, arg1, arg2) of the held-out compounds
 
 
-def planted_world(seed, q=0.0, support=30, held_out=10, noise=200):
+def planted_world(seed, q=0.0, support=30, held_out=10, noise=200, distractors=0):
     """PLANTED realized by ``support`` compounds per mapping, each with its
     own typed tokens; ``held_out`` of them, chosen at random, have their
     relation rows left out of the knowledge base. Plus ``noise`` compounds
     of two untyped tokens found nowhere else, all in random order. Type
     noise at rate ``q``: each category row is, with probability q/2, given
-    another planted category at random and, with a further q/2, dropped."""
+    another planted category at random and, with a further q/2, dropped.
+
+    ``distractors`` d adds compounds that share the planted categories but
+    not the planted relations: d city·person compounds whose pair holds
+    ``birthplace`` (a third of those rows held out), and d
+    company·founder·person compounds whose pair holds no relation. They are
+    drawn from a second generator, and their category rows take type noise
+    after every planted row has, so d = 0 leaves the world unchanged."""
     rng = random.Random(seed)
     compounds, isa, relations, hidden = [], [], [], set()
     for m, (relation, arg1_pos, arg2_pos, elements) in enumerate(PLANTED, start=1):
@@ -541,6 +548,21 @@ def planted_world(seed, q=0.0, support=30, held_out=10, noise=200):
             compounds.append(CompoundNoun(tokens, f"p{m}_{k:02d}"))
     compounds += [CompoundNoun((f"noise{k}_a", f"noise{k}_b"), f"n{k:03d}") for k in range(noise)]
     rng.shuffle(compounds)
+    if distractors:
+        drng = random.Random(f"distractors:{seed}")
+        hold = set(drng.sample(range(distractors), distractors // 3))
+        for k in range(distractors):
+            city, person = f"bcity{k}", f"bperson{k}"
+            isa += [(city, "city"), (person, "person")]
+            if k in hold:
+                hidden.add(("birthplace", person, city))
+            else:
+                relations.append(("birthplace", person, city))
+            compounds.append(CompoundNoun((city, person), f"b{k:03d}"))
+            company, founder = f"fcompany{k}", f"fperson{k}"
+            isa += [(company, "company"), (founder, "person")]
+            compounds.append(CompoundNoun((company, "founder", founder), f"f{k:03d}"))
+        drng.shuffle(compounds)
     noisy = []
     for token, category in isa:
         draw = rng.random()
@@ -569,14 +591,14 @@ def mcnemar_exact(b, c):
     return min(1.0, 2 * sum(math.comb(n, k) for k in range(min(b, c) + 1)) / 2 ** n)
 
 
-def knom_claim(seed, q=0.0, min_support=5):
-    """The compound-noun claim on ``planted_world(seed, q)``: for typed
-    mappings, the wildcard baseline (``baseline_mappings``) and the
+def knom_claim(seed, q=0.0, min_support=5, d=0):
+    """The compound-noun claim on ``planted_world(seed, q, distractors=d)``:
+    for typed mappings, the wildcard baseline (``baseline_mappings``) and the
     literal-only run (the same calls over a KB without category rows), the
     held-out recall and the precision of the new triples (None when there
     is none), by name; and McNemar's exact p of typed against wildcard over
     the held-out triples."""
-    world = planted_world(seed, q)
+    world = planted_world(seed, q, distractors=d)
     typed = KnowledgeBase(isa=world.isa, relations=world.relations)
     runs = {"typed": new_triples(world, typed, min_support),
             "wildcard": new_triples(world, typed, min_support, baseline=True),

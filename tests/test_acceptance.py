@@ -109,15 +109,15 @@ def test_criterion_5_ternary_gating_and_round_trip(kb, fixtures_dir):
         # Exhaustive gating: emitted instances are exactly the verb-attached
         # inputs, so nothing originates from a noun-attached tuple.
         tuples = read_tuples(f"{fixtures_dir}/tuples.tsv")
+        cfg = FeatureConfig()
         model = AttachmentModel({"F15:(from)": 5.0, "F15:(in)": 5.0,
                                  "F15:(as)": 5.0, "F15:(with)": 5.0,
-                                 "F8:(expect,decline,in,rates)": -20.0})
-        cfg = FeatureConfig()
+                                 "F8:(expect,decline,in,rates)": -20.0}, feature_config=cfg)
         verb_inputs = {(t.n0, t.v, t.n1, t.p, t.n2) for t in tuples
                        if classify(model, extract_features(t, kb, cfg))[0] == VERB}
         noun_inputs = {(t.n0, t.v, t.n1, t.p, t.n2) for t in tuples} - verb_inputs
         emitted = {(t.n0, t.v, t.n1, t.p, t.n2)
-                   for t in extract_ternary(tuples, model, kb, cfg)}
+                   for t in extract_ternary(tuples, model, kb)}
         assert noun_inputs and emitted == verb_inputs
         assert not emitted & noun_inputs
 

@@ -194,10 +194,30 @@ class TestPredict:
         model, quads = "train-all-families.tsv", "fixtures/quads_labeled.tsv"
         assert run("predict", "--model", model, "--input", quads, "--kb-dir", "fixtures/kb",
                    "--out", "predict.tsv") == 0
-        decisions = classify_instances(load_model(model), kb, None, read_corpus(quads))
+        decisions = classify_instances(load_model(model), kb, read_corpus(quads))
         with open("predict.tsv", encoding="utf-8") as fh:
             assert [[label, f"{p:.6f}"] for label, p in decisions] == \
                 [line.split("\t")[5:] for line in fh.read().splitlines()]
+
+    def test_flags_score_as_the_library_with_the_settings_replaced(self, fixtures_dir, kb,
+                                                                    tmp_path, monkeypatch):
+        # Overriding the all-families model's settings with the defaults is
+        # the library call on a copy of the model that holds the defaults.
+        (tmp_path / "fixtures").symlink_to(fixtures_dir)
+        monkeypatch.chdir(tmp_path)
+        assert run(*dict(fixture_digests.COMMANDS)["train-all-families"]) == 0
+        model, quads = "train-all-families.tsv", "fixtures/quads_labeled.tsv"
+        predicted = {}
+        for out, flags in (("stored.tsv", ()),
+                           ("override.tsv", ("--families", "default", "--min-svo-count", "3"))):
+            assert run("predict", "--model", model, "--input", quads, "--kb-dir", "fixtures/kb",
+                       "--out", out, *flags) == 0
+            with open(out, encoding="utf-8") as fh:
+                predicted[out] = [line.split("\t")[5:] for line in fh.read().splitlines()]
+        decisions = classify_instances(replace(load_model(model), feature_config=FeatureConfig()),
+                                       kb, read_corpus(quads))
+        assert [[label, f"{p:.6f}"] for label, p in decisions] == predicted["override.tsv"]
+        assert predicted["override.tsv"] != predicted["stored.tsv"]
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_weight_exits_2(self, paths, tmp_path, capsys, weight):
@@ -324,6 +344,22 @@ class TestKnomCommands:
         pred_text = open(preds, encoding="utf-8").read()
         assert "citizenofcountry\tsoichi noguchi\tjapanese\tc1\tknown" in pred_text
         assert open(sample, encoding="utf-8").read().count("\n") == 7  # header + 6 rows
+
+    def test_the_seed_picks_the_sampled_rows(self, paths, tmp_path):
+        # 3 of the 6 predictions, so the seed decides which rows and in what order.
+        mappings = str(tmp_path / "mappings.tsv")
+        assert run("knom-learn", "--compounds", paths["compounds"], "--kb-dir", paths["kb"],
+                   "--seq-min-support", "3", "--min-support", "3", "--out", mappings) == 0
+        sample = tmp_path / "sample.tsv"
+        assert run("knom-predict", "--compounds", paths["compounds"], "--mappings", mappings,
+                   "--kb-dir", paths["kb"], "--out", str(tmp_path / "preds.tsv"),
+                   "--sample-out", str(sample), "--sample-size", "3", "--seed", "7") == 0
+        assert sample.read_text(encoding="utf-8").splitlines() == [
+            "#relation\targ1\targ2\tsource\tstatus\tjudgment",
+            "citizenofcountry\tsoichi noguchi\tjapanese\tc1\tknown\t-",
+            "citizenofcountry\tpadraig harrington\tirish\tc2\tknown\t-",
+            "personhasjobposition\tjean-paul sartre\tphilosopher\tc3\tknown\t-",
+        ]
 
     def test_baseline_flag_discards_all_type_mappings(self, paths, tmp_path):
         mappings = str(tmp_path / "mappings.tsv")

@@ -256,6 +256,23 @@ class TestCompoundNounClaim:
         assert all(c in PLANTED_CATEGORIES for _, c in noisy.isa)
         assert 0.1 < corrupted / len(clean.isa) < 0.3 and 0.1 < dropped / len(clean.isa) < 0.3
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_distractors_cost_typed_mappings_precision(self, seed):
+        # At d = 30, city·person compounds hold birthplace and residence
+        # alike, and company·founder·person ones hold no relation; the typed
+        # mappings still recover every held-out triple, but not only those.
+        scores, _ = knom_claim(seed, d=30)
+        assert scores["typed"][0] == 1.0
+        assert scores["typed"][1] < 1.0
+
+    @pytest.mark.parametrize("q", [0.0, 0.4])
+    def test_no_distractor_leaves_the_world_unchanged(self, q):
+        assert planted_world(0, q, distractors=0) == planted_world(0, q)
+        world = planted_world(0, q, distractors=30)
+        assert len(world.compounds) == 30 * len(PLANTED) + 200 + 2 * 30
+        assert len(world.held_out) == 10 * len(PLANTED) + 10
+        assert len(world.relations) == 20 * len(PLANTED) + 20
+
     def test_mcnemar_exact(self):
         assert mcnemar_exact(0, 0) == mcnemar_exact(1, 0) == 1.0
         assert mcnemar_exact(5, 1) == mcnemar_exact(1, 5) == 2 * (1 + 6) / 2 ** 6

@@ -364,15 +364,16 @@ class TestClassifyInstances:
             max_prep_senses=data.draw(st.integers(0, 5)),
             min_svo_count=data.draw(st.sampled_from((1, FeatureConfig().min_svo_count))))
         expected = classify_many(model, map(extractor(kb, cfg), fixture_instances))
-        assert bits(classify_instances(model, kb, cfg, fixture_instances)) == bits(expected)
+        scored = classify_instances(replace(model, feature_config=cfg), kb, fixture_instances)
+        assert bits(scored) == bits(expected)
 
     @pytest.mark.parametrize("weights", [{}, {"F8:(a,b,c,d)": 1.5, "junk": -2.0, "F99:x": 3.0}],
                              ids=["no-weight", "no-enabled-family"])
     def test_no_weighted_family_decides_v_at_one_half(self, kb, fixture_instances, weights):
         counting = CountingKB(kb)
         cfg = FeatureConfig(enabled_families=frozenset({"F1", "F2", "F5", "F6"}), min_svo_count=1)
-        model = AttachmentModel(weights)
-        decisions = classify_instances(model, counting, cfg, fixture_instances)
+        model = AttachmentModel(weights, feature_config=cfg)
+        decisions = classify_instances(model, counting, fixture_instances)
         assert decisions == [(VERB, 0.5)] * len(fixture_instances)
         assert bits(decisions) == bits(classify_many(model, map(extractor(kb, cfg),
                                                                 fixture_instances)))
@@ -385,13 +386,14 @@ class TestClassifyInstances:
                               - {"F1", "F2", "F5", "F6"})
         model = train_supervised([(extractor(kb, lookup_free)(inst), inst.label)
                                   for inst in fixture_instances if inst.label])
+        model.feature_config = EVERY_FAMILY
         counting = CountingKB(kb)
         list(map(extractor(counting, EVERY_FAMILY), fixture_instances))
         assert set(counting.calls) == set(CountingKB.LOOKUPS)   # the spy sees every lookup
         counting.calls.clear()
-        decisions = classify_instances(model, counting, EVERY_FAMILY, fixture_instances)
+        decisions = classify_instances(model, counting, fixture_instances)
         tuples = [inst for inst in fixture_instances if inst.n0]
-        extract_ternary(tuples, model, counting, EVERY_FAMILY)
+        extract_ternary(tuples, model, counting)
         assert not counting.calls
         expected = classify_many(model, map(extractor(kb, EVERY_FAMILY), fixture_instances))
         assert bits(decisions) == bits(expected)

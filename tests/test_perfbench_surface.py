@@ -1,11 +1,15 @@
 """Every library name the traced benchmark replay wraps or calls exists,
-and the model file the benchmark writes still loads.
+the model file the benchmark writes still loads, and every benchmark
+command line runs and passes its workload's output check.
 
 ``perfbench/tracing.py`` looks its targets up by name, so deleting or
 renaming one breaks only ``perfbench/run.py --trace 1``. This loads the
 tracer as it is and resolves each name. ``perfbench/gen.py`` writes the
 ``ppa-infer`` model itself, so a stricter ``load_model`` would fail every
 command of that workload and only the benchmark's smoke run would show it.
+Likewise a flag that ``perfbench/gen.py`` passes, or a ``report.tsv`` shape
+that ``perfbench/checks.py`` parses, so each workload runs here at smoke
+scale, in process.
 """
 
 import functools
@@ -15,6 +19,9 @@ import os
 import random
 import sys
 
+import pytest
+
+from kbread.cli import main
 from kbread.features import FeatureConfig
 from kbread.kb import KnowledgeBase
 from kbread.model import TrainConfig, load_model
@@ -71,3 +78,13 @@ def test_the_planted_model_loads(tmp_path):
     assert model.feature_config == FeatureConfig()
     assert (model.n_labeled, model.n_unlabeled) == (0, 0)
     assert len(model.weights) == n_weights > 0
+
+
+@pytest.mark.parametrize("workload", sorted(load_perfbench_module("gen").MAKERS))
+def test_every_benchmark_command_runs_and_passes_its_check(tmp_path, workload):
+    gen, checks = load_perfbench_module("gen"), load_perfbench_module("checks")
+    wl = gen.MAKERS[workload](str(tmp_path), 0, "smoke")
+    for label, argv, _ in wl.commands:
+        assert main(argv) == 0, f"{label}: {argv}"
+    failures, _ = checks.run_check(wl)
+    assert failures == []
